@@ -3,11 +3,10 @@ equation, with Von Neumann stability analysis and a barrier-scattering
 scenario driver."""
 
 from .errors import (ConfigurationError, DegenerateFieldError, DivergenceError,
-                     GfdtdError, RunIOError)
+                     GfdtdError, NonHermitianError, RunIOError)
 from .fields import (ANGSTROM, ELECTRON_MASS, EV, HBAR, GridSpec, PhysicalParams,
                      PotentialField, WaveField, norm, normalize)
-from .stencils import (BoundaryPolicy, StencilOrder, apply_b, apply_b_power,
-                       apply_laplacian)
+from .stencils import StencilOrder, apply_b, apply_b_power, apply_laplacian
 from .scheme import SchemeConfig, step, step_imag, step_real
 from .stability import (StabilityReport, StabilitySymbol, Verdict,
                         amplification_roots, endpoint_condition, endpoint_x,
@@ -25,7 +24,7 @@ __all__ = [
     "ANGSTROM", "ELECTRON_MASS", "EV", "HBAR",
     "GridSpec", "PhysicalParams", "PotentialField", "WaveField",
     "norm", "normalize",
-    "BoundaryPolicy", "StencilOrder", "apply_b", "apply_b_power", "apply_laplacian",
+    "StencilOrder", "apply_b", "apply_b_power", "apply_laplacian",
     "SchemeConfig", "step", "step_imag", "step_real",
     "StabilityReport", "StabilitySymbol", "Verdict", "amplification_roots",
     "endpoint_condition", "endpoint_x", "symbol_x", "truncated_sine",
@@ -37,5 +36,5 @@ __all__ = [
     "read_diagonal_snapshot", "read_field_dump", "write_diagonal_snapshot",
     "write_field_dump", "write_runlog",
     "ConfigurationError", "DegenerateFieldError", "DivergenceError",
-    "GfdtdError", "RunIOError",
+    "GfdtdError", "NonHermitianError", "RunIOError",
 ]

@@ -9,7 +9,7 @@ Subcommands:
               first turns unstable.
 
 Exit codes: 0 success, 1 divergence detected (run log still written),
-2 configuration error.
+2 configuration or I/O error.
 """
 
 import argparse
@@ -78,7 +78,10 @@ def cmd_run(args):
     cfg = _load_config(args.config)
     grid, physics, scheme, potential, wf = _build_problem(cfg)
     out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise RunIOError(f"cannot create output directory {out_dir}: {exc}") from exc
 
     def on_snapshot(field, record):
         write_diagonal_snapshot(field, grid, record.step, record.time_s, out_dir)
@@ -167,7 +170,7 @@ def main(argv=None):
         return 2
     except RunIOError as exc:
         print(f"run error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,5 +25,10 @@ class DivergenceError(GfdtdError):
         super().__init__(message or f"solution diverged at step {step}")
 
 
+class NonHermitianError(GfdtdError):
+    """An expectation value of the Hamiltonian came out with an imaginary
+    part: the discrete operator is not symmetric."""
+
+
 class RunIOError(GfdtdError):
     """Failure writing snapshot or log files during a run."""

@@ -112,7 +112,8 @@ class WaveField:
         return bool(np.isfinite(self.real_part).all() and np.isfinite(self.imag_part).all())
 
     def max_abs(self):
-        return max(float(np.abs(self.real_part).max()), float(np.abs(self.imag_part).max()))
+        """Largest |value| over both planes; NaN if either plane holds one."""
+        return float(np.max([np.abs(self.real_part).max(), np.abs(self.imag_part).max()]))
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, NonHermitianError
 from .fields import PotentialField, WaveField, norm, normalize
 from .scheme import DIVERGENCE_FACTOR, step
 from .stability import wavenumber_scan
-from .stencils import StencilOrder, apply_laplacian
+from .stencils import StencilOrder, apply_b
 
 
 @dataclass(frozen=True)
@@ -154,18 +154,20 @@ def barrier_potential(spec, grid):
 def energy_expectation(wf, potential, grid, physics, order=StencilOrder.FOURTH_ORDER):
     """<psi| -(hbar^2/2m) Laplacian + V |psi> in Joules.
 
-    Assembled from the split components; the Hamiltonian is real and
-    symmetric so the imaginary residual must vanish (asserted to 1e-10
-    relative)."""
-    kin = -physics.hbar ** 2 / (2.0 * physics.mass)
-    h_real = kin * apply_laplacian(wf.real_part, grid, order) + potential.values * wf.real_part
-    h_imag = kin * apply_laplacian(wf.imag_part, grid, order) + potential.values * wf.imag_part
-    vol = grid.cell_volume
-    real_part = float((wf.real_part * h_real + wf.imag_part * h_imag).sum()) * vol
-    imag_part = float((wf.real_part * h_imag - wf.imag_part * h_real).sum()) * vol
-    scale = max(abs(real_part), 1e-300)
-    if abs(imag_part) > 1e-10 * scale:
-        raise AssertionError(f"energy expectation has imaginary residual {imag_part}")
+    The Hamiltonian is H = -hbar B, so this takes two applications of B
+    and four dot products.  H is real and symmetric, so the imaginary
+    residual must vanish; above 1e-10 relative it raises
+    NonHermitianError."""
+    real, imag = wf.real_part, wf.imag_part
+    b = apply_b(real, grid, potential, physics, order)
+    r_br, i_br = np.vdot(real, b), np.vdot(imag, b)
+    apply_b(imag, grid, potential, physics, order, out=b)
+    r_bi, i_bi = np.vdot(real, b), np.vdot(imag, b)
+    scale = -physics.hbar * grid.cell_volume
+    real_part = float(r_br + i_bi) * scale
+    imag_part = float(r_bi - i_br) * scale
+    if abs(imag_part) > 1e-10 * max(abs(real_part), 1e-300):
+        raise NonHermitianError(f"energy expectation has imaginary residual {imag_part}")
     return real_part
 
 

@@ -1,24 +1,22 @@
 """Staggered leapfrog time steppers.
 
 One step advances the real part from t_{n-1} to t_n using the imaginary
-part at t_{n-1/2}, then advances the imaginary part to t_{n+1/2} using
-the freshly updated real part.  The update is a truncated Taylor series
-in odd powers of the generator B:
+part at t_{n-1/2}, then the imaginary part to t_{n+1/2} using the new
+real part, by a truncated Taylor series in odd powers of the generator B:
 
-    real += 2 * sum_{p=0..N} (dt/2)^(2p+1) * (-1)^(p+1)/(2p+1)! * B^(2p+1) imag
-    imag += 2 * sum_{p=0..N} (dt/2)^(2p+1) * (-1)^p    /(2p+1)! * B^(2p+1) real
+    real -= H imag,  then  imag += H real,  with
+    H = 2 * sum_{p=0..N} (dt/2)^(2p+1) * (-1)^p/(2p+1)! * B^(2p+1)
 
-N = 0 recovers the classic explicit FDTD update.  The time step is
-parameterized by the dimensionless ratio mu: dt = mu * 2 m dx^2 / hbar.
+N = 0 is the classic explicit FDTD update.  dt = mu * 2 m dx^2 / hbar.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .fields import PhysicalParams
+from .fields import PhysicalParams, WaveField
 from .stencils import StencilOrder, apply_b
 
 # |value| exceeding this multiple of the initial max aborts the run
@@ -29,11 +27,8 @@ MAX_TRUNCATION_INDEX = 8  # keeps (2N+1)! exactly representable
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Truncation index, stencil order and time step for one run.
-
-    dt must equal mu * 2 m dx^2 / hbar for the grid the config is used
-    with; build instances via from_mu to keep the two consistent.
-    """
+    """Truncation index, stencil order and time step for one run; dt must
+    equal mu * 2 m dx^2 / hbar for the grid, so build instances via from_mu."""
 
     N: int
     order: StencilOrder
@@ -74,49 +69,42 @@ class SchemeConfig:
                 for p in range(self.N + 1)]
 
 
-def _series(source, grid, potential, cfg, sign_of_p):
-    """sum_p coeff[p] * sign_of_p(p) * B^(2p+1) applied to ``source``."""
-    coeffs = cfg.series_coefficients()
-    b = apply_b(source, grid, potential, cfg.physics, cfg.order)
-    acc = (sign_of_p(0) * coeffs[0]) * b
-    for p in range(1, cfg.N + 1):
-        b = apply_b(b, grid, potential, cfg.physics, cfg.order)
-        b = apply_b(b, grid, potential, cfg.physics, cfg.order)
-        acc += (sign_of_p(p) * coeffs[p]) * b
-    return acc
+def _horner(source, grid, potential, cfg):
+    """H source as B(c_0 f - B^2(c_1 f - B^2(c_2 f ...))), c_p from
+    series_coefficients: 2N+1 applications of B alternating between two
+    buffers.  Returns the buffer holding the result."""
+    coeffs = [-c if p % 2 else c for p, c in enumerate(cfg.series_coefficients())]
+    u = np.multiply(source, coeffs[-1])
+    v = np.empty_like(u)
+    for a in reversed(coeffs[:-1]):
+        apply_b(u, grid, potential, cfg.physics, cfg.order, out=v)
+        apply_b(v, grid, potential, cfg.physics, cfg.order, out=u)
+        np.multiply(source, a, out=v)
+        u += v
+    return apply_b(u, grid, potential, cfg.physics, cfg.order, out=v)
 
 
 def step_real(field, potential, grid, cfg):
     """Updated real_part array (real advances t_{n-1} -> t_n)."""
-    return field.real_part + _series(
-        field.imag_part, grid, potential, cfg,
-        sign_of_p=lambda p: -1.0 if p % 2 == 0 else 1.0)  # (-1)^(p+1)
+    h = _horner(field.imag_part, grid, potential, cfg)
+    return np.subtract(field.real_part, h, out=h)
 
 
 def step_imag(field, potential, grid, cfg):
     """Updated imag_part array; real_part must already be at t_n."""
-    return field.imag_part + _series(
-        field.real_part, grid, potential, cfg,
-        sign_of_p=lambda p: 1.0 if p % 2 == 0 else -1.0)  # (-1)^p
+    h = _horner(field.real_part, grid, potential, cfg)
+    return np.add(field.imag_part, h, out=h)
 
 
 def step(field, potential, grid, cfg, max_abs_limit=None):
-    """Advance one full step: real first, then imag from the new real.
-
-    max_abs_limit, when given, is the divergence threshold (typically
-    DIVERGENCE_FACTOR times the initial max amplitude); exceeding it or
-    producing non-finite values raises DivergenceError with the step
-    index the field was being advanced to.
-    """
+    """Advance one full step into new planes, real first, then imag from the
+    new real.  Non-finite values, or any |value| above max_abs_limit (usually
+    DIVERGENCE_FACTOR times the initial max), raise DivergenceError."""
     new_real = step_real(field, potential, grid, cfg)
-    advanced = replace(field, real_part=new_real,
-                       real_time_index=field.real_time_index + 1)
-    new_imag = step_imag(advanced, potential, grid, cfg)
-    advanced = replace(advanced, imag_part=new_imag)
-    if max_abs_limit is not None:
-        m = advanced.max_abs()
-        if not np.isfinite(m) or m > max_abs_limit:
-            raise DivergenceError(advanced.real_time_index)
-    elif not advanced.is_finite():
+    h = _horner(new_real, grid, potential, cfg)
+    advanced = WaveField(new_real, np.add(field.imag_part, h, out=h),
+                         field.real_time_index + 1)
+    m = advanced.max_abs()
+    if not np.isfinite(m) or (max_abs_limit is not None and m > max_abs_limit):
         raise DivergenceError(advanced.real_time_index)
     return advanced

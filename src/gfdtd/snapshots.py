@@ -77,8 +77,8 @@ def write_field_dump(wf, grid, step, time_s, out_dir):
     ny = grid.ny if grid.dims == 2 else 1
     try:
         with open(dpath, "wb") as fh:
-            fh.write(np.ascontiguousarray(wf.real_part, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(wf.imag_part, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(wf.real_part, dtype="<f8"))
+            fh.write(np.ascontiguousarray(wf.imag_part, dtype="<f8"))
         with open(mpath, "w") as fh:
             fh.write(f"layout_version = {META_LAYOUT_VERSION}\n")
             fh.write(f"nx = {grid.nx}\n")

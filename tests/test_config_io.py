@@ -177,6 +177,18 @@ def test_field_dump_1d(rng, tmp_path):
     assert meta["ny"] == 1
 
 
+def test_field_dump_bytes_match_contiguous_planes(rng, tmp_path):
+    # square grid so the transposed (non-contiguous) planes fit it too
+    grid = GridSpec(dims=2, nx=6, dx=1.0, ny=6, dy=1.0)
+    real, imag = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
+    for wf in (WaveField(real, imag), WaveField(real.T, imag.T)):
+        dpath, _ = write_field_dump(wf, grid, 0, 0.0, str(tmp_path))
+        expected = b"".join(np.ascontiguousarray(plane, "<f8").tobytes()
+                            for plane in (wf.real_part, wf.imag_part))
+        with open(dpath, "rb") as fh:
+            assert fh.read() == expected
+
+
 def test_field_meta_parseable(tmp_path):
     grid = GridSpec(dims=2, nx=6, dx=1.0, ny=6, dy=2.0)
     wf = WaveField.zeros(grid)
@@ -254,6 +266,17 @@ def test_cli_config_error_exit_two(tmp_path):
     result = run_cli(["run", "--config", cfg_path], str(tmp_path))
     assert result.returncode == 2
     assert "scheme.mu" in result.stderr
+
+
+def test_cli_run_io_error_exit_two(tmp_path):
+    # out_dir names an existing file: an I/O error, not a divergence
+    (tmp_path / "taken").write_text("not a directory")
+    doc = reduced_document(run={"steps": 2, "out_dir": str(tmp_path / "taken")})
+    cfg_path = write_config(tmp_path, doc)
+    result = run_cli(["run", "--config", cfg_path], str(tmp_path))
+    assert result.returncode == 2
+    assert "run error:" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_cli_missing_config_file_exit_two(tmp_path):

@@ -91,3 +91,11 @@ def test_norm_quadratic_scaling(rng, small_grid_2d):
     for c in (0.5, 2.0, 7.25):
         scaled = WaveField(c * wf.real_part, c * wf.imag_part)
         assert norm(scaled, small_grid_2d) == pytest.approx(c * c * base, rel=1e-12)
+
+
+@pytest.mark.parametrize("nan_plane", ["real_part", "imag_part"])
+def test_max_abs_reports_nan_from_either_plane(nan_plane):
+    planes = {"real_part": np.array([1.0, -3.0, 2.0]), "imag_part": np.array([0.5, 0.0, -1.0])}
+    assert WaveField(**planes).max_abs() == 3.0
+    planes[nan_plane] = np.array([1.0, np.nan, 2.0])
+    assert np.isnan(WaveField(**planes).max_abs())

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gfdtd import (ANGSTROM, EV, BarrierSpec, ConfigurationError,
-                   GaussianPacketSpec, GridSpec, PhysicalParams, PotentialField,
+                   GaussianPacketSpec, GridSpec, NonHermitianError,
+                   PhysicalParams, PotentialField,
                    SchemeConfig, StencilOrder, barrier_potential,
                    energy_expectation, free_packet_1d, gaussian_packet_1d,
                    gaussian_packet_2d, norm, run)
@@ -135,6 +136,26 @@ def test_energy_plane_wave_dispersion(physics):
     assert measured == pytest.approx(kinetic + envelope, rel=1e-3)
 
 
+def test_energy_asymmetric_operator_raises_typed_error(monkeypatch, physics):
+    # a non-symmetric stand-in for B leaves an imaginary residual in <H>
+    from gfdtd import scenarios, stencils
+
+    def lopsided_b(component, grid, potential, physics, order, out=None):
+        out = stencils.apply_b(component, grid, potential, physics, order, out=out)
+        out[1:] += 1e20 * component[:-1]
+        return out
+
+    grid = GridSpec(dims=1, nx=200, dx=0.1 * ANGSTROM)
+    spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=1.0 * ANGSTROM,
+                              center_j=100)
+    wf = gaussian_packet_1d(spec, grid, physics)
+    pot = PotentialField.zeros(grid)
+    energy_expectation(wf, pot, grid, physics)
+    monkeypatch.setattr(scenarios, "apply_b", lopsided_b)
+    with pytest.raises(NonHermitianError):
+        energy_expectation(wf, pot, grid, physics)
+
+
 # --- run driver ---------------------------------------------------------------
 
 def test_run_zero_steps(reduced_grid, reduced_packet, reduced_barrier, physics):
@@ -158,6 +179,18 @@ def test_run_stable_regime(reduced_grid, reduced_packet, reduced_barrier, physic
     norms = [r.norm for r in log.records]
     assert all(abs(n - 1.0) < 0.05 for n in norms)
     assert [r.step for r in log.records] == [0, 100, 200, 300, 400, 500]
+
+
+def test_run_leaves_input_planes_untouched(reduced_grid, reduced_packet,
+                                           reduced_barrier, physics):
+    cfg = SchemeConfig.from_mu(2, StencilOrder.FOURTH_ORDER, 0.25, physics,
+                               reduced_grid)
+    wf0 = gaussian_packet_2d(reduced_packet, reduced_grid)
+    real, imag = wf0.real_part.copy(), wf0.imag_part.copy()
+    wf, _ = run(wf0, reduced_barrier, reduced_grid, cfg, steps=3)
+    assert np.array_equal(wf0.real_part, real)
+    assert np.array_equal(wf0.imag_part, imag)
+    assert not np.array_equal(wf.real_part, real)
 
 
 def test_run_divergent_regime(reduced_grid, reduced_packet, reduced_barrier, physics):

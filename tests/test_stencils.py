@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gfdtd import (ConfigurationError, GridSpec, PhysicalParams, PotentialField,
-                   StencilOrder, apply_b, apply_b_power, apply_laplacian)
+                   StencilOrder, apply_b, apply_b_power, apply_laplacian, stencils)
 
 from conftest import dense_b_matrix, dense_laplacian_matrix
 
@@ -173,3 +173,57 @@ def test_fourth_order_convergence_rate():
     fine = max_interior_error(321)
     ratio = coarse / fine
     assert 12.0 <= ratio <= 20.0
+
+
+@pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
+@pytest.mark.parametrize("grid_name", ["small_grid_1d", "small_grid_2d"])
+def test_out_buffer_is_returned_and_bitwise_equal(rng, request, grid_name, order,
+                                                  unit_physics):
+    grid = request.getfixturevalue(grid_name)
+    potential = PotentialField(rng.uniform(0.0, 1.0, size=grid.shape))
+    f = rng.normal(size=grid.shape)
+    buf = np.full(grid.shape, np.nan)
+    assert apply_b(f, grid, potential, unit_physics, order, out=buf) is buf
+    assert np.array_equal(buf, apply_b(f, grid, potential, unit_physics, order))
+    assert apply_laplacian(f, grid, order, out=buf) is buf
+    assert np.array_equal(buf, apply_laplacian(f, grid, order))
+
+
+def test_out_overlapping_or_misshapen_rejected(rng, small_grid_2d, constant_potential,
+                                               unit_physics):
+    f = rng.normal(size=small_grid_2d.shape)
+    bad_outs = [f, f[:, :], np.empty((8, 7)), np.empty(small_grid_2d.shape).T]
+    for out in bad_outs:
+        with pytest.raises(ConfigurationError):
+            apply_b(f, small_grid_2d, constant_potential, unit_physics, out=out)
+        with pytest.raises(ConfigurationError):
+            apply_laplacian(f, small_grid_2d, out=out)
+
+
+@pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
+def test_b_exactly_transpose_symmetric(rng, order, unit_physics):
+    # square grid, V = V.T: every operation of the kernel treats x and y
+    # alike, so transposing the input transposes the output bit for bit
+    grid = GridSpec(dims=2, nx=11, dx=0.7, ny=11, dy=0.7)
+    v = rng.uniform(0.0, 1.0, size=grid.shape)
+    potential = PotentialField(v + v.T)
+    f = rng.normal(size=grid.shape)
+    out = apply_b(f, grid, potential, unit_physics, order)
+    assert np.array_equal(apply_b(f.T, grid, potential, unit_physics, order), out.T)
+    assert np.array_equal(apply_laplacian(f.T, grid, order), apply_laplacian(f, grid, order).T)
+
+
+@pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
+@pytest.mark.parametrize("grid", [GridSpec(dims=1, nx=23, dx=0.7),
+                                  GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=1.1)])
+def test_row_slabs_do_not_change_a_bit(rng, monkeypatch, grid, order, unit_physics):
+    # whole plane in one slab versus the thinnest slabs, the last of which
+    # overlaps its neighbour
+    potential = PotentialField(rng.uniform(0.0, 1.0, size=grid.shape))
+    f = rng.normal(size=grid.shape)
+    whole_b = apply_b(f, grid, potential, unit_physics, order)
+    whole_lap = apply_laplacian(f, grid, order)
+    monkeypatch.setattr(stencils, "_SLAB_BYTES", 1)
+    assert np.array_equal(apply_b(f, grid, potential, unit_physics, order), whole_b)
+    assert np.array_equal(apply_laplacian(f, grid, order), whole_lap)
+
