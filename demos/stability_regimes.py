@@ -4,12 +4,14 @@ For each (N, stencil order, mu) combination this prints three things side
 by side:
 
 * the endpoint stability value |S(x_max)| at the Nyquist wavenumber,
-* the maximum of |S| over a dense scan of all resolved wavenumbers,
+* the exact maximum of |S| over every wavenumber and potential level,
 * what a real 200x200 run does (bounded norm, or the step it blew up).
 
-The interesting row is N=2 at mu=0.45: the endpoint check passes while the
-scan catches an interior wavenumber whose amplification exceeds 1 -- and the
-simulation indeed diverges. Checking only the endpoint is not enough once
+Both values come from the verdict run() records before it steps, taken
+over the barrier potential's range of levels.  The interesting row is N=2
+at mu=0.45: the endpoint check passes while the maximum catches an
+interior wavenumber whose amplification exceeds 1 -- and the simulation
+indeed diverges. Checking only the endpoint is not enough once
 the truncated-sine profile stops being monotone (N >= 1).
 
 Run from the repository root:
@@ -17,12 +19,9 @@ Run from the repository root:
     python demos/stability_regimes.py
 """
 
-import numpy as np
-
 from gfdtd import (ANGSTROM, EV, BarrierSpec, GaussianPacketSpec, GridSpec,
                    PhysicalParams, SchemeConfig, StencilOrder,
-                   barrier_potential, endpoint_condition, gaussian_packet_2d,
-                   run, wavenumber_scan)
+                   barrier_potential, gaussian_packet_2d, run)
 
 CASES = [
     (0, StencilOrder.SECOND_ORDER, 0.20),
@@ -47,16 +46,15 @@ def main():
     print("-" * 88)
     for N, order, mu in CASES:
         cfg = SchemeConfig.from_mu(N, order, mu, physics, grid)
-        value, _ = endpoint_condition(cfg, grid, v_max=float(pot.max_abs()), c=0.99)
-        report = wavenumber_scan(cfg, grid, v_max=float(pot.max_abs()))
         wf = gaussian_packet_2d(packet, grid)
         final, log = run(wf, pot, grid, cfg, steps=500, snapshot_every=100)
+        report = log.stability_report
         if log.diverged:
             outcome = f"DIVERGED at step {log.divergence_step}"
         else:
             drift = max(abs(r.norm - 1.0) for r in log.records)
             outcome = f"bounded, norm drift {drift:.4f}"
-        print(f"{N:>2} {order.value:>6} {mu:>5.2f} | {value:>8.5f} "
+        print(f"{N:>2} {order.value:>6} {mu:>5.2f} | {report.endpoint_value:>8.5f} "
               f"{report.scan_max:>8.5f} {report.verdict.value:>22} | {outcome}")
 
 

@@ -13,7 +13,7 @@ from .stability import (StabilityReport, StabilitySymbol, Verdict,
                         symbol_x, truncated_sine, wavenumber_scan)
 from .scenarios import (BarrierSpec, GaussianPacketSpec, RunLog, RunRecord,
                         barrier_potential, energy_expectation, free_packet_1d,
-                        gaussian_packet_1d, gaussian_packet_2d, run)
+                        gaussian_packet_1d, gaussian_packet_2d, potential_bounds, run)
 from .config import RunConfig, parse_config
 from .snapshots import (read_diagonal_snapshot, read_field_dump,
                         write_diagonal_snapshot, write_field_dump, write_runlog)
@@ -31,7 +31,7 @@ __all__ = [
     "wavenumber_scan",
     "BarrierSpec", "GaussianPacketSpec", "RunLog", "RunRecord",
     "barrier_potential", "energy_expectation", "free_packet_1d",
-    "gaussian_packet_1d", "gaussian_packet_2d", "run",
+    "gaussian_packet_1d", "gaussian_packet_2d", "potential_bounds", "run",
     "RunConfig", "parse_config",
     "read_diagonal_snapshot", "read_field_dump", "write_diagonal_snapshot",
     "write_field_dump", "write_runlog",

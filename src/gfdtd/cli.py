@@ -9,7 +9,7 @@ Subcommands:
               first turns unstable.
 
 Exit codes: 0 success, 1 divergence detected (run log still written),
-2 configuration or I/O error.
+2 any other package error (configuration, I/O, ...), without a traceback.
 """
 
 import argparse
@@ -17,13 +17,13 @@ import os
 import sys
 
 from .config import parse_config
-from .errors import ConfigurationError, RunIOError
+from .errors import ConfigurationError, GfdtdError, RunIOError
 from .fields import EV
 from .scenarios import PotentialField, barrier_potential, gaussian_packet_1d, \
-    gaussian_packet_2d, run as run_simulation
+    gaussian_packet_2d, potential_bounds, run as run_simulation
 from .scheme import SchemeConfig
 from .snapshots import write_diagonal_snapshot, write_field_dump, write_runlog
-from .stability import endpoint_x, wavenumber_scan
+from .stability import wavenumber_scan
 
 
 def _load_config(path):
@@ -51,26 +51,24 @@ def _build_problem(cfg):
     return grid, physics, scheme, potential, wf
 
 
-def _print_report(report, scheme, v_max):
+def _print_report(report, scheme, bounds):
     print(f"endpoint argument x_max : {report.endpoint_x:.6g}")
     print(f"endpoint value |S(x_max)|: {report.endpoint_value:.6g}")
     print(f"scan max |S(x)|         : {report.scan_max:.6g}")
     print(f"threshold c             : {report.threshold_c:.6g}")
     print(f"margin (c - scan max)   : {report.margin:.6g}")
     print(f"verdict                 : {report.verdict.value}")
-    print(f"potential term V*dt/2hbar: "
-          f"{v_max * scheme.dt / (2.0 * scheme.physics.hbar):.6g}")
+    lo, hi = (v * scheme.dt / (2.0 * scheme.physics.hbar) for v in bounds)
+    print(f"potential term V*dt/2hbar: {lo:.6g} to {hi:.6g}")
 
 
 def cmd_stability(args):
     cfg = _load_config(args.config)
     grid = cfg.grid()
     scheme = cfg.scheme()
-    barrier = cfg.barrier()
-    v_max = barrier.height if barrier is not None else 0.0
-    report = wavenumber_scan(scheme, grid, v_max=v_max,
-                             samples_per_axis=cfg.scan_samples, c=cfg.c)
-    _print_report(report, scheme, v_max)
+    v_min, v_max = bounds = potential_bounds(cfg.barrier(), grid)
+    report = wavenumber_scan(scheme, grid, v_max=v_max, c=cfg.c, v_min=v_min)
+    _print_report(report, scheme, bounds)
     return 0
 
 
@@ -90,9 +88,8 @@ def cmd_run(args):
 
     final, log = run_simulation(wf, potential, grid, scheme, cfg.steps,
                                 snapshot_every=cfg.snapshot_every,
-                                on_snapshot=on_snapshot,
-                                scan_samples=cfg.scan_samples, threshold_c=cfg.c)
-    _print_report(log.stability_report, scheme, potential.max_abs())
+                                on_snapshot=on_snapshot, threshold_c=cfg.c)
+    _print_report(log.stability_report, scheme, potential.bounds())
     write_runlog(log, out_dir)
     last = log.records[-1]
     print(f"recorded {len(log.records)} snapshots; final step {last.step}, "
@@ -109,8 +106,7 @@ def cmd_sweep(args):
         raise ConfigurationError("sweep needs mu_from <= mu_to and mu_step > 0")
     grid = cfg.grid()
     physics = cfg.physics()
-    barrier = cfg.barrier()
-    v_max = barrier.height if barrier is not None else 0.0
+    v_min, v_max = potential_bounds(cfg.barrier(), grid)
     base = cfg.scheme()
     first_over_c = None
     first_over_one = None
@@ -118,8 +114,7 @@ def cmd_sweep(args):
     mu = args.mu_from
     while mu <= args.mu_to + 1e-12 * args.mu_step:
         scheme = SchemeConfig.from_mu(base.N, base.order, mu, physics, grid)
-        report = wavenumber_scan(scheme, grid, v_max=v_max,
-                                 samples_per_axis=cfg.scan_samples, c=cfg.c)
+        report = wavenumber_scan(scheme, grid, v_max=v_max, c=cfg.c, v_min=v_min)
         print(f"{mu:.6g},{report.endpoint_value:.6g},{report.scan_max:.6g},"
               f"{report.verdict.value}")
         if first_over_c is None and report.scan_max > cfg.c:
@@ -165,11 +160,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except RunIOError as exc:
-        print(f"run error: {exc}", file=sys.stderr)
+    except GfdtdError as exc:
+        kind = "configuration" if isinstance(exc, ConfigurationError) else "run"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return 2
 
 

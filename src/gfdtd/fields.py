@@ -130,8 +130,9 @@ class PotentialField:
     def zeros(cls, grid):
         return cls(np.zeros(grid.shape))
 
-    def max_abs(self):
-        return float(np.abs(self.values).max())
+    def bounds(self):
+        """(lowest, highest) potential level, in Joules."""
+        return float(self.values.min()), float(self.values.max())
 
 
 def norm(wf, grid):

@@ -151,6 +151,15 @@ def barrier_potential(spec, grid):
     return PotentialField(values)
 
 
+def potential_bounds(spec, grid):
+    """barrier_potential(spec, grid).bounds() without building the plane;
+    (0, 0) for spec None, free space."""
+    if spec is None:
+        return 0.0, 0.0
+    covers_grid = spec.j_min == 1 and (grid.dims == 1 or spec.k_min == 1)
+    return (spec.height if covers_grid else 0.0), spec.height
+
+
 def energy_expectation(wf, potential, grid, physics, order=StencilOrder.FOURTH_ORDER):
     """<psi| -(hbar^2/2m) Laplacian + V |psi> in Joules.
 
@@ -200,7 +209,7 @@ def _observe(wf, potential, grid, physics, order, step_index, time_s):
 
 
 def run(wf, potential, grid, cfg, steps, snapshot_every=0, on_snapshot=None,
-        scan_samples=256, threshold_c=0.99):
+        threshold_c=0.99):
     """Drive the leapfrog scheme for ``steps`` steps.
 
     The stability scan runs first and lands in the log.  Observables are
@@ -211,8 +220,9 @@ def run(wf, potential, grid, cfg, steps, snapshot_every=0, on_snapshot=None,
     """
     cfg.validate_against(grid)
     log = RunLog()
-    log.stability_report = wavenumber_scan(cfg, grid, v_max=potential.max_abs(),
-                                           samples_per_axis=scan_samples, c=threshold_c)
+    v_min, v_max = potential.bounds()
+    log.stability_report = wavenumber_scan(cfg, grid, v_max=v_max, c=threshold_c,
+                                           v_min=v_min)
     limit = DIVERGENCE_FACTOR * max(wf.max_abs(), 1e-300)
     record = _observe(wf, potential, grid, cfg.physics, cfg.order, 0, 0.0)
     log.records.append(record)

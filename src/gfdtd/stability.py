@@ -1,23 +1,25 @@
 """Von Neumann stability analysis for the generalized leapfrog scheme.
 
-For a discrete plane-wave mode the scheme's amplification factor solves
+A plane-wave mode's amplification factor solves
 
-    lambda^2 - (2 - alpha^2) lambda + 1 = 0,   alpha = 2 S(x(beta)),
+    lambda^2 - (2 - alpha^2) lambda + 1 = 0,   alpha = 2 S(x),
 
-where S is the truncated sine S(x) = sum_{p=0..N} (-1)^p x^(2p+1)/(2p+1)!
-and x(beta) collects the stencil symbol plus the potential shift.  The
-mode is bounded iff |alpha| <= 2, i.e. |S(x)| <= 1.
+with the truncated sine S(x) = sum_{p=0..N} (-1)^p x^(2p+1)/(2p+1)! and
+x = K(beta) + V dt/(2 hbar), the stencil symbol at wavenumber beta plus the
+potential term; the mode is bounded iff |S(x)| <= 1.  K rises in each
+sin^2(beta d/2) from 0 to its Nyquist value, so over all wavenumbers and
+levels in [V_min, V_max] x fills [V_min dt/(2 hbar), endpoint_x(grid, cfg,
+V_max)]; gaps between levels can only make the verdict err toward unstable.
 
-Two checks are provided.  The endpoint condition evaluates |S| only at
-the Nyquist wavenumber (the largest x); it matches the published
-stability theorems but silently assumes S is monotone up to that point,
-which fails for N >= 1 once x_max passes S's first local maximum.  The
-wavenumber scan evaluates |S| over sampled wavenumbers and is the
-authoritative verdict; when the two disagree the report says so instead
-of picking a side.
+The endpoint condition checks |S| at the top of that interval only, as the
+published stability theorems do; that silently assumes S is monotone, which
+fails for N >= 1 once x_max passes S's first local maximum.  wavenumber_scan
+takes the exact maximum over the interval and is the authoritative verdict;
+when the two disagree the report says so instead of picking a side.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,11 +27,7 @@ import numpy as np
 
 from .stencils import StencilOrder
 
-# sampling slack allowed between scan max and endpoint value
-SCAN_SLACK = 1e-6
-
 DEFAULT_THRESHOLD = 0.99
-DEFAULT_SCAN_SAMPLES = 256
 
 
 def truncated_sine(x, N):
@@ -63,7 +61,6 @@ class StabilitySymbol:
 
 
 class Verdict(Enum):
-    STABLE_BY_ENDPOINT = "stable_by_endpoint"
     STABLE_BY_SCAN = "stable_by_scan"
     UNSTABLE = "unstable"
     ENDPOINT_SCAN_DISAGREE = "endpoint_scan_disagree"
@@ -79,8 +76,8 @@ class StabilityReport:
     endpoint_x: float = float("nan")
 
 
-def _symbol_value(sx, sy, grid, cfg, v_max):
-    """x from per-axis sin^2 values (sy ignored in 1-D)."""
+def _symbol_value(sx, sy, grid, cfg, v):
+    """x from per-axis sin^2 values and potential v (sy ignored in 1-D)."""
     hbar, m = cfg.physics.hbar, cfg.physics.mass
     rx, ry = cfg.mesh_ratios(grid)
     if cfg.order is StencilOrder.SECOND_ORDER:
@@ -93,7 +90,7 @@ def _symbol_value(sx, sy, grid, cfg, v_max):
         if grid.dims == 2:
             val = val + ry * sy * (3.0 + sy)
         val = (hbar / (3.0 * m)) * val
-    return val + v_max * cfg.dt / (2.0 * hbar)
+    return val + v * cfg.dt / (2.0 * hbar)
 
 
 def symbol_x(beta_x, beta_y, grid, cfg, v_max=0.0):
@@ -119,35 +116,32 @@ def endpoint_condition(cfg, grid, v_max=0.0, c=DEFAULT_THRESHOLD):
     return value, value <= c
 
 
-def wavenumber_scan(cfg, grid, v_max=0.0, samples_per_axis=DEFAULT_SCAN_SAMPLES,
-                    c=DEFAULT_THRESHOLD):
-    """Evaluate |S(x(beta))| over sampled wavenumbers and issue a verdict.
+def interval_max_abs(lo, hi, N):
+    """Exact max |S_N(x)| over lo <= x <= hi: at an end or at a real root
+    +-sqrt(y) of S_N' = sum_p (-1)^p y^p/(2p)!, y = x^2.  An error in a root
+    moves |S| only to second order, since S' vanishes there."""
+    y = np.roots([(-1.0) ** p / math.factorial(2 * p) for p in range(N, -1, -1)])
+    roots = np.sqrt(y[np.isreal(y) & (y.real > 0)].real)
+    xs = np.concatenate(([lo, hi], -roots, roots))
+    return float(np.abs(truncated_sine(xs[(xs >= lo) & (xs <= hi)], N)).max())
 
-    Wavenumbers are sampled uniformly over (0, pi/dx] per axis (all
-    cross-combinations in 2-D).  The scan is authoritative: passing it
-    yields STABLE_BY_SCAN; an endpoint pass with a scan failure yields
-    ENDPOINT_SCAN_DISAGREE.
-    """
-    if samples_per_axis < 64:
-        raise ValueError("samples_per_axis must be >= 64")
+
+def wavenumber_scan(cfg, grid, v_max=0.0, samples_per_axis=None, c=DEFAULT_THRESHOLD,
+                    *, v_min=0.0):
+    """Verdict from the exact max of |S(x)| over every wavenumber and every
+    potential level in [v_min, v_max] (v_min = 0: the barrier's background).
+    Passing it yields STABLE_BY_SCAN, an endpoint pass alone
+    ENDPOINT_SCAN_DISAGREE.  samples_per_axis is accepted and ignored."""
+    if samples_per_axis is not None:
+        warnings.warn("wavenumber_scan ignores samples_per_axis: its maximum is exact",
+                      DeprecationWarning, stacklevel=2)
+    if v_min > v_max:
+        raise ValueError(f"v_min {v_min} exceeds v_max {v_max}")
     cfg.validate_against(grid)
+    ep_value, endpoint_ok = endpoint_condition(cfg, grid, v_max, c)
     ep_x = endpoint_x(grid, cfg, v_max)
-    ep_value = abs(truncated_sine(ep_x, cfg.N))
-
-    beta_x = np.linspace(0.0, np.pi / grid.dx, samples_per_axis + 1)[1:]
-    sx = np.sin(0.5 * beta_x * grid.dx) ** 2
-    if grid.dims == 2:
-        beta_y = np.linspace(0.0, np.pi / grid.dy, samples_per_axis + 1)[1:]
-        sy = np.sin(0.5 * beta_y * grid.dy) ** 2
-        sx, sy = np.meshgrid(sx, sy, indexing="ij")
-    else:
-        sy = 0.0
-    xs = _symbol_value(sx, sy, grid, cfg, v_max)
-    scan_max = float(np.abs(truncated_sine(xs, cfg.N)).max())
-
-    endpoint_ok = ep_value <= c
-    scan_ok = scan_max <= c
-    if scan_ok:
+    scan_max = interval_max_abs(_symbol_value(0.0, 0.0, grid, cfg, v_min), ep_x, cfg.N)
+    if scan_max <= c:
         verdict = Verdict.STABLE_BY_SCAN
     elif endpoint_ok:
         verdict = Verdict.ENDPOINT_SCAN_DISAGREE

@@ -279,6 +279,58 @@ def test_cli_run_io_error_exit_two(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_cli_package_error_exit_two(tmp_path, monkeypatch, capsys):
+    # an asymmetric stand-in for B makes energy_expectation raise
+    # NonHermitianError at the first observation
+    from gfdtd import cli, scenarios, stencils
+
+    def lopsided_b(component, grid, potential, physics, order, out=None):
+        out = stencils.apply_b(component, grid, potential, physics, order, out=out)
+        out[1:] += 1e20 * component[:-1]
+        return out
+
+    monkeypatch.setattr(scenarios, "apply_b", lopsided_b)
+    doc = reduced_document(run={"steps": 2, "out_dir": str(tmp_path / "out")})
+    assert cli.main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run error: energy expectation has imaginary residual")
+    assert "Traceback" not in err
+
+
+def barrier_1d_document(out_dir):
+    """1-D, N=2, mu=0.8 with a barrier of V dt/2hbar = 2 on j >= 301.
+
+    The zero-potential region reaches S's interior peak 1.0047, so the
+    run blows up, while every x above 2 stays below 0.94."""
+    doc = {
+        "grid": {"dims": 1, "nx": 400, "dx_angstrom": 0.1},
+        "scheme": {"N": 2, "stencil_order": 2, "mu": 0.8},
+        "init": {"sigma_angstrom": 1.0, "lambda_angstrom": 0.8, "center_j": 100},
+        "potential": {"type": "quadrant_barrier", "height_ev": 1.0, "j_min": 301},
+        "run": {"steps": 600, "snapshot_every": 0, "out_dir": out_dir},
+    }
+    cfg = parse_config(json.dumps(doc))
+    doc["potential"]["height_ev"] = 2.0 * 2.0 * cfg.hbar / cfg.scheme().dt / EV
+    return doc
+
+
+def verdict_of(stdout):
+    line = [l for l in stdout.splitlines() if l.startswith("verdict")][0]
+    return line.split(":")[1].strip()
+
+
+def test_cli_verdict_covers_zero_region_below_barrier(tmp_path):
+    cfg_path = write_config(tmp_path, barrier_1d_document(str(tmp_path / "out")))
+    stability = run_cli(["stability", "--config", cfg_path], str(tmp_path))
+    assert stability.returncode == 0, stability.stderr
+    assert "potential term V*dt/2hbar: 0 to 2" in stability.stdout
+    assert verdict_of(stability.stdout) == "endpoint_scan_disagree"
+    result = run_cli(["run", "--config", cfg_path], str(tmp_path))
+    assert result.returncode == 1, result.stderr
+    assert "DIVERGENCE" in result.stdout
+    assert verdict_of(result.stdout) == "endpoint_scan_disagree"
+
+
 def test_cli_missing_config_file_exit_two(tmp_path):
     result = run_cli(["stability", "--config", "nope.json"], str(tmp_path))
     assert result.returncode == 2

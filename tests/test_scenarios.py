@@ -6,7 +6,7 @@ from gfdtd import (ANGSTROM, EV, BarrierSpec, ConfigurationError,
                    PhysicalParams, PotentialField,
                    SchemeConfig, StencilOrder, barrier_potential,
                    energy_expectation, free_packet_1d, gaussian_packet_1d,
-                   gaussian_packet_2d, norm, run)
+                   gaussian_packet_2d, norm, potential_bounds, run)
 
 
 @pytest.fixture
@@ -73,6 +73,17 @@ def test_barrier_zero_height(reduced_grid):
     pot = barrier_potential(BarrierSpec(j_min=101, k_min=101, height=0.0),
                             reduced_grid)
     assert np.all(pot.values == 0.0)
+
+
+@pytest.mark.parametrize("dims,j_min,k_min", [
+    (2, 101, 101), (2, 1, 101), (2, 101, 1), (2, 1, 1), (1, 101, 1), (1, 1, 1)])
+def test_potential_bounds_match_built_potential(dims, j_min, k_min):
+    dx = 0.1 * ANGSTROM
+    grid = (GridSpec(dims=2, nx=200, dx=dx, ny=200, dy=dx) if dims == 2
+            else GridSpec(dims=1, nx=200, dx=dx))
+    spec = BarrierSpec(j_min=j_min, k_min=k_min, height=100 * EV)
+    assert potential_bounds(spec, grid) == barrier_potential(spec, grid).bounds()
+    assert potential_bounds(None, grid) == PotentialField.zeros(grid).bounds()
 
 
 def test_barrier_full_scale_region_count():

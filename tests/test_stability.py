@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gfdtd import (GridSpec, PhysicalParams, SchemeConfig, StencilOrder, Verdict,
-                   amplification_roots, endpoint_condition, endpoint_x, symbol_x,
+from gfdtd import (GaussianPacketSpec, GridSpec, PhysicalParams, PotentialField,
+                   SchemeConfig, StencilOrder, Verdict, amplification_roots,
+                   endpoint_condition, endpoint_x, gaussian_packet_1d, run, symbol_x,
                    truncated_sine, wavenumber_scan)
+from gfdtd.stability import interval_max_abs
 
 
 @pytest.fixture
@@ -131,8 +134,8 @@ def test_endpoint_rejects_bad_threshold(grid_2d, physics):
 
 def test_scan_monotone_case_matches_endpoint(grid_2d, physics):
     cfg = cfg_for(grid_2d, physics, 0, 0.2)
-    report = wavenumber_scan(cfg, grid_2d, v_max=0.0, samples_per_axis=256)
-    assert report.scan_max == pytest.approx(report.endpoint_value, abs=1e-6)
+    report = wavenumber_scan(cfg, grid_2d, v_max=0.0)
+    assert report.scan_max == report.endpoint_value
     assert report.verdict is Verdict.STABLE_BY_SCAN
     assert report.margin == pytest.approx(0.99 - report.scan_max, rel=1e-12)
 
@@ -143,19 +146,19 @@ def test_scan_detects_endpoint_disagreement(grid_2d, physics):
     cfg = cfg_for(grid_2d, physics, 2, 0.45)
     value, ok = endpoint_condition(cfg, grid_2d, v_max=0.0, c=0.99)
     assert ok and value == pytest.approx(0.98546, abs=1e-4)
-    report = wavenumber_scan(cfg, grid_2d, v_max=0.0, samples_per_axis=512)
+    report = wavenumber_scan(cfg, grid_2d, v_max=0.0)
     # oracle: dense maximization of S(x) = x - x^3/6 + x^5/120 on [0, 1.8]
     xs = np.linspace(0.0, 1.8, 1_000_001)
     dense_max = np.abs(xs - xs ** 3 / 6 + xs ** 5 / 120).max()
     assert dense_max == pytest.approx(1.00474, abs=1e-4)
-    assert report.scan_max == pytest.approx(dense_max, abs=1e-3)
+    assert report.scan_max == pytest.approx(dense_max, abs=1e-9)
     assert report.scan_max > 1.0
     assert report.verdict is Verdict.ENDPOINT_SCAN_DISAGREE
 
 
 def test_scan_stable_mu_035(grid_2d, physics):
     cfg = cfg_for(grid_2d, physics, 2, 0.35)
-    report = wavenumber_scan(cfg, grid_2d, v_max=0.0, samples_per_axis=256)
+    report = wavenumber_scan(cfg, grid_2d, v_max=0.0)
     assert report.scan_max < 1.0
     assert report.verdict is Verdict.STABLE_BY_SCAN
 
@@ -173,13 +176,69 @@ def test_scan_dominates_endpoint(grid_2d, physics):
                          (3, 0.6, StencilOrder.SECOND_ORDER)]:
         cfg = cfg_for(grid_2d, physics, N, mu, order)
         report = wavenumber_scan(cfg, grid_2d, v_max=0.0)
-        assert report.scan_max >= report.endpoint_value - 1e-6
+        assert report.scan_max >= report.endpoint_value
 
 
-def test_scan_rejects_too_few_samples(grid_2d, physics):
+@pytest.mark.parametrize("c", [0.0, 1.0, 1.5])
+def test_scan_rejects_bad_threshold(grid_2d, physics, c):
+    # N=2, mu=0.45 peaks at |S| = 1.0047, which c = 1.5 would call stable
+    cfg = cfg_for(grid_2d, physics, 2, 0.45)
+    with pytest.raises(ValueError):
+        wavenumber_scan(cfg, grid_2d, c=c)
+
+
+def test_scan_rejects_inverted_potential_range(grid_2d, physics):
     cfg = cfg_for(grid_2d, physics, 0, 0.2)
     with pytest.raises(ValueError):
-        wavenumber_scan(cfg, grid_2d, samples_per_axis=32)
+        wavenumber_scan(cfg, grid_2d, v_max=-1.0e-18)
+
+
+def test_scan_ignores_samples_with_a_warning(grid_2d, physics):
+    cfg = cfg_for(grid_2d, physics, 2, 0.45)
+    with pytest.warns(DeprecationWarning):
+        report = wavenumber_scan(cfg, grid_2d, samples_per_axis=32)
+    assert report == wavenumber_scan(cfg, grid_2d)
+
+
+# --- exact interval maximum ---------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(0, 8),
+       ends=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2).map(sorted))
+def test_interval_max_matches_dense_oracle(N, ends):
+    # on |x| <= 5 the 2e6-point oracle misses an interior peak of S_8 by
+    # at most |S''| h^2 / 8 < 3e-10; evaluating the same S at the same
+    # points keeps rounding out of the one-sided check
+    lo, hi = ends
+    dense = np.abs(truncated_sine(np.linspace(lo, hi, 2_000_001), N)).max()
+    exact = interval_max_abs(lo, hi, N)
+    assert exact == pytest.approx(dense, abs=1e-9)
+    assert exact >= dense - 1e-12
+
+
+# --- verdict over a potential's range --------------------------------------------
+
+UNIT = PhysicalParams(mass=1.0, hbar=1.0)
+GRID_1D = GridSpec(dims=1, nx=400, dx=1.0)
+
+
+@pytest.mark.parametrize("mu,v_term,j_min", [
+    (0.8, 2.0, 301),    # barrier V dt/2hbar = 2 on j >= 301, zero elsewhere
+    (0.5, -2.0, 1),     # well V dt/2hbar = -2 everywhere
+])
+def test_run_verdict_covers_every_potential_level(mu, v_term, j_min):
+    # both regions reach S's interior peak 1.0047 (at x = 1.59 or -1.59),
+    # which shifting every mode by max |V| missed; the runs blow up
+    cfg = SchemeConfig.from_mu(2, StencilOrder.SECOND_ORDER, mu, UNIT, GRID_1D)
+    values = np.zeros(GRID_1D.shape)
+    values[j_min - 1:] = v_term * 2.0 * UNIT.hbar / cfg.dt
+    wf = gaussian_packet_1d(GaussianPacketSpec(sigma=10.0, wavelength=8.0,
+                                               center_j=100), GRID_1D, UNIT)
+    _, log = run(wf, PotentialField(values), GRID_1D, cfg, steps=600)
+    report = log.stability_report
+    assert not report.verdict.value.startswith("stable")
+    assert report.scan_max == pytest.approx(1.0047408, abs=1e-7)
+    assert log.diverged
 
 
 # --- amplification roots --------------------------------------------------
