@@ -108,12 +108,10 @@ class WaveField:
     def zeros(cls, grid):
         return cls(np.zeros(grid.shape), np.zeros(grid.shape))
 
-    def is_finite(self):
-        return bool(np.isfinite(self.real_part).all() and np.isfinite(self.imag_part).all())
-
     def max_abs(self):
-        """Largest |value| over both planes; NaN if either plane holds one."""
-        return float(np.max([np.abs(self.real_part).max(), np.abs(self.imag_part).max()]))
+        """Largest |value| over both planes, as max and -min; NaN if either holds one."""
+        r, i = self.real_part, self.imag_part
+        return float(np.maximum(np.maximum(r.max(), -r.min()), np.maximum(i.max(), -i.min())))
 
 
 @dataclass(frozen=True)
@@ -135,11 +133,19 @@ class PotentialField:
         return float(self.values.min()), float(self.values.max())
 
 
-def norm(wf, grid):
-    """Total probability: sum of (real^2 + imag^2) times cell volume."""
+def density(wf):
+    """Probability density real^2 + imag^2 per grid point, as a new plane."""
+    d = np.square(wf.real_part)
+    d += np.square(wf.imag_part)
+    return d
+
+
+def norm(wf, grid, density_plane=None):
+    """Total probability: the sum of density(wf), or of ``density_plane`` when
+    the caller has built it already, times cell volume."""
     _check_shape(wf.real_part, grid, "field")
-    density = wf.real_part ** 2 + wf.imag_part ** 2
-    return float(density.sum()) * grid.cell_volume
+    d = density(wf) if density_plane is None else density_plane
+    return float(d.sum()) * grid.cell_volume
 
 
 def normalize(wf, grid):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, NonHermitianError
-from .fields import PotentialField, WaveField, norm, normalize
+from .fields import PotentialField, WaveField, density, norm, normalize
 from .scheme import DIVERGENCE_FACTOR, step
 from .stability import wavenumber_scan
 from .stencils import StencilOrder, apply_b
@@ -201,10 +201,10 @@ class RunLog:
 
 
 def _observe(wf, potential, grid, physics, order, step_index, time_s):
-    density = wf.real_part ** 2 + wf.imag_part ** 2
+    d = density(wf)
     return RunRecord(step=step_index, time_s=time_s,
-                     norm=norm(wf, grid),
-                     max_density=float(density.max()),
+                     norm=norm(wf, grid, d),
+                     max_density=float(d.max()),
                      energy_j=energy_expectation(wf, potential, grid, physics, order))
 
 

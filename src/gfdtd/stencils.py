@@ -2,10 +2,12 @@
 
 apply_laplacian is the 3-point (second-order) or 5-point (fourth-order)
 central Laplacian; apply_b is the generator B = (hbar/2m) Laplacian - V/hbar
-of the time stepper.  Their one pad-free kernel sums the neighbour pairs
-f[i-d] + f[i+d] along each axis (zero past the edge: the truncated matrix),
-scales and accumulates them, and adds the x and y sums before the diagonal
-term, so on a square grid with V = V.T, B f.T is exactly (B f).T.
+of the time stepper.  Both run one loop over slabs of rows that writes
+straight into the output, so only the out slab and two scratch slabs sit in
+L2.  Per axis it sums the pairs f[i-d] + f[i+d] at flat offsets of the input
+(a neighbour past the edge is dropped: the truncated matrix), scales and
+accumulates them, and adds the x and y sums before the diagonal term, so on
+a square grid with V = V.T, B f.T is exactly (B f).T.
 """
 
 from enum import Enum
@@ -15,8 +17,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .fields import _check_shape
 
-# bytes per slab of rows: the kernel's five slab-sized planes (1.25 MB)
-# then stay in a 2 MB per-core L2 cache between its dozen passes
+# bytes per slab of rows: the out slab and the two scratch slabs (768 KiB)
+# then stay in a 2 MB per-core L2 cache between the loop's dozen passes
 _SLAB_BYTES = 1 << 18
 
 
@@ -28,63 +30,59 @@ class StencilOrder(Enum):
     def halo(self):
         return 1 if self is StencilOrder.SECOND_ORDER else 2
 
-    @property
-    def weights(self):
-        """Per-axis weights: the centre, then the pairs at offsets +-1, +-2."""
-        if self is StencilOrder.SECOND_ORDER:
-            return (-2.0, 1.0)
-        return (-30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)
 
-
-def _pair_sum(f, d, axis, out):
-    """out[i] = f[i-d] + f[i+d] along ``axis``: one flat sum over the C-contiguous
-    buffers, then the d cells at each end of every line keep their in-range one."""
-    s = d * f.strides[axis] // f.itemsize
-    flat = f.reshape(-1)
-    np.add(flat[:-2 * s], flat[2 * s:], out=out.reshape(-1)[s:-s])
-    f, out = f.swapaxes(0, axis), out.swapaxes(0, axis)
-    out[:d] = f[d:2 * d]
-    out[-d:] = f[-2 * d:-d]
-
-
-def _kernel(f, v, steps, order, scale, hbar, out, pair, acc):
-    """out = scale * Laplacian(f) - (v/hbar) * f; pair and acc are scratch."""
-    for axis, h in enumerate(steps):
-        a = out if axis == 0 else acc
-        for d in range(1, order.halo + 1):
-            _pair_sum(f, d, axis, pair)
-            w = scale * order.weights[d] / h ** 2
-            if d == 1:
-                np.multiply(pair, w, out=a)
-            else:
-                pair *= w
-                a += pair
-    if len(steps) == 2:
-        out += acc
-    np.divide(v, -hbar, out=pair)
-    pair += scale * order.weights[0] * sum(h ** -2 for h in steps)
-    pair *= f
-    out += pair
+# per-axis weights: the centre, then the pairs at offsets +-1, +-2
+_WEIGHTS = {StencilOrder.SECOND_ORDER: (-2.0, 1.0),
+            StencilOrder.FOURTH_ORDER: (-30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)}
 
 
 def _apply(component, v, grid, order, scale, hbar, out):
-    """_kernel over slabs of leading-axis rows, each read with its halo rows."""
+    """out = scale * Laplacian(f) - (v/hbar) * f over slabs of leading-axis rows."""
     f = np.ascontiguousarray(component, dtype=float)
     _check_shape(f, grid, "component")
     if out is None:
         out = np.empty_like(f)
     elif out.shape != f.shape or not out.flags.c_contiguous or np.may_share_memory(out, f):
         raise ConfigurationError("out must be a C-contiguous grid-shaped plane apart from the input")
-    n, halo = f.shape[0], order.halo
-    rows = min(n, max(2 * halo + 1, _SLAB_BYTES * n // f.nbytes))
-    buf = np.empty((3, min(n, rows + 2 * halo)) + f.shape[1:])
+    weights, steps = _WEIGHTS[order], (grid.dx, grid.dy)[:grid.dims]
+    n, width = f.shape[0], f.size // f.shape[0]
+    # (flat stride, pair weights) per axis, and the folded centre weight
+    axes = [(stride, [scale * w / h ** 2 for w in weights[1:]])
+            for stride, h in zip((width, 1), steps)]
+    centre = scale * weights[0] * sum(h ** -2 for h in steps)
+    flat, out_flat = f.reshape(-1), out.reshape(-1)
+    rows = min(n, max(1, _SLAB_BYTES * n // f.nbytes))
+    scratch = np.empty((len(axes), rows * width))  # pair sums; the y sum in 2-D
     for start in range(0, n, rows):
-        start = min(start, n - rows)  # the last slab overlaps its neighbour
-        lo, hi = max(start - halo, 0), min(start + rows + halo, n)
-        o, pair, acc = buf[:, :hi - lo]
-        _kernel(f[lo:hi], v[lo:hi], (grid.dx, grid.dy)[:grid.dims], order, scale, hbar,
-                o, pair, acc)
-        out[start:start + rows] = o[start - lo:start - lo + rows]
+        stop = min(start + rows, n)
+        lo, hi = start * width, stop * width
+        o, p, acc = out_flat[lo:hi], scratch[0, :hi - lo], scratch[-1, :hi - lo]
+        for axis, (stride, ws) in enumerate(axes):
+            dest = o if axis == 0 else acc
+            for d, w in enumerate(ws, 1):
+                # q = f[i-s] + f[i+s] at flat offsets; cells in [lo, a) lack the
+                # neighbour before (first rows), cells in [b, hi) the one after
+                s, q = d * stride, (dest if d == 1 else p)
+                a = min(max(lo, s), hi)
+                b = max(min(hi, flat.size - s), a)
+                np.add(flat[a - s:b - s], flat[a + s:b + s], out=q[a - lo:b - lo])
+                if a > lo:
+                    q[:a - lo] = flat[lo + s:a + s]
+                if b < hi:
+                    q[b - lo:] = flat[b - s:hi - s]
+                if axis == 1:  # the d end cells of each row keep their in-range one
+                    q_rows, f_rows = q.reshape(-1, width), f[start:stop]
+                    q_rows[:, :d] = f_rows[:, d:2 * d]
+                    q_rows[:, -d:] = f_rows[:, -2 * d:-d]
+                q *= w
+                if d > 1:
+                    dest += q
+        if len(axes) == 2:
+            o += acc
+        np.divide(v[start:stop], -hbar, out=p.reshape(-1, *f.shape[1:]))
+        p += centre
+        p *= flat[lo:hi]
+        o += p
     return out
 
 

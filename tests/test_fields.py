@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,34 @@ def test_max_abs_reports_nan_from_either_plane(nan_plane):
     assert WaveField(**planes).max_abs() == 3.0
     planes[nan_plane] = np.array([1.0, np.nan, 2.0])
     assert np.isnan(WaveField(**planes).max_abs())
+
+
+@pytest.mark.parametrize("plane", ["real_part", "imag_part"])
+@pytest.mark.parametrize("extreme", [-7.5, 7.5, -np.inf, np.inf])
+def test_max_abs_equals_largest_magnitude(plane, extreme):
+    planes = {"real_part": np.array([[1.0, -3.0], [2.0, 0.5]]),
+              "imag_part": np.array([[0.5, -0.25], [-1.0, 2.5]])}
+    planes[plane] = planes[plane].copy()
+    planes[plane][1, 0] = extreme
+    expected = max(np.abs(planes["real_part"]).max(), np.abs(planes["imag_part"]).max())
+    assert expected == abs(extreme)
+    assert WaveField(**planes).max_abs() == expected
+    # a NaN in the other plane wins over any extreme, +-inf included
+    other = "imag_part" if plane == "real_part" else "real_part"
+    planes[other] = np.array([[np.nan, 0.0], [0.0, 0.0]])
+    assert np.isnan(WaveField(**planes).max_abs())
+
+
+def test_max_abs_allocates_no_plane():
+    # 800^2 planes are 5 MB each; the reductions may allocate only scalars
+    rng = np.random.default_rng(3)
+    wf = WaveField(rng.normal(size=(800, 800)), rng.normal(size=(800, 800)))
+    wf.max_abs()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        wf.max_abs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

@@ -204,6 +204,26 @@ def test_run_leaves_input_planes_untouched(reduced_grid, reduced_packet,
     assert not np.array_equal(wf.real_part, real)
 
 
+def test_run_records_exact_norm_and_peak_density(reduced_grid, reduced_packet,
+                                                reduced_barrier, physics):
+    # _observe builds the density once; its norm and peak must be exactly
+    # what fields.norm and a fresh real^2 + imag^2 give for the same field
+    cfg = SchemeConfig.from_mu(2, StencilOrder.FOURTH_ORDER, 0.25, physics,
+                               reduced_grid)
+    wf0 = gaussian_packet_2d(reduced_packet, reduced_grid)
+    seen = []
+
+    def check(field, record):
+        seen.append(record.step)
+        assert record.norm == norm(field, reduced_grid)
+        assert record.max_density == float((field.real_part ** 2
+                                            + field.imag_part ** 2).max())
+
+    run(wf0, reduced_barrier, reduced_grid, cfg, steps=6, snapshot_every=2,
+        on_snapshot=check)
+    assert seen == [0, 2, 4, 6]
+
+
 def test_run_divergent_regime(reduced_grid, reduced_packet, reduced_barrier, physics):
     cfg = SchemeConfig.from_mu(0, StencilOrder.SECOND_ORDER, 0.25, physics,
                                reduced_grid)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,42 @@ def test_row_slabs_do_not_change_a_bit(rng, monkeypatch, grid, order, unit_physi
     assert np.array_equal(apply_b(f, grid, potential, unit_physics, order), whole_b)
     assert np.array_equal(apply_laplacian(f, grid, order), whole_lap)
 
+
+@pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 1])
+@pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
+def test_operators_match_dense_oracle_on_rectangular_grid(rng, monkeypatch, order,
+                                                          slab_bytes):
+    # nx != ny and dx != dy, so a stride or a row-end cell taken from the
+    # wrong axis shows; one-row slabs exercise every flat-range clamp
+    monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
+    grid = GridSpec(dims=2, nx=7, dx=0.7, ny=9, dy=1.1)
+    physics = PhysicalParams(mass=1.3, hbar=0.9)
+    potential = PotentialField(rng.uniform(-1.0, 1.0, size=grid.shape))
+    f = rng.normal(size=grid.shape)
+    cases = [(dense_b_matrix(grid, potential, physics, order),
+              apply_b(f, grid, potential, physics, order)),
+             (dense_laplacian_matrix(grid, order), apply_laplacian(f, grid, order))]
+    for mat, out in cases:
+        expected = (mat @ f.ravel()).reshape(grid.shape)
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_apply_b_into_out_allocates_no_plane(rng, order, layout, unit_physics):
+    # an 800^2 plane is 5 MB; the slab scratch stays well under 1 MiB, also
+    # when the potential is held in Fortran order
+    grid = GridSpec(dims=2, nx=800, dx=1.0, ny=800, dy=1.0)
+    potential = PotentialField(np.asarray(rng.uniform(0.0, 1.0, size=grid.shape),
+                                          order=layout))
+    f = rng.normal(size=grid.shape)
+    buf = np.empty(grid.shape)
+    apply_b(f, grid, potential, unit_physics, order, out=buf)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        apply_b(f, grid, potential, unit_physics, order, out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
