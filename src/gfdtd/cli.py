@@ -36,19 +36,16 @@ def _load_config(path):
 
 
 def _build_problem(cfg):
-    grid = cfg.grid()
-    physics = cfg.physics()
-    scheme = cfg.scheme()
-    barrier = cfg.barrier()
-    if barrier is None:
+    grid = cfg.grid
+    if cfg.barrier is None:
         potential = PotentialField.zeros(grid)
     else:
-        potential = barrier_potential(barrier, grid)
+        potential = barrier_potential(cfg.barrier, grid)
     if grid.dims == 2:
-        wf = gaussian_packet_2d(cfg.packet(), grid)
+        wf = gaussian_packet_2d(cfg.packet, grid)
     else:
-        wf = gaussian_packet_1d(cfg.packet(), grid, physics)
-    return grid, physics, scheme, potential, wf
+        wf = gaussian_packet_1d(cfg.packet, grid, cfg.scheme.physics)
+    return potential, wf
 
 
 def _print_report(report, scheme, bounds):
@@ -64,17 +61,16 @@ def _print_report(report, scheme, bounds):
 
 def cmd_stability(args):
     cfg = _load_config(args.config)
-    grid = cfg.grid()
-    scheme = cfg.scheme()
-    v_min, v_max = bounds = potential_bounds(cfg.barrier(), grid)
-    report = wavenumber_scan(scheme, grid, v_max=v_max, c=cfg.c, v_min=v_min)
-    _print_report(report, scheme, bounds)
+    v_min, v_max = bounds = potential_bounds(cfg.barrier, cfg.grid)
+    report = wavenumber_scan(cfg.scheme, cfg.grid, v_max=v_max, c=cfg.c, v_min=v_min)
+    _print_report(report, cfg.scheme, bounds)
     return 0
 
 
 def cmd_run(args):
     cfg = _load_config(args.config)
-    grid, physics, scheme, potential, wf = _build_problem(cfg)
+    grid, scheme = cfg.grid, cfg.scheme
+    potential, wf = _build_problem(cfg)
     out_dir = cfg.out_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -104,16 +100,14 @@ def cmd_sweep(args):
     cfg = _load_config(args.config)
     if args.mu_step <= 0 or args.mu_to < args.mu_from:
         raise ConfigurationError("sweep needs mu_from <= mu_to and mu_step > 0")
-    grid = cfg.grid()
-    physics = cfg.physics()
-    v_min, v_max = potential_bounds(cfg.barrier(), grid)
-    base = cfg.scheme()
+    grid, base = cfg.grid, cfg.scheme
+    v_min, v_max = potential_bounds(cfg.barrier, grid)
     first_over_c = None
     first_over_one = None
     print("mu,endpoint_value,scan_max,verdict")
     mu = args.mu_from
     while mu <= args.mu_to + 1e-12 * args.mu_step:
-        scheme = SchemeConfig.from_mu(base.N, base.order, mu, physics, grid)
+        scheme = SchemeConfig.from_mu(base.N, base.order, mu, base.physics, grid)
         report = wavenumber_scan(scheme, grid, v_max=v_max, c=cfg.c, v_min=v_min)
         print(f"{mu:.6g},{report.endpoint_value:.6g},{report.scan_max:.6g},"
               f"{report.verdict.value}")

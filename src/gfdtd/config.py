@@ -1,10 +1,12 @@
 """Run configuration: JSON document parsing, validation, serialization.
 
-Keys carry their unit in the name (dx_angstrom, height_ev) and are
-converted to SI on parse.  Unknown keys are rejected so typos cannot
-silently fall back to defaults.
-
-Minimal 2-D example:
+A RunConfig holds one run's domain objects in SI units (GridSpec,
+SchemeConfig with its PhysicalParams, GaussianPacketSpec, and BarrierSpec
+or None for free space) and the run and stability settings; the document's
+units (dx_angstrom, height_ev, ...) appear only in parse_config and
+to_document.  Parsing checks every key against one schema table: numbers
+must be finite, unknown keys are rejected, and each error names its
+section.key.  Minimal 2-D example (omit potential for free space):
 
     {
       "grid":      {"dims": 2, "nx": 200, "ny": 200, "dx_angstrom": 0.1},
@@ -15,279 +17,164 @@ Minimal 2-D example:
                     "j_min": 101, "k_min": 101},
       "run":       {"steps": 500, "snapshot_every": 100, "out_dir": "out"}
     }
-
-The potential section may be omitted for free space.
 """
 
 import json
+import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .fields import ANGSTROM, ELECTRON_MASS, EV, HBAR, GridSpec, PhysicalParams
 from .scenarios import BarrierSpec, GaussianPacketSpec
-from .scheme import SchemeConfig
+from .scheme import MAX_TRUNCATION_INDEX, SchemeConfig
 from .stencils import StencilOrder
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    # grid
-    dims: int
-    nx: int
-    ny: int | None
-    dx_angstrom: float
-    # physics
-    mass_kg: float
-    hbar: float
-    # scheme
-    N: int
-    stencil_order: int
-    mu: float
-    # init
-    sigma_angstrom: float
-    lambda_angstrom: float
-    center_j: int
-    center_k: int | None
-    normalize: bool
-    # potential (None = free space)
-    height_ev: float | None
-    j_min: int | None
-    k_min: int | None
-    # run
+    grid: GridSpec
+    scheme: SchemeConfig
+    packet: GaussianPacketSpec
+    barrier: BarrierSpec | None
     steps: int
     snapshot_every: int
     out_dir: str
     full_field_dumps: bool
-    # stability
     c: float
-    scan_samples: int
-
-    # --- conversion to domain objects -----------------------------------
-
-    def grid(self):
-        dx = self.dx_angstrom * ANGSTROM
-        if self.dims == 1:
-            return GridSpec(dims=1, nx=self.nx, dx=dx)
-        return GridSpec(dims=2, nx=self.nx, dx=dx, ny=self.ny, dy=dx)
-
-    def physics(self):
-        return PhysicalParams(mass=self.mass_kg, hbar=self.hbar)
-
-    def scheme(self):
-        order = StencilOrder.SECOND_ORDER if self.stencil_order == 2 else StencilOrder.FOURTH_ORDER
-        return SchemeConfig.from_mu(self.N, order, self.mu, self.physics(), self.grid())
-
-    def packet(self):
-        return GaussianPacketSpec(sigma=self.sigma_angstrom * ANGSTROM,
-                                  wavelength=self.lambda_angstrom * ANGSTROM,
-                                  center_j=self.center_j, center_k=self.center_k,
-                                  normalize=self.normalize)
-
-    def barrier(self):
-        """BarrierSpec, or None for free space."""
-        if self.height_ev is None:
-            return None
-        return BarrierSpec(j_min=self.j_min, k_min=self.k_min,
-                           height=self.height_ev * EV)
-
-    # --- serialization ---------------------------------------------------
 
     def to_document(self):
+        grid, scheme, packet, barrier = self.grid, self.scheme, self.packet, self.barrier
         doc = {
-            "grid": {"dims": self.dims, "nx": self.nx, "dx_angstrom": self.dx_angstrom},
-            "physics": {"mass_kg": self.mass_kg, "hbar": self.hbar},
-            "scheme": {"N": self.N, "stencil_order": self.stencil_order, "mu": self.mu},
-            "init": {"sigma_angstrom": self.sigma_angstrom,
-                     "lambda_angstrom": self.lambda_angstrom,
-                     "center_j": self.center_j, "normalize": self.normalize},
+            "grid": {"dims": grid.dims, "nx": grid.nx, "ny": grid.ny,
+                     "dx_angstrom": grid.dx / ANGSTROM},
+            "physics": {"mass_kg": scheme.physics.mass, "hbar": scheme.physics.hbar},
+            "scheme": {"N": scheme.N, "stencil_order": scheme.order.value, "mu": scheme.mu},
+            "init": {"sigma_angstrom": packet.sigma / ANGSTROM,
+                     "lambda_angstrom": packet.wavelength / ANGSTROM,
+                     "center_j": packet.center_j, "center_k": packet.center_k,
+                     "normalize": packet.normalize},
             "run": {"steps": self.steps, "snapshot_every": self.snapshot_every,
                     "out_dir": self.out_dir, "full_field_dumps": self.full_field_dumps},
-            "stability": {"c": self.c, "scan_samples": self.scan_samples},
+            "stability": {"c": self.c},
         }
-        if self.dims == 2:
-            doc["grid"]["ny"] = self.ny
-            doc["init"]["center_k"] = self.center_k
-        if self.height_ev is not None:
-            doc["potential"] = {"type": "quadrant_barrier", "height_ev": self.height_ev,
-                                "j_min": self.j_min}
-            if self.dims == 2:
-                doc["potential"]["k_min"] = self.k_min
-        return doc
+        if barrier is not None:
+            doc["potential"] = {"type": "quadrant_barrier", "height_ev": barrier.height / EV,
+                                "j_min": barrier.j_min, "k_min": barrier.k_min}
+        # the second axis's keys are None in 1-D, where they must not appear
+        return {name: {key: value for key, value in section.items() if value is not None}
+                for name, section in doc.items()}
 
     def to_text(self):
         return json.dumps(self.to_document(), indent=2)
 
 
-class _Section:
-    """One config section with key bookkeeping and typed accessors."""
+_REQUIRED = object()   # default column: the key must be given
+_IF_2D = object()      # required in 2-D, not allowed in 1-D
 
-    def __init__(self, name, data):
-        self.name = name
-        self.data = data
-        self.seen = set()
+# section -> rows of (key, type, bounds, default).  A bound is (operator,
+# limit); a string limit names an earlier "section.key" whose value it is.
+_SCHEMA = {
+    "grid": (("dims", int, (("in", (1, 2)),), _REQUIRED),
+             ("nx", int, ((">=", 5),), _REQUIRED),
+             ("ny", int, ((">=", 5),), _IF_2D),
+             ("dx_angstrom", float, ((">", 0),), _REQUIRED)),
+    "physics": (("mass_kg", float, ((">", 0),), ELECTRON_MASS),
+                ("hbar", float, ((">", 0),), HBAR)),
+    "scheme": (("N", int, ((">=", 0), ("<=", MAX_TRUNCATION_INDEX)), _REQUIRED),
+               ("stencil_order", int, (("in", (2, 4)),), _REQUIRED),
+               ("mu", float, ((">", 0),), _REQUIRED)),
+    "init": (("sigma_angstrom", float, ((">", 0),), _REQUIRED),
+             ("lambda_angstrom", float, ((">", 0),), _REQUIRED),
+             ("center_j", int, ((">=", 1), ("<=", "grid.nx")), _REQUIRED),
+             ("center_k", int, ((">=", 1), ("<=", "grid.ny")), _IF_2D),
+             ("normalize", bool, (), True)),
+    "potential": (("type", str, (("in", ("quadrant_barrier",)),), _REQUIRED),
+                  ("height_ev", float, ((">=", 0),), _REQUIRED),
+                  ("j_min", int, ((">=", 1), ("<=", "grid.nx")), _REQUIRED),
+                  ("k_min", int, ((">=", 1), ("<=", "grid.ny")), _IF_2D)),
+    "run": (("steps", int, ((">=", 0),), _REQUIRED),
+            ("snapshot_every", int, ((">=", 0),), _REQUIRED),
+            ("out_dir", str, (), _REQUIRED),
+            ("full_field_dumps", bool, (), False)),
+    "stability": (("c", float, ((">", 0), ("<", 1)), 0.99),
+                  ("scan_samples", int, ((">=", 64),), 256)),   # old configs; unused
+}
+# derived once: each section's rows by key, with the row's "section.key" name
+_ROWS = {section: {key: (f"{section}.{key}", *row) for key, *row in rows}
+         for section, rows in _SCHEMA.items()}
+_OPERATORS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+              "<=": operator.le, "in": lambda value, choices: value in choices}
+# what each type column accepts from JSON, and its name in messages
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
+          bool: (bool, "a boolean"), str: (str, "a string")}
 
-    def _get(self, key, required, default):
-        self.seen.add(key)
-        if key not in self.data:
-            if required:
-                raise ConfigurationError(f"missing required key {self.name}.{key}")
-            return default
-        return self.data[key]
 
-    def number(self, key, required=True, default=None, minimum=None,
-               exclusive_min=None, maximum=None):
-        raw = self._get(key, required, default)
-        if raw is None:
-            return None
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ConfigurationError(f"{self.name}.{key} must be a number, got {raw!r}")
-        val = float(raw)
-        if minimum is not None and val < minimum:
-            raise ConfigurationError(f"{self.name}.{key} must be >= {minimum}, got {val}")
-        if exclusive_min is not None and val <= exclusive_min:
-            raise ConfigurationError(f"{self.name}.{key} must be > {exclusive_min}, got {val}")
-        if maximum is not None and val > maximum:
-            raise ConfigurationError(f"{self.name}.{key} must be <= {maximum}, got {val}")
-        return val
+def _typed(name, raw, kind):
+    """raw as a kind; a bool is no number, and a number must be finite."""
+    accepts, kind_name = _KINDS[kind]
+    if isinstance(raw, bool) != (kind is bool) or not isinstance(raw, accepts):
+        raise ConfigurationError(f"{name} must be {kind_name}, got {raw!r}")
+    # exact comparisons, false for NaN, +-inf and ints beyond the float range
+    if kind is float and not -sys.float_info.max <= raw <= sys.float_info.max:
+        raise ConfigurationError(f"{name} must be a finite number")
+    return float(raw) if kind is float else raw
 
-    def integer(self, key, required=True, default=None, minimum=None, choices=None):
-        raw = self._get(key, required, default)
-        if raw is None:
-            return None
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise ConfigurationError(f"{self.name}.{key} must be an integer, got {raw!r}")
-        if minimum is not None and raw < minimum:
-            raise ConfigurationError(f"{self.name}.{key} must be >= {minimum}, got {raw}")
-        if choices is not None and raw not in choices:
-            raise ConfigurationError(
-                f"{self.name}.{key} must be one of {sorted(choices)}, got {raw}")
-        return raw
 
-    def boolean(self, key, required=True, default=None):
-        raw = self._get(key, required, default)
-        if raw is None:
-            return None
-        if not isinstance(raw, bool):
-            raise ConfigurationError(f"{self.name}.{key} must be a boolean, got {raw!r}")
-        return raw
-
-    def string(self, key, required=True, default=None, choices=None):
-        raw = self._get(key, required, default)
-        if raw is None:
-            return None
-        if not isinstance(raw, str):
-            raise ConfigurationError(f"{self.name}.{key} must be a string, got {raw!r}")
-        if choices is not None and raw not in choices:
-            raise ConfigurationError(
-                f"{self.name}.{key} must be one of {sorted(choices)}, got {raw!r}")
-        return raw
-
-    def reject_unknown(self):
-        unknown = set(self.data) - self.seen
+def _apply_schema(doc):
+    """Every section's checked values and defaults, keyed "section.key"."""
+    for name in sorted(doc.keys() | {"grid", "scheme", "init", "run"}):
+        if name not in _SCHEMA:
+            raise ConfigurationError(f"unknown section {name}")
+        if name not in doc:
+            raise ConfigurationError(f"missing required section {name}")
+        if not isinstance(doc[name], dict):
+            raise ConfigurationError(f"section {name} must be a JSON object")
+    values = {}
+    for section, rows in _ROWS.items():
+        if section == "potential" and section not in doc:
+            continue
+        data = doc.get(section, {})
+        unknown = data.keys() - rows.keys()
         if unknown:
-            key = sorted(unknown)[0]
-            raise ConfigurationError(f"unknown key {self.name}.{key}")
+            raise ConfigurationError(f"unknown key {section}.{min(unknown)}")
+        for key, (name, kind, bounds, default) in rows.items():
+            if default is _IF_2D and values["grid.dims"] == 1:
+                if key in data:
+                    raise ConfigurationError(f"{name} is not allowed in 1-D")
+                values[name] = None
+            elif key not in data:
+                if default in (_REQUIRED, _IF_2D):
+                    raise ConfigurationError(f"missing required key {name}")
+                values[name] = default
+            else:
+                value = values[name] = _typed(name, data[key], kind)
+                for op, limit in bounds:
+                    bound = values[limit] if isinstance(limit, str) else limit
+                    if not _OPERATORS[op](value, bound):
+                        raise ConfigurationError(
+                            f"{name} must be {op} {limit}, got {value!r}")
+    return values
 
 
 def parse_config(text):
     """Parse and validate a JSON config document into a RunConfig."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an integer literal beyond int's digit limit
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
-
-    known_sections = {"grid", "physics", "scheme", "init", "potential", "run", "stability"}
-    unknown = set(doc) - known_sections
-    if unknown:
-        raise ConfigurationError(f"unknown section {sorted(unknown)[0]}")
-    for name in ("grid", "scheme", "init", "run"):
-        if name not in doc:
-            raise ConfigurationError(f"missing required section {name}")
-    for name, value in doc.items():
-        if not isinstance(value, dict):
-            raise ConfigurationError(f"section {name} must be a JSON object")
-
-    grid = _Section("grid", doc["grid"])
-    dims = grid.integer("dims", choices={1, 2})
-    nx = grid.integer("nx", minimum=5)
-    ny = grid.integer("ny", required=(dims == 2), minimum=5) if dims == 2 else None
-    if dims == 1 and "ny" in doc["grid"]:
-        raise ConfigurationError("grid.ny is not allowed in 1-D")
-    dx_angstrom = grid.number("dx_angstrom", exclusive_min=0.0)
-    grid.reject_unknown()
-
-    physics = _Section("physics", doc.get("physics", {}))
-    mass_kg = physics.number("mass_kg", required=False, default=ELECTRON_MASS,
-                             exclusive_min=0.0)
-    hbar = physics.number("hbar", required=False, default=HBAR, exclusive_min=0.0)
-    physics.reject_unknown()
-
-    scheme = _Section("scheme", doc["scheme"])
-    n_trunc = scheme.integer("N", minimum=0)
-    if n_trunc > 8:
-        raise ConfigurationError(f"scheme.N must be <= 8, got {n_trunc}")
-    stencil_order = scheme.integer("stencil_order", choices={2, 4})
-    mu = scheme.number("mu", exclusive_min=0.0)
-    scheme.reject_unknown()
-
-    init = _Section("init", doc["init"])
-    sigma_angstrom = init.number("sigma_angstrom", exclusive_min=0.0)
-    lambda_angstrom = init.number("lambda_angstrom", exclusive_min=0.0)
-    center_j = init.integer("center_j", minimum=1)
-    center_k = init.integer("center_k", required=(dims == 2), minimum=1) \
-        if dims == 2 else None
-    if dims == 1 and "center_k" in doc["init"]:
-        raise ConfigurationError("init.center_k is not allowed in 1-D")
-    normalize = init.boolean("normalize", required=False, default=True)
-    init.reject_unknown()
-    if center_j > nx:
-        raise ConfigurationError(f"init.center_j must be <= grid.nx, got {center_j}")
-    if dims == 2 and center_k > ny:
-        raise ConfigurationError(f"init.center_k must be <= grid.ny, got {center_k}")
-
-    height_ev = j_min = k_min = None
-    if "potential" in doc:
-        pot = _Section("potential", doc["potential"])
-        pot.string("type", choices={"quadrant_barrier"})
-        height_ev = pot.number("height_ev", minimum=0.0)
-        j_min = pot.integer("j_min", minimum=1)
-        if dims == 2:
-            k_min = pot.integer("k_min", minimum=1)
-        elif "k_min" in doc["potential"]:
-            raise ConfigurationError("potential.k_min is not allowed in 1-D")
-        pot.reject_unknown()
-        if j_min > nx:
-            raise ConfigurationError(f"potential.j_min must be <= grid.nx, got {j_min}")
-        if dims == 2 and k_min > ny:
-            raise ConfigurationError(f"potential.k_min must be <= grid.ny, got {k_min}")
-
-    run = _Section("run", doc["run"])
-    steps = run.integer("steps", minimum=0)
-    snapshot_every = run.integer("snapshot_every", minimum=0)
-    out_dir = run.string("out_dir")
-    full_field_dumps = run.boolean("full_field_dumps", required=False, default=False)
-    run.reject_unknown()
-
-    stability = _Section("stability", doc.get("stability", {}))
-    c = stability.number("c", required=False, default=0.99, exclusive_min=0.0)
-    if not c < 1.0:
-        raise ConfigurationError(f"stability.c must be < 1, got {c}")
-    scan_samples = stability.integer("scan_samples", required=False, default=256,
-                                     minimum=64)
-    stability.reject_unknown()
-
-    cfg = RunConfig(dims=dims, nx=nx, ny=ny, dx_angstrom=dx_angstrom,
-                    mass_kg=mass_kg, hbar=hbar,
-                    N=n_trunc, stencil_order=stencil_order, mu=mu,
-                    sigma_angstrom=sigma_angstrom, lambda_angstrom=lambda_angstrom,
-                    center_j=center_j, center_k=center_k, normalize=normalize,
-                    height_ev=height_ev, j_min=j_min, k_min=k_min,
-                    steps=steps, snapshot_every=snapshot_every, out_dir=out_dir,
-                    full_field_dumps=full_field_dumps,
-                    c=c, scan_samples=scan_samples)
-    # constructing the domain objects re-runs their invariants
-    cfg.grid()
-    cfg.scheme()
-    return cfg
+    v = _apply_schema(doc)
+    dims, dx = v["grid.dims"], v["grid.dx_angstrom"] * ANGSTROM
+    grid = GridSpec(dims, v["grid.nx"], dx, v["grid.ny"], dx if dims == 2 else None)
+    physics = PhysicalParams(v["physics.mass_kg"], v["physics.hbar"])
+    scheme = SchemeConfig.from_mu(v["scheme.N"], StencilOrder(v["scheme.stencil_order"]),
+                                  v["scheme.mu"], physics, grid)
+    packet = GaussianPacketSpec(v["init.sigma_angstrom"] * ANGSTROM,
+                                v["init.lambda_angstrom"] * ANGSTROM, v["init.center_j"],
+                                v["init.center_k"], v["init.normalize"])
+    barrier = BarrierSpec(v["potential.j_min"], v["potential.k_min"],
+                          v["potential.height_ev"] * EV) if "potential" in doc else None
+    return RunConfig(grid, scheme, packet, barrier, v["run.steps"], v["run.snapshot_every"],
+                     v["run.out_dir"], v["run.full_field_dumps"], v["stability.c"])

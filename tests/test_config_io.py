@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfdtd import (ANGSTROM, EV, ConfigurationError, GridSpec, WaveField,
                    parse_config, read_diagonal_snapshot, read_field_dump,
@@ -34,6 +35,10 @@ def reduced_document(**overrides):
                       "j_min": 101, "k_min": 101},
         "run": {"steps": 40, "snapshot_every": 20, "out_dir": "out"},
     }
+    return overridden(doc, overrides)
+
+
+def overridden(doc, overrides):
     for section, values in overrides.items():
         doc.setdefault(section, {}).update(values)
     return doc
@@ -43,19 +48,29 @@ def reduced_document(**overrides):
 
 def test_parse_paper_scale_defaults():
     cfg = parse_config(json.dumps(paper_scale_document()))
-    grid = cfg.grid()
+    grid = cfg.grid
     assert grid.nx == grid.ny == 800
     assert grid.dx == pytest.approx(0.1 * ANGSTROM)
-    assert cfg.mass_kg == pytest.approx(9.10938e-31)
-    assert cfg.hbar == pytest.approx(1.054e-34)
-    assert cfg.normalize is True
+    physics = cfg.scheme.physics
+    assert physics.mass == pytest.approx(9.10938e-31)
+    assert physics.hbar == pytest.approx(1.054e-34)
+    assert cfg.packet.normalize is True
     assert cfg.c == 0.99
-    assert cfg.scan_samples == 256
-    barrier = cfg.barrier()
+    barrier = cfg.barrier
     assert barrier.height == pytest.approx(100 * EV)
-    scheme = cfg.scheme()
+    scheme = cfg.scheme
     assert scheme.dt == pytest.approx(
-        0.25 * 2 * cfg.mass_kg * (0.1 * ANGSTROM) ** 2 / cfg.hbar, rel=1e-14)
+        0.25 * 2 * physics.mass * (0.1 * ANGSTROM) ** 2 / physics.hbar, rel=1e-14)
+
+
+def test_parse_accepts_and_drops_scan_samples():
+    # the verdict is exact, so an old config's sample count parses and is ignored
+    doc = paper_scale_document()
+    doc["stability"] = {"c": 0.97, "scan_samples": 128}
+    cfg = parse_config(json.dumps(doc))
+    assert cfg.c == 0.97
+    assert "scan_samples" not in cfg.to_text()
+    assert parse_config(cfg.to_text()) == cfg
 
 
 def test_parse_negative_mu_names_key():
@@ -92,7 +107,7 @@ def test_parse_free_space_allowed():
     doc = reduced_document()
     del doc["potential"]
     cfg = parse_config(json.dumps(doc))
-    assert cfg.barrier() is None
+    assert cfg.barrier is None
 
 
 def test_parse_center_outside_grid():
@@ -110,6 +125,151 @@ def test_parse_serialize_parse_identity():
         assert parse_config(again.to_text()) == again
 
 
+def one_d_document(**overrides):
+    doc = {
+        "grid": {"dims": 1, "nx": 2048, "dx_angstrom": 0.1},
+        "scheme": {"N": 2, "stencil_order": 4, "mu": 0.25},
+        "init": {"sigma_angstrom": 1.0, "lambda_angstrom": 2.2, "center_j": 400},
+        "potential": {"type": "quadrant_barrier", "height_ev": 1.0, "j_min": 1025},
+        "run": {"steps": 100, "snapshot_every": 50, "out_dir": "out"},
+    }
+    return overridden(doc, overrides)
+
+
+def _drop(doc, section):
+    del doc[section]
+    return doc
+
+
+HUGE_INT = 10 ** 400   # a JSON integer no float can hold
+
+# (id, malformed document, the section.key or section its message names)
+MALFORMED = [
+    ("mu-string", reduced_document(scheme={"mu": "0.2"}), "scheme.mu"),
+    ("nx-float", reduced_document(grid={"nx": 200.0}), "grid.nx"),
+    ("nx-bool", reduced_document(grid={"nx": True}), "grid.nx"),
+    ("mu-bool", reduced_document(scheme={"mu": True}), "scheme.mu"),
+    ("normalize-int", reduced_document(init={"normalize": 1}), "init.normalize"),
+    ("out_dir-int", reduced_document(run={"out_dir": 3}), "run.out_dir"),
+    ("dims-3", reduced_document(grid={"dims": 3}), "grid.dims"),
+    ("nx-4", reduced_document(grid={"nx": 4}), "grid.nx"),
+    ("ny-4", reduced_document(grid={"ny": 4}), "grid.ny"),
+    ("N-negative", reduced_document(scheme={"N": -1}), "scheme.N"),
+    ("N-9", reduced_document(scheme={"N": 9}), "scheme.N"),
+    ("stencil_order-3", reduced_document(scheme={"stencil_order": 3}),
+     "scheme.stencil_order"),
+    ("mu-zero", reduced_document(scheme={"mu": 0.0}), "scheme.mu"),
+    ("dx-zero", reduced_document(grid={"dx_angstrom": 0}), "grid.dx_angstrom"),
+    ("dx-negative", reduced_document(grid={"dx_angstrom": -0.1}), "grid.dx_angstrom"),
+    ("sigma-zero", reduced_document(init={"sigma_angstrom": 0.0}), "init.sigma_angstrom"),
+    ("lambda-zero", reduced_document(init={"lambda_angstrom": 0.0}),
+     "init.lambda_angstrom"),
+    ("mass-zero", reduced_document(physics={"mass_kg": 0.0}), "physics.mass_kg"),
+    ("hbar-negative", reduced_document(physics={"hbar": -1e-34}), "physics.hbar"),
+    ("height-negative", reduced_document(potential={"height_ev": -1.0}),
+     "potential.height_ev"),
+    ("c-zero", reduced_document(stability={"c": 0.0}), "stability.c"),
+    ("c-one", reduced_document(stability={"c": 1.0}), "stability.c"),
+    ("scan_samples-63", reduced_document(stability={"scan_samples": 63}),
+     "stability.scan_samples"),
+    ("steps-negative", reduced_document(run={"steps": -1}), "run.steps"),
+    ("snapshot_every-negative", reduced_document(run={"snapshot_every": -1}),
+     "run.snapshot_every"),
+    ("center_j-zero", reduced_document(init={"center_j": 0}), "init.center_j"),
+    ("center_j-beyond", reduced_document(init={"center_j": 201}), "init.center_j"),
+    ("center_k-beyond", reduced_document(init={"center_k": 201}), "init.center_k"),
+    ("j_min-beyond", reduced_document(potential={"j_min": 201}), "potential.j_min"),
+    ("k_min-beyond", reduced_document(potential={"k_min": 201}), "potential.k_min"),
+    ("k_min-zero", reduced_document(potential={"k_min": 0}), "potential.k_min"),
+    ("center_j-beyond-1d", one_d_document(init={"center_j": 2049}), "init.center_j"),
+    ("j_min-beyond-1d", one_d_document(potential={"j_min": 2049}), "potential.j_min"),
+    ("ny-in-1d", one_d_document(grid={"ny": 200}), "grid.ny"),
+    ("center_k-in-1d", one_d_document(init={"center_k": 5}), "init.center_k"),
+    ("k_min-in-1d", one_d_document(potential={"k_min": 5}), "potential.k_min"),
+    ("ny-missing-2d", {**reduced_document(), "grid": {
+        "dims": 2, "nx": 200, "dx_angstrom": 0.1}}, "grid.ny"),
+    ("center_k-missing-2d", {**reduced_document(), "init": {
+        "sigma_angstrom": 1.0, "lambda_angstrom": 1.0, "center_j": 50}}, "init.center_k"),
+    ("k_min-missing-2d", {**reduced_document(), "potential": {
+        "type": "quadrant_barrier", "height_ev": 1.0, "j_min": 101}}, "potential.k_min"),
+    ("unknown-key", reduced_document(run={"outdir": "x"}), "run.outdir"),
+    ("missing-grid", _drop(reduced_document(), "grid"), "section grid"),
+    ("missing-run", _drop(reduced_document(), "run"), "section run"),
+    ("section-not-object", {**reduced_document(), "init": [1, 2]}, "section init"),
+    ("optional-section-not-object", {**reduced_document(), "physics": 3},
+     "section physics"),
+    ("unknown-section", {**reduced_document(), "solver": {}}, "section solver"),
+    ("potential-type", reduced_document(potential={"type": "well"}), "potential.type"),
+    # non-finite and overflowing numbers
+    ("height-nan", reduced_document(potential={"height_ev": float("nan")}),
+     "potential.height_ev"),
+    ("height-inf", reduced_document(potential={"height_ev": float("inf")}),
+     "potential.height_ev"),
+    ("height-huge-int", reduced_document(potential={"height_ev": HUGE_INT}),
+     "potential.height_ev"),
+    ("dx-inf", reduced_document(grid={"dx_angstrom": float("inf")}), "grid.dx_angstrom"),
+    ("mu-inf", reduced_document(scheme={"mu": float("inf")}), "scheme.mu"),
+    ("mu-nan", reduced_document(scheme={"mu": float("nan")}), "scheme.mu"),
+    ("mass-inf", reduced_document(physics={"mass_kg": float("inf")}), "physics.mass_kg"),
+    ("sigma-huge-int", reduced_document(init={"sigma_angstrom": HUGE_INT}),
+     "init.sigma_angstrom"),
+    ("c-negative-inf", reduced_document(stability={"c": float("-inf")}), "stability.c"),
+]
+
+
+@pytest.mark.parametrize("doc, names", [row[1:] for row in MALFORMED],
+                         ids=[row[0] for row in MALFORMED])
+def test_parse_malformed_document_names_key(doc, names):
+    with pytest.raises(ConfigurationError, match=names.replace(".", r"\.")):
+        parse_config(json.dumps(doc))
+
+
+@st.composite
+def valid_documents(draw):
+    """A random valid 1-D or 2-D document, optional sections and keys included."""
+    angstrom = st.floats(1e-3, 1e3) | st.integers(1, 1000)
+    dims, nx = draw(st.sampled_from((1, 2))), draw(st.integers(5, 400))
+    doc = {
+        "grid": {"dims": dims, "nx": nx, "dx_angstrom": draw(angstrom)},
+        "scheme": {"N": draw(st.integers(0, 8)), "stencil_order": draw(st.sampled_from((2, 4))),
+                   "mu": draw(st.floats(1e-3, 1e2))},
+        "init": {"sigma_angstrom": draw(angstrom), "lambda_angstrom": draw(angstrom),
+                 "center_j": draw(st.integers(1, nx))},
+        "run": {"steps": draw(st.integers(0, 10 ** 6)),
+                "snapshot_every": draw(st.integers(0, 10 ** 3)),
+                "out_dir": draw(st.text(max_size=8))},
+    }
+    if draw(st.booleans()):
+        doc["potential"] = {"type": "quadrant_barrier", "height_ev": draw(st.floats(0, 1e4)),
+                            "j_min": draw(st.integers(1, nx))}
+    if dims == 2:
+        doc["grid"]["ny"] = ny = draw(st.integers(5, 400))
+        doc["init"]["center_k"] = draw(st.integers(1, ny))
+        if "potential" in doc:
+            doc["potential"]["k_min"] = draw(st.integers(1, ny))
+    optional = {("physics", "mass_kg"): st.floats(1e-32, 1e-28),
+                ("physics", "hbar"): st.floats(1e-35, 1e-33),
+                ("init", "normalize"): st.booleans(),
+                ("run", "full_field_dumps"): st.booleans(),
+                ("stability", "c"): st.floats(0, 1, exclude_min=True, exclude_max=True),
+                ("stability", "scan_samples"): st.integers(64, 4096)}
+    for (section, key), values in optional.items():
+        if draw(st.booleans()):
+            doc.setdefault(section, {})[key] = draw(values)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_documents())
+def test_parse_serialize_parse_identity_any_document(doc):
+    # the config stores SI values; their document form may come back as a
+    # neighbouring decimal, but the SI value it parses to must not move
+    cfg = parse_config(json.dumps(doc))
+    again = parse_config(cfg.to_text())
+    assert again == cfg
+    assert parse_config(again.to_text()) == again
+
+
 def test_parse_1d_document():
     doc = {
         "grid": {"dims": 1, "nx": 2048, "dx_angstrom": 0.1},
@@ -118,7 +278,7 @@ def test_parse_1d_document():
         "run": {"steps": 100, "snapshot_every": 50, "out_dir": "out"},
     }
     cfg = parse_config(json.dumps(doc))
-    assert cfg.grid().dims == 1
+    assert cfg.grid.dims == 1
     assert parse_config(cfg.to_text()) == cfg
 
 
@@ -200,9 +360,9 @@ def test_field_meta_parseable(tmp_path):
 
 # --- CLI -------------------------------------------------------------------------
 
-def run_cli(args, cwd):
-    # the child runs from cwd, where a relative PYTHONPATH (e.g. "src") no
-    # longer points at the package; put the imported package's absolute
+def child_env():
+    # a child runs from its own cwd, where a relative PYTHONPATH (e.g. "src")
+    # no longer points at the package; put the imported package's absolute
     # parent directory in front of any inherited value
     import gfdtd
     pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(gfdtd.__file__)))
@@ -210,8 +370,12 @@ def run_cli(args, cwd):
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = (pkg_parent + os.pathsep + inherited if inherited
                          else pkg_parent)
+    return env
+
+
+def run_cli(args, cwd):
     return subprocess.run([sys.executable, "-m", "gfdtd.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd, env=child_env())
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -268,6 +432,31 @@ def test_cli_config_error_exit_two(tmp_path):
     assert "scheme.mu" in result.stderr
 
 
+SWEEP_ARGS = ["--mu-from", "0.2", "--mu-to", "0.3", "--mu-step", "0.1"]
+
+
+@pytest.mark.parametrize("command", [["stability"], ["run"], ["sweep", *SWEEP_ARGS]],
+                         ids=["stability", "run", "sweep"])
+@pytest.mark.parametrize("section, key, literal", [
+    ("potential", "height_ev", "NaN"),
+    ("potential", "height_ev", str(HUGE_INT)),
+    ("potential", "height_ev", "Infinity"),
+    ("grid", "dx_angstrom", "Infinity"),
+    ("scheme", "mu", "1" + "0" * 5000),   # past int's digit limit: no valid JSON
+], ids=["nan", "huge-int", "infinity", "infinite-dx", "digit-limit"])
+def test_cli_malformed_number_exit_two(tmp_path, command, section, key, literal):
+    doc = reduced_document(run={"out_dir": str(tmp_path / "out")})
+    doc[section][key] = "placeholder"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc).replace('"placeholder"', literal))
+    result = run_cli([command[0], "--config", str(path), *command[1:]], str(tmp_path))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("configuration error:")
+    assert "Traceback" not in result.stderr
+    names = "not valid JSON" if len(literal) > 4300 else f"{section}.{key}"
+    assert names in result.stderr
+
+
 def test_cli_run_io_error_exit_two(tmp_path):
     # out_dir names an existing file: an I/O error, not a divergence
     (tmp_path / "taken").write_text("not a directory")
@@ -310,7 +499,7 @@ def barrier_1d_document(out_dir):
         "run": {"steps": 600, "snapshot_every": 0, "out_dir": out_dir},
     }
     cfg = parse_config(json.dumps(doc))
-    doc["potential"]["height_ev"] = 2.0 * 2.0 * cfg.hbar / cfg.scheme().dt / EV
+    doc["potential"]["height_ev"] = 2.0 * 2.0 * cfg.scheme.physics.hbar / cfg.scheme.dt / EV
     return doc
 
 
