@@ -157,6 +157,14 @@ def _apply_schema(doc):
     return values
 
 
+def _metres(values, name):
+    """A positive length in angstrom, in m; one that underflows to 0 m fails."""
+    metres = values[name] * ANGSTROM
+    if metres == 0:
+        raise ConfigurationError(f"{name} {values[name]!r} is 0 m in floats")
+    return metres
+
+
 def parse_config(text):
     """Parse and validate a JSON config document into a RunConfig."""
     try:
@@ -166,13 +174,18 @@ def parse_config(text):
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
     v = _apply_schema(doc)
-    dims, dx = v["grid.dims"], v["grid.dx_angstrom"] * ANGSTROM
+    dims, dx = v["grid.dims"], _metres(v, "grid.dx_angstrom")
     grid = GridSpec(dims, v["grid.nx"], dx, v["grid.ny"], dx if dims == 2 else None)
     physics = PhysicalParams(v["physics.mass_kg"], v["physics.hbar"])
-    scheme = SchemeConfig.from_mu(v["scheme.N"], StencilOrder(v["scheme.stencil_order"]),
-                                  v["scheme.mu"], physics, grid)
-    packet = GaussianPacketSpec(v["init.sigma_angstrom"] * ANGSTROM,
-                                v["init.lambda_angstrom"] * ANGSTROM, v["init.center_j"],
+    try:
+        scheme = SchemeConfig.from_mu(v["scheme.N"], StencilOrder(v["scheme.stencil_order"]),
+                                      v["scheme.mu"], physics, grid)
+    except ConfigurationError as exc:   # only dt can fail once the schema passed
+        raise ConfigurationError(
+            f"{exc}: dt = 2 scheme.mu physics.mass_kg grid.dx_angstrom^2 / physics.hbar"
+        ) from exc
+    packet = GaussianPacketSpec(_metres(v, "init.sigma_angstrom"),
+                                _metres(v, "init.lambda_angstrom"), v["init.center_j"],
                                 v["init.center_k"], v["init.normalize"])
     barrier = BarrierSpec(v["potential.j_min"], v["potential.k_min"],
                           v["potential.height_ev"] * EV) if "potential" in doc else None

@@ -8,6 +8,14 @@ real part, by a truncated Taylor series in odd powers of the generator B:
     H = 2 * sum_{p=0..N} (dt/2)^(2p+1) * (-1)^p/(2p+1)! * B^(2p+1)
 
 N = 0 is the classic explicit FDTD update.  dt = mu * 2 m dx^2 / hbar.
+
+A half step writes old ± H source straight into the new field's plane.  H
+source is evaluated in Horner form, B(c_0 f - B^2(c_1 f - B^2(c_2 f ...))),
+as 2N+1 applications of B that alternate between the new plane and one
+scratch plane shared by both half steps; each c_p f term, and at the end
+the old plane, is added inside B's slab loop (apply_b's add=).  The real
+update runs on negated coefficients: B is odd in its input and
+a - x is a + (-x) in IEEE arithmetic, so both updates share one code path.
 """
 
 import math
@@ -42,16 +50,16 @@ class SchemeConfig:
                 f"truncation index must be in [0, {MAX_TRUNCATION_INDEX}], got {self.N}")
         if not self.mu > 0:
             raise ConfigurationError("mu must be positive")
-        if not self.dt > 0:
-            raise ConfigurationError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
 
     @classmethod
     def from_mu(cls, N, order, mu, physics, grid):
-        dt = mu * 2.0 * physics.mass * grid.dx ** 2 / physics.hbar
+        dt = mu * 2.0 * physics.mass * (grid.dx * grid.dx) / physics.hbar
         return cls(N=N, order=order, mu=mu, dt=dt, physics=physics)
 
     def validate_against(self, grid):
-        expected = self.mu * 2.0 * self.physics.mass * grid.dx ** 2 / self.physics.hbar
+        expected = self.mu * 2.0 * self.physics.mass * (grid.dx * grid.dx) / self.physics.hbar
         if abs(self.dt - expected) > 1e-14 * expected:
             raise ConfigurationError(
                 f"dt={self.dt} inconsistent with mu={self.mu} and dx={grid.dx}")
@@ -69,40 +77,46 @@ class SchemeConfig:
                 for p in range(self.N + 1)]
 
 
-def _horner(source, grid, potential, cfg):
-    """H source as B(c_0 f - B^2(c_1 f - B^2(c_2 f ...))), c_p from
-    series_coefficients: 2N+1 applications of B alternating between two
-    buffers.  Returns the buffer holding the result."""
-    coeffs = [-c if p % 2 else c for p, c in enumerate(cfg.series_coefficients())]
-    u = np.multiply(source, coeffs[-1])
-    v = np.empty_like(u)
-    for a in reversed(coeffs[:-1]):
-        apply_b(u, grid, potential, cfg.physics, cfg.order, out=v)
-        apply_b(v, grid, potential, cfg.physics, cfg.order, out=u)
-        np.multiply(source, a, out=v)
-        u += v
-    return apply_b(u, grid, potential, cfg.physics, cfg.order, out=v)
+def _coefficients(cfg, sign):
+    """sign * (-1)^p * c_p for c_p in series_coefficients: the Horner terms of
+    H (sign +1, the imaginary update) or of -H (sign -1, the real one)."""
+    return [(-1) ** p * sign * c for p, c in enumerate(cfg.series_coefficients())]
+
+
+def _half(source, old, coeffs, u, grid, potential, cfg):
+    """old + H source as a new plane, for H's signed Horner coefficients
+    (_coefficients); the scratch plane u and the new plane take turns as B's
+    output."""
+    new = np.empty(old.shape)
+    np.multiply(source, coeffs[-1], out=u)
+    for c in reversed(coeffs[:-1]):
+        apply_b(u, grid, potential, cfg.physics, cfg.order, out=new)
+        apply_b(new, grid, potential, cfg.physics, cfg.order, out=u, add=(c, source))
+    return apply_b(u, grid, potential, cfg.physics, cfg.order, out=new, add=(1.0, old))
 
 
 def step_real(field, potential, grid, cfg):
     """Updated real_part array (real advances t_{n-1} -> t_n)."""
-    h = _horner(field.imag_part, grid, potential, cfg)
-    return np.subtract(field.real_part, h, out=h)
+    return _half(field.imag_part, field.real_part, _coefficients(cfg, -1),
+                 np.empty(field.real_part.shape), grid, potential, cfg)
 
 
 def step_imag(field, potential, grid, cfg):
     """Updated imag_part array; real_part must already be at t_n."""
-    h = _horner(field.real_part, grid, potential, cfg)
-    return np.add(field.imag_part, h, out=h)
+    return _half(field.real_part, field.imag_part, _coefficients(cfg, 1),
+                 np.empty(field.imag_part.shape), grid, potential, cfg)
 
 
 def step(field, potential, grid, cfg, max_abs_limit=None):
     """Advance one full step into new planes, real first, then imag from the
-    new real.  Non-finite values, or any |value| above max_abs_limit (usually
-    DIVERGENCE_FACTOR times the initial max), raise DivergenceError."""
-    new_real = step_real(field, potential, grid, cfg)
-    h = _horner(new_real, grid, potential, cfg)
-    advanced = WaveField(new_real, np.add(field.imag_part, h, out=h),
+    new real, both half steps sharing one scratch plane.  Non-finite values,
+    or any |value| above max_abs_limit (usually DIVERGENCE_FACTOR times the
+    initial max), raise DivergenceError."""
+    coeffs, u = _coefficients(cfg, 1), np.empty(field.real_part.shape)
+    new_real = _half(field.imag_part, field.real_part, [-c for c in coeffs], u,
+                     grid, potential, cfg)
+    advanced = WaveField(new_real, _half(new_real, field.imag_part, coeffs, u,
+                                         grid, potential, cfg),
                          field.real_time_index + 1)
     m = advanced.max_abs()
     if not np.isfinite(m) or (max_abs_limit is not None and m > max_abs_limit):

@@ -7,9 +7,17 @@ straight into the output, so only the out slab and two scratch slabs sit in
 L2.  Per axis it sums the pairs f[i-d] + f[i+d] at flat offsets of the input
 (a neighbour past the edge is dropped: the truncated matrix), scales and
 accumulates them, and adds the x and y sums before the diagonal term, so on
-a square grid with V = V.T, B f.T is exactly (B f).T.
+a square grid with V = V.T, B f.T is exactly (B f).T.  apply_b's add=(a, src)
+then adds a * src in the same slab, which is how the stepper forms each
+Horner term without a whole-plane pass.
+
+What depends only on the grid, the order and the Laplacian's scale (folded
+weights, slab bounds, the slices of every pair add and edge copy) is worked
+out once by the cached _plan; a call validates its planes, allocates its
+slab scratch and runs the loop.
 """
 
+import functools
 from enum import Enum
 
 import numpy as np
@@ -36,53 +44,90 @@ _WEIGHTS = {StencilOrder.SECOND_ORDER: (-2.0, 1.0),
             StencilOrder.FOURTH_ORDER: (-30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)}
 
 
-def _apply(component, v, grid, order, scale, hbar, out):
-    """out = scale * Laplacian(f) - (v/hbar) * f over slabs of leading-axis rows."""
+@functools.lru_cache(maxsize=64)
+def _plan(grid, order, scale, slab_bytes):
+    """What _apply needs that depends only on its arguments: the folded centre
+    weight, the scratch slab length, and per slab of leading-axis rows its row
+    slice, row shape, flat bounds and one term per axis and offset.  A term
+    names the buffers it writes, its folded pair weight, the slices of its
+    pair add and of its edge copies, and the column slices of its row-end
+    copies.  Slices, floats and tuples only: every caller shares the result."""
+    weights, steps = _WEIGHTS[order], (grid.dx, grid.dy)[:grid.dims]
+    n, width = grid.nx, grid.ny or 1
+    rows = min(n, max(1, slab_bytes // (8 * width)))
+    centre = scale * weights[0] * sum(h ** -2 for h in steps)
+    # (target, accumulate-into, weight, flat offset, row-end columns) per axis and offset
+    offsets = []
+    for axis, (stride, h) in enumerate(zip((width, 1), steps)):
+        dest = 0 if axis == 0 else 2   # index into (out, pair sums, y sum)
+        for d, w in enumerate(weights[1:], 1):
+            # along y the d end cells of each row keep their in-range neighbour
+            row_ends = () if axis == 0 else ((slice(0, d), slice(d, 2 * d)),
+                                             (slice(-d, None), slice(-2 * d, -d)))
+            offsets.append((dest if d == 1 else 1, None if d == 1 else dest,
+                            scale * w / h ** 2, d * stride, row_ends))
+    slabs = []
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        lo, hi = start * width, stop * width
+        terms = []
+        for target, dest, w, s, row_ends in offsets:
+            # q = f[i-s] + f[i+s] at flat offsets; cells in [lo, a) lack the
+            # neighbour before (first rows), cells in [b, hi) the one after
+            a = min(max(lo, s), hi)
+            b = max(min(hi, n * width - s), a)
+            edges = []
+            if a > lo:
+                edges.append((slice(0, a - lo), slice(lo + s, a + s)))
+            if b < hi:
+                edges.append((slice(b - lo, hi - lo), slice(b - s, hi - s)))
+            terms.append((target, dest, w, slice(a - s, b - s), slice(a + s, b + s),
+                          slice(a - lo, b - lo), tuple(edges), row_ends))
+        slabs.append((slice(start, stop), (stop - start, *grid.shape[1:]), lo, hi,
+                      tuple(terms)))
+    return centre, rows * width, tuple(slabs)
+
+
+def _apply(component, v, grid, order, scale, hbar, out, add=None):
+    """out = scale * Laplacian(f) - (v/hbar) * f (+ a * src for add=(a, src))
+    over the slabs of _plan."""
+    centre, length, slabs = _plan(grid, order, scale, _SLAB_BYTES)
     f = np.ascontiguousarray(component, dtype=float)
-    _check_shape(f, grid, "component")
+    if f.shape != v.shape:   # v was checked against the grid
+        _check_shape(f, grid, "component")
     if out is None:
         out = np.empty_like(f)
     elif out.shape != f.shape or not out.flags.c_contiguous or np.may_share_memory(out, f):
         raise ConfigurationError("out must be a C-contiguous grid-shaped plane apart from the input")
-    weights, steps = _WEIGHTS[order], (grid.dx, grid.dy)[:grid.dims]
-    n, width = f.shape[0], f.size // f.shape[0]
-    # (flat stride, pair weights) per axis, and the folded centre weight
-    axes = [(stride, [scale * w / h ** 2 for w in weights[1:]])
-            for stride, h in zip((width, 1), steps)]
-    centre = scale * weights[0] * sum(h ** -2 for h in steps)
+    if add is not None:
+        a, src = add
+        if src.shape != f.shape or np.may_share_memory(out, src):
+            raise ConfigurationError("add's source must be a grid-shaped plane apart from out")
     flat, out_flat = f.reshape(-1), out.reshape(-1)
-    rows = min(n, max(1, _SLAB_BYTES * n // f.nbytes))
-    scratch = np.empty((len(axes), rows * width))  # pair sums; the y sum in 2-D
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        lo, hi = start * width, stop * width
-        o, p, acc = out_flat[lo:hi], scratch[0, :hi - lo], scratch[-1, :hi - lo]
-        for axis, (stride, ws) in enumerate(axes):
-            dest = o if axis == 0 else acc
-            for d, w in enumerate(ws, 1):
-                # q = f[i-s] + f[i+s] at flat offsets; cells in [lo, a) lack the
-                # neighbour before (first rows), cells in [b, hi) the one after
-                s, q = d * stride, (dest if d == 1 else p)
-                a = min(max(lo, s), hi)
-                b = max(min(hi, flat.size - s), a)
-                np.add(flat[a - s:b - s], flat[a + s:b + s], out=q[a - lo:b - lo])
-                if a > lo:
-                    q[:a - lo] = flat[lo + s:a + s]
-                if b < hi:
-                    q[b - lo:] = flat[b - s:hi - s]
-                if axis == 1:  # the d end cells of each row keep their in-range one
-                    q_rows, f_rows = q.reshape(-1, width), f[start:stop]
-                    q_rows[:, :d] = f_rows[:, d:2 * d]
-                    q_rows[:, -d:] = f_rows[:, -2 * d:-d]
-                q *= w
-                if d > 1:
-                    dest += q
-        if len(axes) == 2:
+    scratch = np.empty((grid.dims, length))  # pair sums; the y sum in 2-D
+    for rows, shape, lo, hi, terms in slabs:
+        bufs = out_flat[lo:hi], scratch[0, :hi - lo], scratch[-1, :hi - lo]
+        for target, dest, w, left, right, part, edges, row_ends in terms:
+            q = bufs[target]
+            np.add(flat[left], flat[right], out=q[part])
+            for to, of in edges:
+                q[to] = flat[of]
+            for to, of in row_ends:
+                q.reshape(shape)[:, to] = f[rows, of]
+            q *= w
+            if dest is not None:
+                np.add(bufs[dest], q, out=bufs[dest])
+        o, p, acc = bufs
+        if grid.dims == 2:
             o += acc
-        np.divide(v[start:stop], -hbar, out=p.reshape(-1, *f.shape[1:]))
+        p_rows = p.reshape(shape)
+        np.divide(v[rows], -hbar, out=p_rows)
         p += centre
         p *= flat[lo:hi]
         o += p
+        if add is not None:   # a * src; a = 1 needs no multiply
+            o_rows = o.reshape(shape)
+            o_rows += src[rows] if a == 1 else np.multiply(src[rows], a, out=p_rows)
     return out
 
 
@@ -93,11 +138,14 @@ def apply_laplacian(component, grid, order=StencilOrder.SECOND_ORDER, out=None):
 
 
 def apply_b(component, grid, potential, physics, order=StencilOrder.SECOND_ORDER,
-            out=None):
-    """B f = (hbar/2m) Laplacian(f) - (V/hbar) f in 1/s; ``out`` as in apply_laplacian."""
+            out=None, add=None):
+    """B f = (hbar/2m) Laplacian(f) - (V/hbar) f in 1/s; ``out`` as in
+    apply_laplacian.  With ``add=(a, src)`` it returns a * src + B f instead,
+    the sum formed slab by slab; ``src`` is a grid-shaped plane that must not
+    overlap ``out``."""
     _check_shape(potential.values, grid, "potential")
     return _apply(component, potential.values, grid, order,
-                  physics.hbar / (2.0 * physics.mass), physics.hbar, out)
+                  physics.hbar / (2.0 * physics.mass), physics.hbar, out, add)
 
 
 def apply_b_power(component, power, grid, potential, physics,

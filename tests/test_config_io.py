@@ -214,6 +214,12 @@ MALFORMED = [
     ("sigma-huge-int", reduced_document(init={"sigma_angstrom": HUGE_INT}),
      "init.sigma_angstrom"),
     ("c-negative-inf", reduced_document(stability={"c": float("-inf")}), "stability.c"),
+    # finite numbers whose SI value or time step leaves the float range
+    ("dx-overflows-dt", reduced_document(grid={"dx_angstrom": 1e200}), "grid.dx_angstrom"),
+    ("mass-overflows-dt", reduced_document(physics={"mass_kg": 1e300}), "physics.mass_kg"),
+    ("dx-underflows", reduced_document(grid={"dx_angstrom": 1e-320}), "grid.dx_angstrom"),
+    ("lambda-underflows", reduced_document(init={"lambda_angstrom": 1e-320}),
+     "init.lambda_angstrom"),
 ]
 
 
@@ -443,10 +449,14 @@ SWEEP_ARGS = ["--mu-from", "0.2", "--mu-to", "0.3", "--mu-step", "0.1"]
     ("potential", "height_ev", "Infinity"),
     ("grid", "dx_angstrom", "Infinity"),
     ("scheme", "mu", "1" + "0" * 5000),   # past int's digit limit: no valid JSON
-], ids=["nan", "huge-int", "infinity", "infinite-dx", "digit-limit"])
+    ("grid", "dx_angstrom", "1e200"),      # dt overflows
+    ("physics", "mass_kg", "1e300"),       # dt overflows
+    ("grid", "dx_angstrom", "1e-320"),     # dx underflows to 0 m
+], ids=["nan", "huge-int", "infinity", "infinite-dx", "digit-limit", "dt-overflow-dx",
+        "dt-overflow-mass", "dx-underflow"])
 def test_cli_malformed_number_exit_two(tmp_path, command, section, key, literal):
     doc = reduced_document(run={"out_dir": str(tmp_path / "out")})
-    doc[section][key] = "placeholder"
+    doc.setdefault(section, {})[key] = "placeholder"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc).replace('"placeholder"', literal))
     result = run_cli([command[0], "--config", str(path), *command[1:]], str(tmp_path))

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gfdtd import (ConfigurationError, DivergenceError, GridSpec, PhysicalParams,
-                   PotentialField, SchemeConfig, StencilOrder, WaveField,
-                   apply_laplacian, step, step_imag, step_real)
+                   PotentialField, SchemeConfig, StencilOrder, WaveField, apply_b,
+                   apply_laplacian, step, step_imag, step_real, stencils)
 
 from conftest import dense_b_matrix
 
@@ -220,3 +221,92 @@ def test_divergence_detection(small_grid_2d, unit_physics):
         for _ in range(500):
             out = step(out, potential, small_grid_2d, cfg, max_abs_limit=limit)
     assert excinfo.value.step >= 1
+
+
+def two_buffer_horner(source, grid, potential, cfg):
+    """The stepper's former H source: two fresh planes, with each c_p f term
+    and the old plane added in whole-plane passes outside apply_b."""
+    coeffs = [-c if p % 2 else c for p, c in enumerate(cfg.series_coefficients())]
+    u = np.multiply(source, coeffs[-1])
+    v = np.empty_like(u)
+    for a in reversed(coeffs[:-1]):
+        apply_b(u, grid, potential, cfg.physics, cfg.order, out=v)
+        apply_b(v, grid, potential, cfg.physics, cfg.order, out=u)
+        np.multiply(source, a, out=v)
+        u += v
+    return apply_b(u, grid, potential, cfg.physics, cfg.order, out=v)
+
+
+def two_buffer_step(field, potential, grid, cfg):
+    real = field.real_part - two_buffer_horner(field.imag_part, grid, potential, cfg)
+    imag = field.imag_part + two_buffer_horner(real, grid, potential, cfg)
+    return real, imag
+
+
+ORACLE_GRIDS = [GridSpec(dims=1, nx=23, dx=0.7),
+                GridSpec(dims=2, nx=11, dx=0.7, ny=9, dy=1.1)]
+
+
+@pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 1])
+@pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["1d", "2d"])
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
+def test_step_bit_identical_to_two_buffer_horner(rng, monkeypatch, N, grid, order,
+                                                 slab_bytes):
+    # the fused update reorders no floating-point operation: negated
+    # coefficients give -H exactly, and a + (-h) is a - h
+    monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
+    physics = PhysicalParams(mass=1.3, hbar=0.9)
+    potential = PotentialField(rng.uniform(0.0, 1.0, size=grid.shape))
+    cfg = make_cfg(N, 0.05, grid, physics, order)
+    wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
+    for _ in range(20):
+        real, imag = two_buffer_step(wf, potential, grid, cfg)
+        assert np.array_equal(step_real(wf, potential, grid, cfg), real)
+        assert np.array_equal(step_imag(WaveField(real, wf.imag_part), potential, grid, cfg),
+                              imag)
+        wf = step(wf, potential, grid, cfg)
+        assert np.array_equal(wf.real_part, real) and np.array_equal(wf.imag_part, imag)
+
+
+@pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_leapfrog_conserves_q_exactly(rng, N, order, unit_physics):
+    # Q_n = R_n.R_n + I_{n+1/2}.I_{n-1/2} (Visscher 1991) is invariant for a
+    # symmetric H, so its drift is round-off alone; an asymmetric B shows
+    grid = GridSpec(dims=2, nx=40, dx=1.0, ny=40, dy=1.0)
+    potential = PotentialField(rng.uniform(0.0, 0.5, size=grid.shape))
+    cfg = make_cfg(N, 0.1, grid, unit_physics, order)
+    wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
+    q = []
+    for _ in range(500):
+        new = step(wf, potential, grid, cfg)
+        q.append(np.vdot(new.real_part, new.real_part)
+                 + np.vdot(new.imag_part, wf.imag_part))
+        wf = new
+    assert max(abs(value - q[0]) for value in q) <= 1e-12 * abs(q[0])
+
+
+def test_step_allocates_three_planes(rng, unit_physics):
+    # the two planes of the new field and one scratch plane shared by both
+    # half steps, next to apply_b's own slab scratch and a few small objects
+    grid = GridSpec(dims=2, nx=200, dx=1.0, ny=200, dy=1.0)
+    potential = PotentialField(rng.uniform(0.0, 0.5, size=grid.shape))
+    cfg = make_cfg(2, 0.1, grid, unit_physics, StencilOrder.FOURTH_ORDER)
+    wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
+    buf = np.empty(grid.shape)
+    step(wf, potential, grid, cfg)   # plans cached before tracing
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    scratch = traced_peak(lambda: apply_b(wf.real_part, grid, potential, cfg.physics,
+                                          cfg.order, out=buf, add=(0.5, wf.imag_part)))
+    peak = traced_peak(lambda: step(wf, potential, grid, cfg))
+    assert peak <= 3 * buf.nbytes + scratch + 4096

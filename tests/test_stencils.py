@@ -268,3 +268,67 @@ def test_apply_b_into_out_allocates_no_plane(rng, order, layout, unit_physics):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_plan_cache_keeps_grids_orders_and_physics_apart(rng):
+    # same shape throughout, so only dx/dy, the order or the physics tell
+    # the cached plans apart; each result must still be its own B
+    shape = (7, 9)
+    f = rng.normal(size=shape)
+    potential = PotentialField(rng.uniform(-1.0, 1.0, size=shape))
+    grids = [GridSpec(dims=2, nx=7, dx=0.7, ny=9, dy=1.1),
+             GridSpec(dims=2, nx=7, dx=0.9, ny=9, dy=1.1),
+             GridSpec(dims=2, nx=7, dx=0.7, ny=9, dy=0.5)]
+    physics = [PhysicalParams(mass=1.3, hbar=0.9), PhysicalParams(mass=2.0, hbar=0.9),
+               PhysicalParams(mass=1.3, hbar=0.4)]
+    for _ in range(2):   # the second round is served from the cache
+        for grid in grids:
+            for phys in physics:
+                for order in StencilOrder:
+                    expected = (dense_b_matrix(grid, potential, phys, order)
+                                @ f.ravel()).reshape(shape)
+                    out = apply_b(f, grid, potential, phys, order)
+                    assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
+def test_apply_b_with_strided_potential_view(rng, order, unit_physics):
+    grid = GridSpec(dims=2, nx=7, dx=0.7, ny=9, dy=1.1)
+    wide = rng.uniform(0.0, 1.0, size=(9, 21))
+    view = wide[:, ::3].T            # (7, 9), neither C- nor F-contiguous
+    assert not view.flags.c_contiguous and not view.flags.f_contiguous
+    f = rng.normal(size=grid.shape)
+    out = apply_b(f, grid, PotentialField(view), unit_physics, order)
+    contiguous = PotentialField(np.ascontiguousarray(view))
+    assert np.array_equal(out, apply_b(f, grid, contiguous, unit_physics, order))
+    expected = (dense_b_matrix(grid, contiguous, unit_physics, order)
+                @ f.ravel()).reshape(grid.shape)
+    assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_add_rejects_misshapen_or_overlapping_source(rng, small_grid_2d,
+                                                     constant_potential, unit_physics):
+    f = rng.normal(size=small_grid_2d.shape)
+    out = np.empty(small_grid_2d.shape)
+    for src in (np.zeros((8, 7)), np.zeros(64), out, out[::-1], out.T):
+        with pytest.raises(ConfigurationError):
+            apply_b(f, small_grid_2d, constant_potential, unit_physics, out=out,
+                    add=(0.5, src))
+
+
+@pytest.mark.parametrize("a", [-0.37, 1.0])
+@pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 1])
+@pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
+@pytest.mark.parametrize("grid", [GridSpec(dims=1, nx=23, dx=0.7),
+                                  GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=1.1)])
+def test_add_equals_b_plus_scaled_source_bit_for_bit(rng, monkeypatch, grid, order,
+                                                     slab_bytes, a, unit_physics):
+    monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
+    potential = PotentialField(rng.uniform(0.0, 1.0, size=grid.shape))
+    f, src = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
+    fused = apply_b(f, grid, potential, unit_physics, order, add=(a, src))
+    separate = apply_b(f, grid, potential, unit_physics, order) + a * src
+    assert np.array_equal(fused, separate)
+    # the source may be the input itself, and in any memory layout
+    fused = apply_b(f, grid, potential, unit_physics, order, add=(a, np.asfortranarray(f)))
+    assert np.array_equal(fused, apply_b(f, grid, potential, unit_physics, order) + a * f)
