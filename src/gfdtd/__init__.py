@@ -8,9 +8,8 @@ from .fields import (ANGSTROM, ELECTRON_MASS, EV, HBAR, GridSpec, PhysicalParams
                      PotentialField, WaveField, norm, normalize)
 from .stencils import StencilOrder, apply_b, apply_b_power, apply_laplacian
 from .scheme import SchemeConfig, step, step_imag, step_real
-from .stability import (StabilityReport, StabilitySymbol, Verdict,
-                        amplification_roots, endpoint_condition, endpoint_x,
-                        symbol_x, truncated_sine, wavenumber_scan)
+from .stability import (StabilityReport, Verdict, amplification_roots,
+                        endpoint_condition, endpoint_x, truncated_sine, wavenumber_scan)
 from .scenarios import (BarrierSpec, GaussianPacketSpec, RunLog, RunRecord,
                         barrier_potential, energy_expectation, free_packet_1d,
                         gaussian_packet_1d, gaussian_packet_2d, potential_bounds, run)
@@ -26,9 +25,8 @@ __all__ = [
     "norm", "normalize",
     "StencilOrder", "apply_b", "apply_b_power", "apply_laplacian",
     "SchemeConfig", "step", "step_imag", "step_real",
-    "StabilityReport", "StabilitySymbol", "Verdict", "amplification_roots",
-    "endpoint_condition", "endpoint_x", "symbol_x", "truncated_sine",
-    "wavenumber_scan",
+    "StabilityReport", "Verdict", "amplification_roots",
+    "endpoint_condition", "endpoint_x", "truncated_sine", "wavenumber_scan",
     "BarrierSpec", "GaussianPacketSpec", "RunLog", "RunRecord",
     "barrier_potential", "energy_expectation", "free_packet_1d",
     "gaussian_packet_1d", "gaussian_packet_2d", "potential_bounds", "run",

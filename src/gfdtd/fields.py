@@ -61,9 +61,14 @@ class GridSpec:
         return (self.nx,) if self.dims == 1 else (self.nx, self.ny)
 
     @property
+    def spacing(self):
+        """Cell length along each axis of shape: (dx,) or (dx, dy)."""
+        return (self.dx,) if self.dims == 1 else (self.dx, self.dy)
+
+    @property
     def cell_volume(self):
         """Cell length dx in 1-D, cell area dx*dy in 2-D."""
-        return self.dx if self.dims == 1 else self.dx * self.dy
+        return float(np.prod(self.spacing))
 
 
 @dataclass(frozen=True)

@@ -64,16 +64,11 @@ class SchemeConfig:
             raise ConfigurationError(
                 f"dt={self.dt} inconsistent with mu={self.mu} and dx={grid.dx}")
 
-    def mesh_ratios(self, grid):
-        """(r_x, r_y) = (dt/dx^2, dt/dy^2); r_y is None in 1-D."""
-        rx = self.dt / grid.dx ** 2
-        ry = self.dt / grid.dy ** 2 if grid.dims == 2 else None
-        return rx, ry
-
     def series_coefficients(self):
-        """2 * (dt/2)^(2p+1) / (2p+1)! for p = 0..N, as exact doubles."""
-        half = 0.5 * self.dt
-        return [2.0 * half ** (2 * p + 1) / math.factorial(2 * p + 1)
+        """2 * (dt/2)^(2p+1) / (2p+1)! for p = 0..N, as exact doubles; inf past
+        the float range (numpy's pow does not raise), so such a run diverges."""
+        half = np.float64(0.5 * self.dt)
+        return [float(2.0 * half ** (2 * p + 1) / math.factorial(2 * p + 1))
                 for p in range(self.N + 1)]
 
 

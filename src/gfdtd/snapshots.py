@@ -64,8 +64,8 @@ def write_diagonal_snapshot(wf, grid, step, time_s, out_dir):
 def read_diagonal_snapshot(path):
     """(k, psi_real, psi_imag, density) arrays from a diag_*.csv file."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=range(4))
+    except (OSError, ValueError) as exc:
         raise RunIOError(f"failed to read {path}: {exc}") from exc
     return (data[:, 0].astype(int), data[:, 1], data[:, 2], data[:, 3])
 
@@ -93,7 +93,7 @@ def write_field_dump(wf, grid, step, time_s, out_dir):
 
 
 def read_field_meta(path):
-    """Meta sidecar as a dict with typed values."""
+    """Meta sidecar as a dict with typed values; RunIOError names a bad key."""
     meta = {}
     try:
         with open(path) as fh:
@@ -105,10 +105,12 @@ def read_field_meta(path):
                 meta[key.strip()] = value.strip()
     except OSError as exc:
         raise RunIOError(f"failed to read {path}: {exc}") from exc
-    for key in ("layout_version", "nx", "ny", "step"):
-        meta[key] = int(meta[key])
-    for key in ("dx", "dy", "time_s"):
-        meta[key] = float(meta[key])
+    for key, kind in {"layout_version": int, "nx": int, "ny": int, "step": int,
+                      "dx": float, "dy": float, "time_s": float}.items():
+        try:
+            meta[key] = kind(meta[key])
+        except (KeyError, ValueError):
+            raise RunIOError(f"{path}: {key} is missing or not {kind.__name__}") from None
     return meta
 
 

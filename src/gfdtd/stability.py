@@ -6,10 +6,11 @@ A plane-wave mode's amplification factor solves
 
 with the truncated sine S(x) = sum_{p=0..N} (-1)^p x^(2p+1)/(2p+1)! and
 x = K(beta) + V dt/(2 hbar), the stencil symbol at wavenumber beta plus the
-potential term; the mode is bounded iff |S(x)| <= 1.  K rises in each
-sin^2(beta d/2) from 0 to its Nyquist value, so over all wavenumbers and
-levels in [V_min, V_max] x fills [V_min dt/(2 hbar), endpoint_x(grid, cfg,
-V_max)]; gaps between levels can only make the verdict err toward unstable.
+potential term; the mode is bounded iff |S(x)| <= 1.  K sums stencils'
+axis_symbol over the grid's axes and rises in each sin^2(beta h/2) from 0 to
+its Nyquist value, so over all wavenumbers and levels in [V_min, V_max] x fills
+[V_min dt/(2 hbar), endpoint_x(grid, cfg, V_max)]; gaps between levels can
+only make the verdict err toward unstable.
 
 The endpoint condition checks |S| at the top of that interval only, as the
 published stability theorems do; that silently assumes S is monotone, which
@@ -18,6 +19,7 @@ takes the exact maximum over the interval and is the authoritative verdict;
 when the two disagree the report says so instead of picking a side.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .stencils import StencilOrder
+from .stencils import axis_symbol
 
 DEFAULT_THRESHOLD = 0.99
 
@@ -51,15 +53,6 @@ def truncated_sine(x, N):
     return float(acc) if acc.ndim == 0 else acc
 
 
-@dataclass(frozen=True)
-class StabilitySymbol:
-    """Argument x of the truncated sine at one sampled wavenumber pair."""
-
-    x: float
-    beta_x: float
-    beta_y: float | None = None
-
-
 class Verdict(Enum):
     STABLE_BY_SCAN = "stable_by_scan"
     UNSTABLE = "unstable"
@@ -76,74 +69,64 @@ class StabilityReport:
     endpoint_x: float = float("nan")
 
 
-def _symbol_value(sx, sy, grid, cfg, v):
-    """x from per-axis sin^2 values and potential v (sy ignored in 1-D)."""
-    hbar, m = cfg.physics.hbar, cfg.physics.mass
-    rx, ry = cfg.mesh_ratios(grid)
-    if cfg.order is StencilOrder.SECOND_ORDER:
-        val = rx * sx
-        if grid.dims == 2:
-            val = val + ry * sy
-        val = (hbar / m) * val
-    else:
-        val = rx * sx * (3.0 + sx)
-        if grid.dims == 2:
-            val = val + ry * sy * (3.0 + sy)
-        val = (hbar / (3.0 * m)) * val
-    return val + v * cfg.dt / (2.0 * hbar)
-
-
-def symbol_x(beta_x, beta_y, grid, cfg, v_max=0.0):
-    """Stability-symbol argument at one wavenumber pair (beta_y unused in 1-D)."""
-    cfg.validate_against(grid)
-    sx = np.sin(0.5 * beta_x * grid.dx) ** 2
-    sy = np.sin(0.5 * beta_y * grid.dy) ** 2 if grid.dims == 2 else 0.0
-    x = float(_symbol_value(sx, sy, grid, cfg, v_max))
-    return StabilitySymbol(x=x, beta_x=beta_x,
-                           beta_y=beta_y if grid.dims == 2 else None)
+def _symbol_value(s, grid, cfg, v):
+    """x at sin^2(beta h/2) = s on every axis and potential level v."""
+    hbar = cfg.physics.hbar
+    k = sum(cfg.dt / (h * h) * axis_symbol(cfg.order, s) for h in grid.spacing)
+    return hbar / (4.0 * cfg.physics.mass) * k + v * cfg.dt / (2.0 * hbar)
 
 
 def endpoint_x(grid, cfg, v_max=0.0):
     """Largest symbol argument, reached at the per-axis Nyquist wavenumber."""
-    return float(_symbol_value(1.0, 1.0, grid, cfg, v_max))
+    return float(_symbol_value(1.0, grid, cfg, v_max))
+
+
+def _endpoint(x, N, c):
+    if not 0.0 < c < 1.0:
+        raise ValueError(f"threshold c must lie in (0, 1), got {c}")
+    value = abs(truncated_sine(x, N))
+    return value, value <= c
 
 
 def endpoint_condition(cfg, grid, v_max=0.0, c=DEFAULT_THRESHOLD):
     """(|S(x_max)|, satisfied) for the Nyquist-endpoint stability condition."""
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"threshold c must lie in (0, 1), got {c}")
-    value = abs(truncated_sine(endpoint_x(grid, cfg, v_max), cfg.N))
-    return value, value <= c
+    return _endpoint(endpoint_x(grid, cfg, v_max), cfg.N, c)
+
+
+@functools.lru_cache(maxsize=None)
+def _turning_points(N):   # real roots +-sqrt(y) of S_N' = sum_p (-1)^p y^p/(2p)!, y = x^2
+    y = np.roots([(-1.0) ** p / math.factorial(2 * p) for p in range(N, -1, -1)])
+    roots = np.sqrt(y[np.isreal(y) & (y.real > 0)].real)
+    return (*-roots, *roots)   # a tuple: the cache hands the same one to every caller
 
 
 def interval_max_abs(lo, hi, N):
-    """Exact max |S_N(x)| over lo <= x <= hi: at an end or at a real root
-    +-sqrt(y) of S_N' = sum_p (-1)^p y^p/(2p)!, y = x^2.  An error in a root
-    moves |S| only to second order, since S' vanishes there."""
-    y = np.roots([(-1.0) ** p / math.factorial(2 * p) for p in range(N, -1, -1)])
-    roots = np.sqrt(y[np.isreal(y) & (y.real > 0)].real)
-    xs = np.concatenate(([lo, hi], -roots, roots))
-    return float(np.abs(truncated_sine(xs[(xs >= lo) & (xs <= hi)], N)).max())
+    """Exact max |S_N(x)| over lo <= x <= hi, NaN for a NaN end: at an end or a
+    turning point of S_N, as one outside the interval clips to an end.  An
+    error in a root moves |S| only to second order, since S' vanishes there."""
+    xs = np.clip(np.concatenate(([lo, hi], _turning_points(N))), lo, hi)
+    return float(np.abs(truncated_sine(xs, N)).max())
 
 
 def wavenumber_scan(cfg, grid, v_max=0.0, samples_per_axis=None, c=DEFAULT_THRESHOLD,
                     *, v_min=0.0):
     """Verdict from the exact max of |S(x)| over every wavenumber and every
     potential level in [v_min, v_max] (v_min = 0: the barrier's background).
-    Passing it yields STABLE_BY_SCAN, an endpoint pass alone
-    ENDPOINT_SCAN_DISAGREE.  samples_per_axis is accepted and ignored."""
+    Passing it yields STABLE_BY_SCAN, an endpoint pass alone ENDPOINT_SCAN_DISAGREE,
+    a NaN maximum UNSTABLE.  samples_per_axis is accepted and ignored."""
     if samples_per_axis is not None:
         warnings.warn("wavenumber_scan ignores samples_per_axis: its maximum is exact",
                       DeprecationWarning, stacklevel=2)
     if v_min > v_max:
         raise ValueError(f"v_min {v_min} exceeds v_max {v_max}")
     cfg.validate_against(grid)
-    ep_value, endpoint_ok = endpoint_condition(cfg, grid, v_max, c)
-    ep_x = endpoint_x(grid, cfg, v_max)
-    scan_max = interval_max_abs(_symbol_value(0.0, 0.0, grid, cfg, v_min), ep_x, cfg.N)
+    with np.errstate(over="ignore", invalid="ignore"):   # an inf or NaN x reads unstable
+        ep_x = endpoint_x(grid, cfg, v_max)
+        ep_value, endpoint_ok = _endpoint(ep_x, cfg.N, c)
+        scan_max = interval_max_abs(_symbol_value(0.0, grid, cfg, v_min), ep_x, cfg.N)
     if scan_max <= c:
         verdict = Verdict.STABLE_BY_SCAN
-    elif endpoint_ok:
+    elif endpoint_ok and scan_max > c:   # false for a NaN maximum
         verdict = Verdict.ENDPOINT_SCAN_DISAGREE
     else:
         verdict = Verdict.UNSTABLE

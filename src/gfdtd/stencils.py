@@ -44,6 +44,15 @@ _WEIGHTS = {StencilOrder.SECOND_ORDER: (-2.0, 1.0),
             StencilOrder.FOURTH_ORDER: (-30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)}
 
 
+def axis_symbol(order, s):
+    """One axis's symbol K h^2 at s = sin^2(beta h/2): 4 sum_d w_d a_d over the pairs
+    of _WEIGHTS, a_d = sin^2(d beta h/2) = a_{d-1} (2 - 4 s) + 2 s - a_{d-2}, a_1 = s."""
+    k, prev, a, m, t = 0.0, 0.0, s, 2.0 - 4.0 * s, 2.0 * s
+    for w in _WEIGHTS[order][1:]:
+        k, prev, a = k + 4.0 * w * a, a, a * m + t - prev
+    return k
+
+
 @functools.lru_cache(maxsize=64)
 def _plan(grid, order, scale, slab_bytes):
     """What _apply needs that depends only on its arguments: the folded centre
@@ -52,13 +61,12 @@ def _plan(grid, order, scale, slab_bytes):
     names the buffers it writes, its folded pair weight, the slices of its
     pair add and of its edge copies, and the column slices of its row-end
     copies.  Slices, floats and tuples only: every caller shares the result."""
-    weights, steps = _WEIGHTS[order], (grid.dx, grid.dy)[:grid.dims]
-    n, width = grid.nx, grid.ny or 1
+    weights, (n, width) = _WEIGHTS[order], (*grid.shape, 1)[:2]   # rows, row length
     rows = min(n, max(1, slab_bytes // (8 * width)))
-    centre = scale * weights[0] * sum(h ** -2 for h in steps)
+    centre = scale * weights[0] * sum(h ** -2 for h in grid.spacing)
     # (target, accumulate-into, weight, flat offset, row-end columns) per axis and offset
     offsets = []
-    for axis, (stride, h) in enumerate(zip((width, 1), steps)):
+    for axis, (stride, h) in enumerate(zip((width, 1), grid.spacing)):
         dest = 0 if axis == 0 else 2   # index into (out, pair sums, y sum)
         for d, w in enumerate(weights[1:], 1):
             # along y the d end cells of each row keep their in-range neighbour
@@ -104,7 +112,7 @@ def _apply(component, v, grid, order, scale, hbar, out, add=None):
         if src.shape != f.shape or np.may_share_memory(out, src):
             raise ConfigurationError("add's source must be a grid-shaped plane apart from out")
     flat, out_flat = f.reshape(-1), out.reshape(-1)
-    scratch = np.empty((grid.dims, length))  # pair sums; the y sum in 2-D
+    scratch = np.empty((len(grid.shape), length))  # pair sums; the y sum in 2-D
     for rows, shape, lo, hi, terms in slabs:
         bufs = out_flat[lo:hi], scratch[0, :hi - lo], scratch[-1, :hi - lo]
         for target, dest, w, left, right, part, edges, row_ends in terms:
@@ -118,7 +126,7 @@ def _apply(component, v, grid, order, scale, hbar, out, add=None):
             if dest is not None:
                 np.add(bufs[dest], q, out=bufs[dest])
         o, p, acc = bufs
-        if grid.dims == 2:
+        if len(scratch) > 1:
             o += acc
         p_rows = p.reshape(shape)
         np.divide(v[rows], -hbar, out=p_rows)

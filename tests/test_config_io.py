@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfdtd import (ANGSTROM, EV, ConfigurationError, GridSpec, WaveField,
+from gfdtd import (ANGSTROM, EV, ConfigurationError, GridSpec, RunIOError, WaveField,
                    parse_config, read_diagonal_snapshot, read_field_dump,
                    write_diagonal_snapshot, write_field_dump)
 from gfdtd.snapshots import read_field_meta
@@ -355,6 +355,39 @@ def test_field_dump_bytes_match_contiguous_planes(rng, tmp_path):
             assert fh.read() == expected
 
 
+@pytest.mark.parametrize("row", ["1,0.5,oops,0.25", "1,0.5,0.25"],
+                         ids=["non-numeric-cell", "short-row"])
+def test_diagonal_snapshot_malformed_row_is_run_io_error(tmp_path, row):
+    path = tmp_path / "diag_0.csv"
+    path.write_text(f"k,psi_real,psi_imag,density\n{row}\n")
+    with pytest.raises(RunIOError, match="diag_0.csv"):
+        read_diagonal_snapshot(str(path))
+
+
+def broken_meta(tmp_path, old, new):
+    """A valid 2-D dump pair whose meta sidecar has ``old`` replaced by ``new``."""
+    grid = GridSpec(dims=2, nx=6, dx=1.0, ny=6, dy=1.0)
+    dpath, mpath = write_field_dump(WaveField.zeros(grid), grid, 0, 0.0, str(tmp_path))
+    with open(mpath) as fh:
+        text = fh.read()
+    assert old in text
+    with open(mpath, "w") as fh:
+        fh.write(text.replace(old, new))
+    return dpath, mpath
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("nx = 6\n", "", "nx"),                  # missing key
+    ("nx = 6", "nx = six", "nx"),             # value not an int
+    ("time_s = 0", "time_s = zero", "time_s"),  # value not a float
+    ("ny = 6", "ny: 6", "ny"),                # unparseable line
+], ids=["missing-key", "bad-int", "bad-float", "unparseable-line"])
+def test_field_meta_errors_are_run_io_errors(tmp_path, old, new, key):
+    dpath, mpath = broken_meta(tmp_path, old, new)
+    with pytest.raises(RunIOError, match=rf"field_0\.meta: {key} is missing or not"):
+        read_field_dump(dpath, mpath)
+
+
 def test_field_meta_parseable(tmp_path):
     grid = GridSpec(dims=2, nx=6, dx=1.0, ny=6, dy=2.0)
     wf = WaveField.zeros(grid)
@@ -465,6 +498,25 @@ def test_cli_malformed_number_exit_two(tmp_path, command, section, key, literal)
     assert "Traceback" not in result.stderr
     names = "not valid JSON" if len(literal) > 4300 else f"{section}.{key}"
     assert names in result.stderr
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("physics", "mass_kg", 1e250),     # (dt/2)^3 overflows the series coefficients
+    ("potential", "height_ev", 1e300),  # V/hbar overflows in B
+    ("scheme", "mu", 1e300),            # (dt/2)^3 overflows the series coefficients
+], ids=["mass", "height", "mu"])
+@pytest.mark.parametrize("command", ["stability", "run"])
+def test_cli_extreme_finite_values_report_cleanly(tmp_path, command, section, key, value):
+    doc = reduced_document(scheme={"N": 2}, run={"out_dir": str(tmp_path / "out")})
+    doc.setdefault(section, {})[key] = value
+    result = run_cli([command, "--config", write_config(tmp_path, doc)], str(tmp_path))
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr, result.stderr
+    assert verdict_of(result.stdout) == "unstable"
+    if command == "stability":
+        assert result.returncode == 0
+    else:
+        assert result.returncode == 1
+        assert "DIVERGENCE detected at step 1" in result.stdout
 
 
 def test_cli_run_io_error_exit_two(tmp_path):

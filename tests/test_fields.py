@@ -19,6 +19,14 @@ def test_grid_invariants():
         GridSpec(dims=1, nx=8, dx=1.0, ny=8)  # ny forbidden in 1-D
 
 
+def test_grid_spacing_and_cell_volume():
+    assert GridSpec(dims=1, nx=8, dx=0.5).spacing == (0.5,)
+    assert GridSpec(dims=1, nx=8, dx=0.5).cell_volume == 0.5
+    grid = GridSpec(dims=2, nx=8, dx=0.3, ny=6, dy=0.7)
+    assert grid.spacing == (0.3, 0.7)
+    assert grid.cell_volume == 0.3 * 0.7
+
+
 def test_norm_zero_field(small_grid_2d):
     assert norm(WaveField.zeros(small_grid_2d), small_grid_2d) == 0.0
 

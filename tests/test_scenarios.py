@@ -49,6 +49,27 @@ def test_packet_center_outside_grid(reduced_grid):
         gaussian_packet_2d(spec, reduced_grid)
 
 
+@pytest.mark.parametrize("spec, message", [
+    (GaussianPacketSpec(1.0, 1.0, center_j=0, center_k=5), "center_j 0 outside grid"),
+    (GaussianPacketSpec(1.0, 1.0, center_j=9, center_k=5), "center_j 9 outside grid"),
+    (GaussianPacketSpec(1.0, 1.0, center_j=5, center_k=7), "center_k 7 outside grid"),
+    (GaussianPacketSpec(1.0, 1.0, center_j=5), "center_k None outside grid"),
+    (BarrierSpec(j_min=0, k_min=1, height=1.0), "j_min 0 outside grid"),
+    (BarrierSpec(j_min=1, k_min=7, height=1.0), "k_min 7 outside grid"),
+])
+def test_spec_index_outside_grid_names_it(spec, message):
+    grid = GridSpec(dims=2, nx=8, dx=1.0, ny=6, dy=1.0)
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        spec.validate(grid)
+    # a 1-D grid checks only the first index, against nx
+    grid_1d = GridSpec(dims=1, nx=8, dx=1.0)
+    if message.startswith(("center_k", "k_min")):
+        spec.validate(grid_1d)
+    else:
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            spec.validate(grid_1d)
+
+
 def test_packet_wide_envelope_limit():
     # sigma -> infinity leaves the bare plane wave
     grid = GridSpec(dims=2, nx=8, dx=1.0, ny=8, dy=1.0)

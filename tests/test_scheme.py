@@ -40,13 +40,21 @@ def test_dt_from_mu():
         cfg.validate_against(other)
 
 
-def test_mesh_ratio_accessor():
-    grid = GridSpec(dims=2, nx=8, dx=0.5, ny=8, dy=0.25)
-    physics = PhysicalParams(mass=1.0, hbar=1.0)
-    cfg = make_cfg(0, 0.1, grid, physics)
-    rx, ry = cfg.mesh_ratios(grid)
-    assert rx == pytest.approx(cfg.dt / 0.25, rel=1e-14)
-    assert ry == pytest.approx(cfg.dt / 0.0625, rel=1e-14)
+@pytest.mark.parametrize("dt", [3.7e-18, 0.5, 2.0, 1.3e30, 1.0e33])
+def test_series_coefficients_are_the_closed_form(dt):
+    cfg = SchemeConfig(N=4, order=StencilOrder.SECOND_ORDER, mu=0.1, dt=dt,
+                       physics=PhysicalParams(mass=1.0, hbar=1.0))
+    half = 0.5 * dt
+    assert cfg.series_coefficients() == [2.0 * half ** (2 * p + 1) / math.factorial(2 * p + 1)
+                                         for p in range(5)]
+
+
+def test_series_coefficients_overflow_to_inf():
+    # (dt/2)^3 passes the float range: inf, not float pow's OverflowError
+    cfg = SchemeConfig(N=2, order=StencilOrder.SECOND_ORDER, mu=0.1, dt=1.0e200,
+                       physics=PhysicalParams(mass=1.0, hbar=1.0))
+    with np.errstate(over="ignore"):
+        assert cfg.series_coefficients() == [1.0e200, math.inf, math.inf]
 
 
 def test_invalid_scheme_config():

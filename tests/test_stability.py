@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfdtd import (GaussianPacketSpec, GridSpec, PhysicalParams, PotentialField,
                    SchemeConfig, StencilOrder, Verdict, amplification_roots,
-                   endpoint_condition, endpoint_x, gaussian_packet_1d, run, symbol_x,
+                   endpoint_condition, endpoint_x, gaussian_packet_1d, run,
                    truncated_sine, wavenumber_scan)
-from gfdtd.stability import interval_max_abs
+from gfdtd.stability import _symbol_value, interval_max_abs
 
 
 @pytest.fixture
@@ -60,45 +62,62 @@ def test_truncated_sine_vectorized():
     assert out[1] == pytest.approx(truncated_sine(1.0, 2), rel=1e-15)
 
 
-# --- symbol --------------------------------------------------------------
+# --- symbol: the ends of the x interval --------------------------------------
+
+def lower_x(grid, cfg, v_min=0.0):
+    """The interval's lower end: x at zero wavenumber and level v_min."""
+    return _symbol_value(0.0, grid, cfg, v_min)
+
 
 def test_symbol_zero_wavenumber(grid_2d, physics):
     cfg = cfg_for(grid_2d, physics, 2, 0.2)
-    sym = symbol_x(0.0, 0.0, grid_2d, cfg, v_max=0.0)
-    assert sym.x == 0.0
+    assert lower_x(grid_2d, cfg) == 0.0
 
 
 def test_symbol_nyquist_second_order(grid_2d, physics):
     mu = 0.2
     cfg = cfg_for(grid_2d, physics, 0, mu)
-    nyq = np.pi / grid_2d.dx
-    sym = symbol_x(nyq, nyq, grid_2d, cfg, v_max=0.0)
-    assert sym.x == pytest.approx(4 * mu, rel=1e-12)
     assert endpoint_x(grid_2d, cfg) == pytest.approx(4 * mu, rel=1e-12)
 
 
 def test_symbol_nyquist_fourth_order(grid_2d, physics):
     mu = 0.25
     cfg = cfg_for(grid_2d, physics, 2, mu, StencilOrder.FOURTH_ORDER)
-    nyq = np.pi / grid_2d.dx
-    sym = symbol_x(nyq, nyq, grid_2d, cfg, v_max=0.0)
-    assert sym.x == pytest.approx(16.0 * mu / 3.0, rel=1e-12)
+    assert endpoint_x(grid_2d, cfg) == pytest.approx(16.0 * mu / 3.0, rel=1e-12)
 
 
 def test_symbol_1d_drops_y_terms(physics):
     grid = GridSpec(dims=1, nx=64, dx=1.0e-11)
     mu = 0.2
     cfg = cfg_for(grid, physics, 0, mu)
-    sym = symbol_x(np.pi / grid.dx, None, grid, cfg, v_max=0.0)
-    assert sym.x == pytest.approx(2 * mu, rel=1e-12)
-    assert sym.beta_y is None
+    assert endpoint_x(grid, cfg) == pytest.approx(2 * mu, rel=1e-12)
 
 
 def test_symbol_includes_potential_term(grid_2d, physics):
     cfg = cfg_for(grid_2d, physics, 0, 0.2)
     v = 1.0e-17
-    base = symbol_x(0.0, 0.0, grid_2d, cfg, v_max=v)
-    assert base.x == pytest.approx(v * cfg.dt / (2 * physics.hbar), rel=1e-12)
+    assert lower_x(grid_2d, cfg, v) == pytest.approx(v * cfg.dt / (2 * physics.hbar),
+                                                     rel=1e-12)
+    assert endpoint_x(grid_2d, cfg, v) == pytest.approx(
+        endpoint_x(grid_2d, cfg) + v * cfg.dt / (2 * physics.hbar), rel=1e-12)
+
+
+@pytest.mark.parametrize("order, nyquist", [(StencilOrder.SECOND_ORDER, 4.0),
+                                            (StencilOrder.FOURTH_ORDER, 16.0 / 3.0)])
+def test_interval_ends_anisotropic_2d(physics, order, nyquist):
+    # dx != dy is where a sum over the axes could differ from per-axis
+    # branches; closed form: x = (hbar dt / 4m) * K_nyq * (1/dx^2 + 1/dy^2)
+    # + V dt / 2hbar, with K_nyq = 4 (second order) or 16/3 (fourth)
+    grid = GridSpec(dims=2, nx=32, dx=1.0e-11, ny=24, dy=2.7e-11)
+    cfg = cfg_for(grid, physics, 2, 0.3, order)
+    hbar, m, dt = physics.hbar, physics.mass, cfg.dt
+    v_min, v_max = -3.0e-18, 5.0e-17
+    expected_hi = (hbar * dt / (4 * m) * nyquist * (1 / grid.dx ** 2 + 1 / grid.dy ** 2)
+                   + v_max * dt / (2 * hbar))
+    assert endpoint_x(grid, cfg, v_max) == pytest.approx(expected_hi, rel=1e-14)
+    assert lower_x(grid, cfg, v_min) == pytest.approx(v_min * dt / (2 * hbar), rel=1e-14)
+    report = wavenumber_scan(cfg, grid, v_max=v_max, v_min=v_min)
+    assert report.endpoint_x == endpoint_x(grid, cfg, v_max)
 
 
 # --- endpoint condition ---------------------------------------------------
@@ -200,6 +219,27 @@ def test_scan_ignores_samples_with_a_warning(grid_2d, physics):
     assert report == wavenumber_scan(cfg, grid_2d)
 
 
+def test_scan_nan_maximum_is_unstable(grid_2d, physics, monkeypatch):
+    # N=0, mu=0.2 passes the endpoint test; a NaN maximum must not read as
+    # an endpoint/scan disagreement, let alone stable
+    from gfdtd import stability
+    monkeypatch.setattr(stability, "interval_max_abs", lambda lo, hi, N: float("nan"))
+    report = wavenumber_scan(cfg_for(grid_2d, physics, 0, 0.2), grid_2d)
+    assert report.verdict is Verdict.UNSTABLE
+
+
+def test_scan_overflowing_symbol_is_unstable_without_warnings():
+    # dt/dx^2 passes the float range although dt does not: the symbol is
+    # inf at the Nyquist end and 0 * inf = NaN at zero wavenumber
+    grid = GridSpec(dims=1, nx=16, dx=1.0e-5)
+    cfg = cfg_for(grid, PhysicalParams(mass=1.0, hbar=1.0e-10), 2, 1.0e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = wavenumber_scan(cfg, grid)
+    assert np.isnan(report.scan_max)
+    assert report.verdict is Verdict.UNSTABLE
+
+
 # --- exact interval maximum ---------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -214,6 +254,11 @@ def test_interval_max_matches_dense_oracle(N, ends):
     exact = interval_max_abs(lo, hi, N)
     assert exact == pytest.approx(dense, abs=1e-9)
     assert exact >= dense - 1e-12
+
+
+def test_interval_max_nan_end_gives_nan():
+    assert np.isnan(interval_max_abs(float("nan"), 1.0, 2))
+    assert np.isnan(interval_max_abs(0.0, float("nan"), 2))
 
 
 # --- verdict over a potential's range --------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from gfdtd import (ConfigurationError, GridSpec, PhysicalParams, PotentialField,
                    StencilOrder, apply_b, apply_b_power, apply_laplacian, stencils)
+from gfdtd.stencils import axis_symbol
 
 from conftest import dense_b_matrix, dense_laplacian_matrix
 
@@ -33,6 +34,20 @@ def fourth_order_factor(grid, beta_x, beta_y=None):
         sy = np.sin(0.5 * beta_y * grid.dy) ** 2
         f += -(4.0 / (3.0 * grid.dy ** 2)) * sy * (3.0 + sy)
     return f
+
+
+@pytest.mark.parametrize("order,factor_fn", [
+    (StencilOrder.SECOND_ORDER, second_order_factor),
+    (StencilOrder.FOURTH_ORDER, fourth_order_factor),
+])
+def test_axis_symbol_matches_closed_forms(rng, order, factor_fn):
+    # axis_symbol derives the symbol from the weights; the factors above
+    # are the hand-written closed forms, negated and per unit h^2
+    grid = GridSpec(dims=1, nx=16, dx=0.37)
+    beta = rng.uniform(-np.pi, np.pi, 200) / grid.dx
+    k = axis_symbol(order, np.sin(0.5 * beta * grid.dx) ** 2) / grid.dx ** 2
+    assert np.allclose(k, -factor_fn(grid, beta), rtol=1e-14, atol=0.0)
+    assert axis_symbol(order, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
