@@ -176,7 +176,10 @@ def parse_config(text):
     v = _apply_schema(doc)
     dims, dx = v["grid.dims"], _metres(v, "grid.dx_angstrom")
     grid = GridSpec(dims, v["grid.nx"], dx, v["grid.ny"], dx if dims == 2 else None)
-    physics = PhysicalParams(v["physics.mass_kg"], v["physics.hbar"])
+    try:
+        physics = PhysicalParams(v["physics.mass_kg"], v["physics.hbar"])
+    except ConfigurationError as exc:   # only 1/hbar can fail once the schema passed
+        raise ConfigurationError(f"physics.hbar: {exc}") from exc
     try:
         scheme = SchemeConfig.from_mu(v["scheme.N"], StencilOrder(v["scheme.stencil_order"]),
                                       v["scheme.mu"], physics, grid)

@@ -10,6 +10,7 @@ steps and the imaginary part at half steps, so the two planes never live
 at the same instant.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,6 +84,8 @@ class PhysicalParams:
             raise ConfigurationError("mass must be positive")
         if not self.hbar > 0:
             raise ConfigurationError("hbar must be positive")
+        if not math.isfinite(1.0 / float(self.hbar)):   # B scales V by -1/hbar
+            raise ConfigurationError(f"1/hbar overflows for hbar = {self.hbar!r}")
 
 
 def _check_shape(arr, grid, what):

@@ -14,6 +14,7 @@ Three formats, all written under the run's output directory:
 """
 
 import os
+import warnings
 
 import numpy as np
 
@@ -64,8 +65,10 @@ def write_diagonal_snapshot(wf, grid, step, time_s, out_dir):
 def read_diagonal_snapshot(path):
     """(k, psi_real, psi_imag, density) arrays from a diag_*.csv file."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=range(4))
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings():   # a header-only file: "input contained no data"
+            warnings.simplefilter("error", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=range(4))
+    except (OSError, ValueError, UserWarning) as exc:
         raise RunIOError(f"failed to read {path}: {exc}") from exc
     return (data[:, 0].astype(int), data[:, 1], data[:, 2], data[:, 3])
 

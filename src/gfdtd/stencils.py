@@ -4,12 +4,17 @@ apply_laplacian is the 3-point (second-order) or 5-point (fourth-order)
 central Laplacian; apply_b is the generator B = (hbar/2m) Laplacian - V/hbar
 of the time stepper.  Both run one loop over slabs of rows that writes
 straight into the output, so only the out slab and two scratch slabs sit in
-L2.  Per axis it sums the pairs f[i-d] + f[i+d] at flat offsets of the input
-(a neighbour past the edge is dropped: the truncated matrix), scales and
-accumulates them, and adds the x and y sums before the diagonal term, so on
-a square grid with V = V.T, B f.T is exactly (B f).T.  apply_b's add=(a, src)
-then adds a * src in the same slab, which is how the stepper forms each
-Horner term without a whole-plane pass.
+L2.  Per offset d it sums the pairs f[i-d] + f[i+d] of each axis at flat
+offsets of the input (a neighbour past the edge is dropped: the truncated
+matrix).  Axes whose folded weights w_d/h^2 are equal, x and y where dx = dy,
+form one group: their pair sums are added, scaled once and accumulated into
+out.  Otherwise each axis is a group of its own.  Then comes the diagonal
+term, V times -1/hbar plus the centre weight, times f.  At fourth order with
+add= and a != 1, a slab of a square grid takes 15 numpy passes; with
+dx != dy it takes 17, one scale per axis and offset.  x + y is commutative,
+so on a square grid with V = V.T, B f.T is exactly (B f).T.  apply_b's
+add=(a, src) adds a * src in the same slab, which is how the stepper forms
+each Horner term without a whole-plane pass.
 
 What depends only on the grid, the order and the Laplacian's scale (folded
 weights, slab bounds, the slices of every pair add and edge copy) is worked
@@ -47,9 +52,13 @@ _WEIGHTS = {StencilOrder.SECOND_ORDER: (-2.0, 1.0),
 def axis_symbol(order, s):
     """One axis's symbol K h^2 at s = sin^2(beta h/2): 4 sum_d w_d a_d over the pairs
     of _WEIGHTS, a_d = sin^2(d beta h/2) = a_{d-1} (2 - 4 s) + 2 s - a_{d-2}, a_1 = s."""
-    k, prev, a, m, t = 0.0, 0.0, s, 2.0 - 4.0 * s, 2.0 * s
-    for w in _WEIGHTS[order][1:]:
-        k, prev, a = k + 4.0 * w * a, a, a * m + t - prev
+    weights = _WEIGHTS[order]
+    k, prev, a = 4.0 * weights[1] * s, 0.0, s
+    if len(weights) > 2:   # a_d is needed only while a weight follows a_1
+        m, t = 2.0 - 4.0 * s, 2.0 * s
+        for w in weights[2:]:
+            prev, a = a, a * m + t - prev
+            k = k + 4.0 * w * a
     return k
 
 
@@ -57,42 +66,47 @@ def axis_symbol(order, s):
 def _plan(grid, order, scale, slab_bytes):
     """What _apply needs that depends only on its arguments: the folded centre
     weight, the scratch slab length, and per slab of leading-axis rows its row
-    slice, row shape, flat bounds and one term per axis and offset.  A term
-    names the buffers it writes, its folded pair weight, the slices of its
-    pair add and of its edge copies, and the column slices of its row-end
-    copies.  Slices, floats and tuples only: every caller shares the result."""
+    slice, row shape, flat bounds and one group per offset and folded pair
+    weight.  A group holds the index of the buffer it sums into (out for the
+    first group, else the first scratch slab), its weight, and per member axis
+    the buffer its pair sum goes to (the group's, then the next ones), the
+    slices of its pair add and of its edge copies, and the column slices of
+    its row-end copies.  Slices, ints, floats and tuples only: every caller
+    shares the result."""
     weights, (n, width) = _WEIGHTS[order], (*grid.shape, 1)[:2]   # rows, row length
     rows = min(n, max(1, slab_bytes // (8 * width)))
     centre = scale * weights[0] * sum(h ** -2 for h in grid.spacing)
-    # (target, accumulate-into, weight, flat offset, row-end columns) per axis and offset
-    offsets = []
+    # (offset, folded weight) -> (flat offset, row-end columns) per member axis;
+    # the axes share a group where their weights are equal (dx = dy)
+    offsets = {}
     for axis, (stride, h) in enumerate(zip((width, 1), grid.spacing)):
-        dest = 0 if axis == 0 else 2   # index into (out, pair sums, y sum)
         for d, w in enumerate(weights[1:], 1):
             # along y the d end cells of each row keep their in-range neighbour
             row_ends = () if axis == 0 else ((slice(0, d), slice(d, 2 * d)),
                                              (slice(-d, None), slice(-2 * d, -d)))
-            offsets.append((dest if d == 1 else 1, None if d == 1 else dest,
-                            scale * w / h ** 2, d * stride, row_ends))
+            offsets.setdefault((d, scale * w / h ** 2), []).append((d * stride, row_ends))
     slabs = []
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         lo, hi = start * width, stop * width
-        terms = []
-        for target, dest, w, s, row_ends in offsets:
-            # q = f[i-s] + f[i+s] at flat offsets; cells in [lo, a) lack the
-            # neighbour before (first rows), cells in [b, hi) the one after
-            a = min(max(lo, s), hi)
-            b = max(min(hi, n * width - s), a)
-            edges = []
-            if a > lo:
-                edges.append((slice(0, a - lo), slice(lo + s, a + s)))
-            if b < hi:
-                edges.append((slice(b - lo, hi - lo), slice(b - s, hi - s)))
-            terms.append((target, dest, w, slice(a - s, b - s), slice(a + s, b + s),
-                          slice(a - lo, b - lo), tuple(edges), row_ends))
+        groups = []
+        for (_, w), members in offsets.items():
+            into, terms = 1 if groups else 0, []
+            for j, (s, row_ends) in enumerate(members):
+                # q = f[i-s] + f[i+s] at flat offsets; cells in [lo, a) lack the
+                # neighbour before (first rows), cells in [b, hi) the one after
+                a = min(max(lo, s), hi)
+                b = max(min(hi, n * width - s), a)
+                edges = []
+                if a > lo:
+                    edges.append((slice(0, a - lo), slice(lo + s, a + s)))
+                if b < hi:
+                    edges.append((slice(b - lo, hi - lo), slice(b - s, hi - s)))
+                terms.append((into + j, slice(a - s, b - s), slice(a + s, b + s),
+                              slice(a - lo, b - lo), tuple(edges), row_ends))
+            groups.append((into, w, tuple(terms)))
         slabs.append((slice(start, stop), (stop - start, *grid.shape[1:]), lo, hi,
-                      tuple(terms)))
+                      tuple(groups)))
     return centre, rows * width, tuple(slabs)
 
 
@@ -112,24 +126,28 @@ def _apply(component, v, grid, order, scale, hbar, out, add=None):
         if src.shape != f.shape or np.may_share_memory(out, src):
             raise ConfigurationError("add's source must be a grid-shaped plane apart from out")
     flat, out_flat = f.reshape(-1), out.reshape(-1)
-    scratch = np.empty((len(grid.shape), length))  # pair sums; the y sum in 2-D
-    for rows, shape, lo, hi, terms in slabs:
+    scratch = np.empty((len(grid.shape), length))  # pair sums; one slab in 1-D
+    neg_inv_hbar = -1.0 / hbar   # finite: PhysicalParams rejects a smaller hbar
+    for rows, shape, lo, hi, groups in slabs:
+        # a group of two axes (2-D only) also writes the last buffer
         bufs = out_flat[lo:hi], scratch[0, :hi - lo], scratch[-1, :hi - lo]
-        for target, dest, w, left, right, part, edges, row_ends in terms:
-            q = bufs[target]
-            np.add(flat[left], flat[right], out=q[part])
-            for to, of in edges:
-                q[to] = flat[of]
-            for to, of in row_ends:
-                q.reshape(shape)[:, to] = f[rows, of]
+        o, p, _ = bufs
+        for into, w, terms in groups:
+            q = bufs[into]
+            for buf, left, right, part, edges, row_ends in terms:
+                r = bufs[buf]
+                np.add(flat[left], flat[right], out=r[part])
+                for to, of in edges:
+                    r[to] = flat[of]
+                for to, of in row_ends:
+                    r.reshape(shape)[:, to] = f[rows, of]
+                if r is not q:
+                    q += r
             q *= w
-            if dest is not None:
-                np.add(bufs[dest], q, out=bufs[dest])
-        o, p, acc = bufs
-        if len(scratch) > 1:
-            o += acc
+            if into:
+                o += q
         p_rows = p.reshape(shape)
-        np.divide(v[rows], -hbar, out=p_rows)
+        np.multiply(v[rows], neg_inv_hbar, out=p_rows)
         p += centre
         p *= flat[lo:hi]
         o += p

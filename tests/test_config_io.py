@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,7 @@ MALFORMED = [
      "init.lambda_angstrom"),
     ("mass-zero", reduced_document(physics={"mass_kg": 0.0}), "physics.mass_kg"),
     ("hbar-negative", reduced_document(physics={"hbar": -1e-34}), "physics.hbar"),
+    ("hbar-reciprocal-overflows", reduced_document(physics={"hbar": 1e-310}), "physics.hbar"),
     ("height-negative", reduced_document(potential={"height_ev": -1.0}),
      "potential.height_ev"),
     ("c-zero", reduced_document(stability={"c": 0.0}), "stability.c"),
@@ -364,6 +366,16 @@ def test_diagonal_snapshot_malformed_row_is_run_io_error(tmp_path, row):
         read_diagonal_snapshot(str(path))
 
 
+def test_header_only_diagonal_snapshot_is_run_io_error(tmp_path):
+    # no row to read: an error naming the file, not numpy's "no data" warning
+    path = tmp_path / "diag_0.csv"
+    path.write_text("k,psi_real,psi_imag,density\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RunIOError, match="diag_0.csv"):
+            read_diagonal_snapshot(str(path))
+
+
 def broken_meta(tmp_path, old, new):
     """A valid 2-D dump pair whose meta sidecar has ``old`` replaced by ``new``."""
     grid = GridSpec(dims=2, nx=6, dx=1.0, ny=6, dy=1.0)
@@ -485,8 +497,9 @@ SWEEP_ARGS = ["--mu-from", "0.2", "--mu-to", "0.3", "--mu-step", "0.1"]
     ("grid", "dx_angstrom", "1e200"),      # dt overflows
     ("physics", "mass_kg", "1e300"),       # dt overflows
     ("grid", "dx_angstrom", "1e-320"),     # dx underflows to 0 m
+    ("physics", "hbar", "1e-310"),         # 1/hbar overflows
 ], ids=["nan", "huge-int", "infinity", "infinite-dx", "digit-limit", "dt-overflow-dx",
-        "dt-overflow-mass", "dx-underflow"])
+        "dt-overflow-mass", "dx-underflow", "hbar-reciprocal-overflow"])
 def test_cli_malformed_number_exit_two(tmp_path, command, section, key, literal):
     doc = reduced_document(run={"out_dir": str(tmp_path / "out")})
     doc.setdefault(section, {})[key] = "placeholder"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gfdtd import (ANGSTROM, ConfigurationError, DegenerateFieldError,
-                   GaussianPacketSpec, GridSpec, WaveField,
+                   GaussianPacketSpec, GridSpec, PhysicalParams, WaveField,
                    gaussian_packet_2d, norm, normalize)
 
 
@@ -25,6 +25,14 @@ def test_grid_spacing_and_cell_volume():
     grid = GridSpec(dims=2, nx=8, dx=0.3, ny=6, dy=0.7)
     assert grid.spacing == (0.3, 0.7)
     assert grid.cell_volume == 0.3 * 0.7
+
+
+@pytest.mark.parametrize("hbar", [1e-310, np.float64(1e-310), 5e-324])
+def test_hbar_without_finite_reciprocal_rejected(hbar):
+    # B scales V by -1/hbar, and 0 * inf would turn every V = 0 cell into NaN
+    with pytest.raises(ConfigurationError, match="1/hbar"):
+        PhysicalParams(mass=1e-300, hbar=hbar)
+    assert PhysicalParams(mass=1e-300, hbar=1e-308).hbar == 1e-308
 
 
 def test_norm_zero_field(small_grid_2d):

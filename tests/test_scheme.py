@@ -252,12 +252,14 @@ def two_buffer_step(field, potential, grid, cfg):
 
 
 ORACLE_GRIDS = [GridSpec(dims=1, nx=23, dx=0.7),
-                GridSpec(dims=2, nx=11, dx=0.7, ny=9, dy=1.1)]
+                GridSpec(dims=2, nx=11, dx=0.7, ny=9, dy=1.1),
+                GridSpec(dims=2, nx=11, dx=0.7, ny=11, dy=0.7),
+                GridSpec(dims=2, nx=12, dx=0.7, ny=9, dy=0.7)]
 
 
 @pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 1])
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
-@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["1d", "2d"])
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["1d", "2d", "2d-square", "2d-12x9-dx=dy"])
 @pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
 def test_step_bit_identical_to_two_buffer_horner(rng, monkeypatch, N, grid, order,
                                                  slab_bytes):

@@ -50,6 +50,23 @@ def test_axis_symbol_matches_closed_forms(rng, order, factor_fn):
     assert axis_symbol(order, 0.0) == 0.0
 
 
+def recurrence_through_every_weight(order, s):
+    """axis_symbol's former loop: one sin^2 update per weight, the last unused."""
+    k, prev, a, m, t = 0.0, 0.0, s, 2.0 - 4.0 * s, 2.0 * s
+    for w in stencils._WEIGHTS[order][1:]:
+        k, prev, a = k + 4.0 * w * a, a, a * m + t - prev
+    return k
+
+
+@pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
+def test_axis_symbol_bit_identical_to_full_recurrence(rng, order):
+    s = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 200)])
+    expected = recurrence_through_every_weight(order, s)
+    assert axis_symbol(order, s).tobytes() == expected.tobytes()
+    for value, k in zip(s[:10].tolist(), expected[:10].tolist()):   # the verdict's floats
+        assert axis_symbol(order, value) == k
+
+
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
 def test_constant_annihilated_in_interior(order, small_grid_2d):
     halo = order.halo
@@ -232,7 +249,8 @@ def test_b_exactly_transpose_symmetric(rng, order, unit_physics):
 
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
 @pytest.mark.parametrize("grid", [GridSpec(dims=1, nx=23, dx=0.7),
-                                  GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=1.1)])
+                                  GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=1.1),
+                                  GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=0.7)])
 def test_row_slabs_do_not_change_a_bit(rng, monkeypatch, grid, order, unit_physics):
     # whole plane in one slab versus the thinnest slabs, the last of which
     # overlaps its neighbour
@@ -245,15 +263,31 @@ def test_row_slabs_do_not_change_a_bit(rng, monkeypatch, grid, order, unit_physi
     assert np.array_equal(apply_laplacian(f, grid, order), whole_lap)
 
 
+# (grid, whether x and y share one pair sum per offset).  The first has
+# nx != ny and dx != dy, so a stride or a row-end cell taken from the wrong
+# axis shows; dx = dy groups the axes; dy one ulp above dx gives other
+# folded weights, so it must not
+DENSE_ORACLE_GRIDS = [
+    (GridSpec(dims=2, nx=7, dx=0.7, ny=9, dy=1.1), False),
+    (GridSpec(dims=2, nx=11, dx=0.7, ny=11, dy=0.7), True),
+    (GridSpec(dims=2, nx=12, dx=0.7, ny=9, dy=0.7), True),
+    (GridSpec(dims=2, nx=12, dx=0.7, ny=9, dy=float(np.nextafter(0.7, 1.0))), False),
+]
+
+
 @pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 1])
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
-def test_operators_match_dense_oracle_on_rectangular_grid(rng, monkeypatch, order,
-                                                          slab_bytes):
-    # nx != ny and dx != dy, so a stride or a row-end cell taken from the
-    # wrong axis shows; one-row slabs exercise every flat-range clamp
+@pytest.mark.parametrize("grid, grouped", DENSE_ORACLE_GRIDS,
+                         ids=["7x9-rectangular", "11x11", "12x9", "12x9-dy-one-ulp-off"])
+def test_operators_match_dense_oracle(rng, monkeypatch, grid, grouped, order, slab_bytes):
+    # one-row slabs exercise every flat-range clamp and the edge and row-end
+    # copies of both members of a group
     monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
-    grid = GridSpec(dims=2, nx=7, dx=0.7, ny=9, dy=1.1)
     physics = PhysicalParams(mass=1.3, hbar=0.9)
+    scale = physics.hbar / (2.0 * physics.mass)
+    for _, _, _, _, groups in stencils._plan(grid, order, scale, slab_bytes)[2]:
+        assert [len(terms) for _, _, terms in groups] == (
+            [2] * order.halo if grouped else [1] * (2 * order.halo))
     potential = PotentialField(rng.uniform(-1.0, 1.0, size=grid.shape))
     f = rng.normal(size=grid.shape)
     cases = [(dense_b_matrix(grid, potential, physics, order),
@@ -335,7 +369,8 @@ def test_add_rejects_misshapen_or_overlapping_source(rng, small_grid_2d,
 @pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 1])
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
 @pytest.mark.parametrize("grid", [GridSpec(dims=1, nx=23, dx=0.7),
-                                  GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=1.1)])
+                                  GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=1.1),
+                                  GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=0.7)])
 def test_add_equals_b_plus_scaled_source_bit_for_bit(rng, monkeypatch, grid, order,
                                                      slab_bytes, a, unit_physics):
     monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
