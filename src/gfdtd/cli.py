@@ -70,6 +70,9 @@ def cmd_stability(args):
 def cmd_run(args):
     cfg = _load_config(args.config)
     grid, scheme = cfg.grid, cfg.scheme
+    if grid.dims == 2 and grid.ny != grid.nx:   # before out_dir exists
+        raise ConfigurationError(f"grid.ny ({grid.ny}) must equal grid.nx ({grid.nx}): "
+                                 "run writes diagonal snapshots")
     potential, wf = _build_problem(cfg)
     out_dir = cfg.out_dir
     try:

@@ -28,6 +28,7 @@ from .errors import ConfigurationError
 from .fields import ANGSTROM, ELECTRON_MASS, EV, HBAR, GridSpec, PhysicalParams
 from .scenarios import BarrierSpec, GaussianPacketSpec
 from .scheme import MAX_TRUNCATION_INDEX, SchemeConfig
+from .stability import DEFAULT_THRESHOLD
 from .stencils import StencilOrder
 
 
@@ -97,7 +98,7 @@ _SCHEMA = {
             ("snapshot_every", int, ((">=", 0),), _REQUIRED),
             ("out_dir", str, (), _REQUIRED),
             ("full_field_dumps", bool, (), False)),
-    "stability": (("c", float, ((">", 0), ("<", 1)), 0.99),
+    "stability": (("c", float, ((">", 0), ("<", 1)), DEFAULT_THRESHOLD),
                   ("scan_samples", int, ((">=", 64),), 256)),   # old configs; unused
 }
 # derived once: each section's rows by key, with the row's "section.key" name

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError, NonHermitianError
 from .fields import PotentialField, WaveField, density, norm, normalize
 from .scheme import DIVERGENCE_FACTOR, step
-from .stability import wavenumber_scan
+from .stability import DEFAULT_THRESHOLD, wavenumber_scan
 from .stencils import StencilOrder, apply_b, axis_symbol
 
 
@@ -203,7 +203,7 @@ def _observe(wf, potential, grid, physics, order, step_index, time_s):
 
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite plane is a divergence
 def run(wf, potential, grid, cfg, steps, snapshot_every=0, on_snapshot=None,
-        threshold_c=0.99):
+        threshold_c=DEFAULT_THRESHOLD):
     """Drive the leapfrog scheme for ``steps`` steps.
 
     The stability scan runs first and lands in the log.  Observables are

@@ -11,10 +11,14 @@ Three formats, all written under the run's output directory:
                       text sidecar (key = value lines).
 * runlog.csv        - per-recorded-step observables, header
                       ``step,time_s,norm,max_density,energy_ev``.
+
+One error policy: an OSError in any writer or reader becomes RunIOError
+"failed to <write|read> <file>: <reason>" (a dump names its step instead).
 """
 
 import os
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -22,94 +26,74 @@ from .errors import ConfigurationError, RunIOError
 from .fields import EV, WaveField
 
 META_LAYOUT_VERSION = 1
+# the meta sidecar's keys in file order, each with the type it parses to
+_META_KEYS = {"layout_version": int, "nx": int, "ny": int, "dx": float, "dy": float,
+              "step": int, "time_s": float}
+# how every file writes each type: floats at 17 digits re-parse to the exact double
+_FORMATS = {int: "%d", float: "%.17g"}
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+@contextmanager
+def _failing_to(verb, what, *errors):
+    """Raise an OSError (or one of ``errors``) in the block as a RunIOError."""
+    try:
+        yield
+    except (OSError, *errors) as exc:
+        raise RunIOError(f"failed to {verb} {what}: {exc}") from exc
 
 
-def diag_path(out_dir, step):
-    return os.path.join(out_dir, f"diag_{step}.csv")
-
-
-def field_path(out_dir, step):
-    return os.path.join(out_dir, f"field_{step}.f64")
-
-
-def meta_path(out_dir, step):
-    return os.path.join(out_dir, f"field_{step}.meta")
+def _write_csv(path, header, rows):
+    """Write header and rows of (int, float, ...) tuples; returns the path."""
+    row = ",".join([_FORMATS[int]] + [_FORMATS[float]] * header.count(",")) + "\n"
+    with _failing_to("write", path), open(path, "w") as fh:
+        fh.writelines([header + "\n"] + [row % values for values in rows])
+    return path
 
 
 def write_diagonal_snapshot(wf, grid, step, time_s, out_dir):
     """Write the psi(k,k) slice (whole line in 1-D) as CSV; returns the path."""
+    real, imag = wf.real_part, wf.imag_part
     if grid.dims == 2:
         if grid.nx != grid.ny:
             raise ConfigurationError("diagonal snapshot needs a square 2-D grid")
-        real = np.diagonal(wf.real_part)
-        imag = np.diagonal(wf.imag_part)
-    else:
-        real = wf.real_part
-        imag = wf.imag_part
-    path = diag_path(out_dir, step)
-    try:
-        with open(path, "w") as fh:
-            fh.write("k,psi_real,psi_imag,density\n")
-            for k in range(real.shape[0]):
-                r, i = real[k], imag[k]
-                fh.write(f"{k + 1},{_fmt(r)},{_fmt(i)},{_fmt(r * r + i * i)}\n")
-    except OSError as exc:
-        raise RunIOError(f"failed to write {path}: {exc}") from exc
-    return path
+        real, imag = np.diagonal(real), np.diagonal(imag)
+    rows = zip(range(1, real.shape[0] + 1), real.tolist(), imag.tolist(),
+               (real * real + imag * imag).tolist())
+    return _write_csv(os.path.join(out_dir, f"diag_{step}.csv"),
+                      "k,psi_real,psi_imag,density", rows)
 
 
 def read_diagonal_snapshot(path):
     """(k, psi_real, psi_imag, density) arrays from a diag_*.csv file."""
-    try:
-        with warnings.catch_warnings():   # a header-only file: "input contained no data"
-            warnings.simplefilter("error", UserWarning)
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=range(4))
-    except (OSError, ValueError, UserWarning) as exc:
-        raise RunIOError(f"failed to read {path}: {exc}") from exc
+    # a header-only file makes numpy warn "input contained no data"
+    with _failing_to("read", path, ValueError, UserWarning), warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=range(4))
     return (data[:, 0].astype(int), data[:, 1], data[:, 2], data[:, 3])
 
 
 def write_field_dump(wf, grid, step, time_s, out_dir):
     """Raw f64 dump plus meta sidecar; returns (data_path, meta_path)."""
-    dpath = field_path(out_dir, step)
-    mpath = meta_path(out_dir, step)
-    ny = grid.ny if grid.dims == 2 else 1
-    try:
-        with open(dpath, "wb") as fh:
+    stem = os.path.join(out_dir, f"field_{step}")
+    ny, dy = (grid.ny, grid.dy) if grid.dims == 2 else (1, grid.dx)
+    values = (META_LAYOUT_VERSION, grid.nx, ny, grid.dx, dy, step, time_s)
+    text = "".join(f"{key} = {_FORMATS[kind] % value}\n"
+                   for (key, kind), value in zip(_META_KEYS.items(), values, strict=True))
+    with _failing_to("write", f"field dump for step {step}"):
+        with open(stem + ".f64", "wb") as fh:
             fh.write(np.ascontiguousarray(wf.real_part, dtype="<f8"))
             fh.write(np.ascontiguousarray(wf.imag_part, dtype="<f8"))
-        with open(mpath, "w") as fh:
-            fh.write(f"layout_version = {META_LAYOUT_VERSION}\n")
-            fh.write(f"nx = {grid.nx}\n")
-            fh.write(f"ny = {ny}\n")
-            fh.write(f"dx = {_fmt(grid.dx)}\n")
-            fh.write(f"dy = {_fmt(grid.dy if grid.dims == 2 else grid.dx)}\n")
-            fh.write(f"step = {step}\n")
-            fh.write(f"time_s = {_fmt(time_s)}\n")
-    except OSError as exc:
-        raise RunIOError(f"failed to write field dump for step {step}: {exc}") from exc
-    return dpath, mpath
+        with open(stem + ".meta", "w") as fh:
+            fh.write(text)
+    return stem + ".f64", stem + ".meta"
 
 
 def read_field_meta(path):
     """Meta sidecar as a dict with typed values; RunIOError names a bad key."""
-    meta = {}
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                key, _, value = line.partition("=")
-                meta[key.strip()] = value.strip()
-    except OSError as exc:
-        raise RunIOError(f"failed to read {path}: {exc}") from exc
-    for key, kind in {"layout_version": int, "nx": int, "ny": int, "step": int,
-                      "dx": float, "dy": float, "time_s": float}.items():
+    with _failing_to("read", path), open(path) as fh:
+        meta = {key.strip(): value.strip()
+                for key, _, value in (line.partition("=") for line in fh if line.strip())}
+    for key, kind in _META_KEYS.items():
         try:
             meta[key] = kind(meta[key])
         except (KeyError, ValueError):
@@ -125,27 +109,17 @@ def read_field_dump(data_path, meta_path_):
     nx, ny = meta["nx"], meta["ny"]
     shape = (nx,) if ny == 1 else (nx, ny)
     count = nx * ny
-    try:
+    with _failing_to("read", data_path):
         raw = np.fromfile(data_path, dtype="<f8")
-    except OSError as exc:
-        raise RunIOError(f"failed to read {data_path}: {exc}") from exc
     if raw.size != 2 * count:
-        raise RunIOError(
-            f"{data_path}: expected {2 * count} doubles, found {raw.size}")
-    real = raw[:count].reshape(shape)
-    imag = raw[count:].reshape(shape)
+        raise RunIOError(f"{data_path}: expected {2 * count} doubles, found {raw.size}")
+    real, imag = raw[:count].reshape(shape), raw[count:].reshape(shape)
     return WaveField(real, imag, real_time_index=meta["step"]), meta
 
 
 def write_runlog(log, out_dir):
     """RunLog records as runlog.csv (energy reported in eV); returns the path."""
-    path = os.path.join(out_dir, "runlog.csv")
-    try:
-        with open(path, "w") as fh:
-            fh.write("step,time_s,norm,max_density,energy_ev\n")
-            for rec in log.records:
-                fh.write(f"{rec.step},{_fmt(rec.time_s)},{_fmt(rec.norm)},"
-                         f"{_fmt(rec.max_density)},{_fmt(rec.energy_j / EV)}\n")
-    except OSError as exc:
-        raise RunIOError(f"failed to write {path}: {exc}") from exc
-    return path
+    rows = [(rec.step, rec.time_s, rec.norm, rec.max_density, rec.energy_j / EV)
+            for rec in log.records]
+    return _write_csv(os.path.join(out_dir, "runlog.csv"),
+                      "step,time_s,norm,max_density,energy_ev", rows)

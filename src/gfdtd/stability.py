@@ -21,7 +21,6 @@ when the two disagree the report says so instead of picking a side.
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -108,15 +107,11 @@ def interval_max_abs(lo, hi, N):
     return float(np.abs(truncated_sine(xs, N)).max())
 
 
-def wavenumber_scan(cfg, grid, v_max=0.0, samples_per_axis=None, c=DEFAULT_THRESHOLD,
-                    *, v_min=0.0):
+def wavenumber_scan(cfg, grid, v_max=0.0, c=DEFAULT_THRESHOLD, *, v_min=0.0):
     """Verdict from the exact max of |S(x)| over every wavenumber and every
     potential level in [v_min, v_max] (v_min = 0: the barrier's background).
     Passing it yields STABLE_BY_SCAN, an endpoint pass alone ENDPOINT_SCAN_DISAGREE,
-    a NaN maximum UNSTABLE.  samples_per_axis is accepted and ignored."""
-    if samples_per_axis is not None:
-        warnings.warn("wavenumber_scan ignores samples_per_axis: its maximum is exact",
-                      DeprecationWarning, stacklevel=2)
+    a NaN maximum UNSTABLE."""
     if v_min > v_max:
         raise ValueError(f"v_min {v_min} exceeds v_max {v_max}")
     cfg.validate_against(grid)

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfdtd import (ANGSTROM, EV, ConfigurationError, GridSpec, RunIOError, WaveField,
-                   parse_config, read_diagonal_snapshot, read_field_dump,
-                   write_diagonal_snapshot, write_field_dump)
+from gfdtd import (ANGSTROM, EV, ConfigurationError, GridSpec, RunIOError, RunLog,
+                   RunRecord, WaveField, parse_config, read_diagonal_snapshot,
+                   read_field_dump, write_diagonal_snapshot, write_field_dump, write_runlog)
 from gfdtd.snapshots import read_field_meta
 
 
@@ -409,6 +409,61 @@ def test_field_meta_parseable(tmp_path):
                     "step": 12, "time_s": 3.25e-17}
 
 
+def test_snapshot_files_golden_bytes(tmp_path):
+    # every digit of the three text formats, including -0, subnormals and
+    # values near the float range
+    grid = GridSpec(dims=1, nx=6, dx=0.1)
+    wf = WaveField(np.array([-0.0, 5e-324, 1e-300, 0.1, 3.0, 1e150]),
+                   np.array([3.0, -0.0, 0.1, 5e-324, -1e-300, -0.0]))
+    log = RunLog(records=[RunRecord(0, 0.0, 1.0, 1e300, -0.0),
+                          RunRecord(4, 5e-324, 0.1, 3.0, 1e-300)])
+    diag = write_diagonal_snapshot(wf, grid, 4, 1e300, str(tmp_path))
+    _, meta = write_field_dump(wf, grid, 4, 1e300, str(tmp_path))
+    runlog = write_runlog(log, str(tmp_path))
+    with open(diag, "rb") as fh:
+        assert fh.read() == (
+            b"k,psi_real,psi_imag,density\n"
+            b"1,-0,3,9\n"
+            b"2,4.9406564584124654e-324,-0,0\n"
+            b"3,1e-300,0.10000000000000001,0.010000000000000002\n"
+            b"4,0.10000000000000001,4.9406564584124654e-324,0.010000000000000002\n"
+            b"5,3,-1e-300,9\n"
+            b"6,9.9999999999999998e+149,-0,9.999999999999999e+299\n")
+    with open(meta, "rb") as fh:
+        assert fh.read() == (
+            b"layout_version = 1\nnx = 6\nny = 1\n"
+            b"dx = 0.10000000000000001\ndy = 0.10000000000000001\n"
+            b"step = 4\ntime_s = 1.0000000000000001e+300\n")
+    with open(runlog, "rb") as fh:
+        assert fh.read() == (
+            b"step,time_s,norm,max_density,energy_ev\n"
+            b"0,0,1,1.0000000000000001e+300,-0\n"
+            b"4,4.9406564584124654e-324,0.10000000000000001,3,6.2415090744607629e-282\n")
+
+
+@pytest.mark.parametrize("write, names", [
+    (lambda wf, grid, out: write_diagonal_snapshot(wf, grid, 4, 0.0, out), "diag_4.csv"),
+    (lambda wf, grid, out: write_field_dump(wf, grid, 4, 0.0, out), "step 4"),
+    (lambda wf, grid, out: write_runlog(RunLog(records=[RunRecord(4, 0.0, 1.0, 1.0, 0.0)]),
+                                        out), "runlog.csv"),
+], ids=["diagonal", "dump", "runlog"])
+def test_writer_into_missing_directory_is_run_io_error(tmp_path, write, names):
+    grid = GridSpec(dims=1, nx=6, dx=1.0)
+    with pytest.raises(RunIOError, match=names.replace(".", r"\.")):
+        write(WaveField.zeros(grid), grid, str(tmp_path / "missing"))
+
+
+def test_missing_dump_files_are_run_io_errors(tmp_path):
+    grid = GridSpec(dims=1, nx=6, dx=1.0)
+    dpath, mpath = write_field_dump(WaveField.zeros(grid), grid, 0, 0.0, str(tmp_path))
+    os.remove(dpath)
+    with pytest.raises(RunIOError, match=r"field_0\.f64"):
+        read_field_dump(dpath, mpath)
+    os.remove(mpath)
+    with pytest.raises(RunIOError, match=r"field_0\.meta"):
+        read_field_meta(mpath)
+
+
 # --- CLI -------------------------------------------------------------------------
 
 def child_env():
@@ -541,6 +596,19 @@ def test_cli_run_io_error_exit_two(tmp_path):
     assert result.returncode == 2
     assert "run error:" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_cli_run_rejects_rectangular_grid_before_writing(tmp_path):
+    # run's diagonal snapshots need nx = ny; stability does not
+    doc = reduced_document(grid={"ny": 100}, init={"center_k": 50},
+                           potential={"k_min": 51}, run={"out_dir": str(tmp_path / "out")})
+    cfg_path = write_config(tmp_path, doc)
+    result = run_cli(["run", "--config", cfg_path], str(tmp_path))
+    assert result.returncode == 2
+    assert result.stderr.startswith("configuration error:") and "grid.ny" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+    assert run_cli(["stability", "--config", cfg_path], str(tmp_path)).returncode == 0
 
 
 def test_cli_package_error_exit_two(tmp_path, monkeypatch, capsys):

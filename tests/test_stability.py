@@ -212,13 +212,6 @@ def test_scan_rejects_inverted_potential_range(grid_2d, physics):
         wavenumber_scan(cfg, grid_2d, v_max=-1.0e-18)
 
 
-def test_scan_ignores_samples_with_a_warning(grid_2d, physics):
-    cfg = cfg_for(grid_2d, physics, 2, 0.45)
-    with pytest.warns(DeprecationWarning):
-        report = wavenumber_scan(cfg, grid_2d, samples_per_axis=32)
-    assert report == wavenumber_scan(cfg, grid_2d)
-
-
 def test_scan_nan_maximum_is_unstable(grid_2d, physics, monkeypatch):
     # N=0, mu=0.2 passes the endpoint test; a NaN maximum must not read as
     # an endpoint/scan disagreement, let alone stable
