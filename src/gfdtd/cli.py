@@ -9,10 +9,11 @@ Subcommands:
               first turns unstable.
 
 Exit codes: 0 success, 1 divergence detected (run log still written),
-2 any other package error (configuration, I/O, ...), without a traceback.
+2 any other error (configuration, I/O, a closed stdout, ...), without a traceback.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -30,7 +31,7 @@ def _load_config(path):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 
@@ -101,15 +102,24 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     cfg = _load_config(args.config)
-    if args.mu_step <= 0 or args.mu_to < args.mu_from:
-        raise ConfigurationError("sweep needs mu_from <= mu_to and mu_step > 0")
+    mu_from, mu_to, mu_step = args.mu_from, args.mu_to, args.mu_step
+    for flag, value in (("--mu-from", mu_from), ("--mu-to", mu_to), ("--mu-step", mu_step)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"sweep {flag} must be finite, got {value}")
+    if not 0 < mu_from <= mu_to or mu_step <= 0 or mu_to + mu_step == mu_to:
+        raise ConfigurationError("sweep needs 0 < --mu-from <= --mu-to and a --mu-step > 0 "
+                                 "that moves --mu-to")
+    # mu_i = mu_from + i mu_step up to the limit; one spare row absorbs rounding
+    limit = mu_to + 1e-12 * mu_step
+    rows = math.floor((limit - mu_from) / mu_step) + 2
     grid, base = cfg.grid, cfg.scheme
     v_min, v_max = potential_bounds(cfg.barrier, grid)
     first_over_c = None
     first_over_one = None
     print("mu,endpoint_value,scan_max,verdict")
-    mu = args.mu_from
-    while mu <= args.mu_to + 1e-12 * args.mu_step:
+    for mu in (mu_from + i * mu_step for i in range(rows)):
+        if mu > limit:
+            break
         scheme = SchemeConfig.from_mu(base.N, base.order, mu, base.physics, grid)
         report = wavenumber_scan(scheme, grid, v_max=v_max, c=cfg.c, v_min=v_min)
         print(f"{mu:.6g},{report.endpoint_value:.6g},{report.scan_max:.6g},"
@@ -118,7 +128,6 @@ def cmd_sweep(args):
             first_over_c = mu
         if first_over_one is None and report.scan_max > 1.0:
             first_over_one = mu
-        mu += args.mu_step
     if first_over_c is not None:
         print(f"first mu with scan max > c={cfg.c:.4g}: {first_over_c:.6g}")
     if first_over_one is not None:
@@ -156,8 +165,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except GfdtdError as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except (GfdtdError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):   # the reader left: gfdtd sweep ... | head
+            # stdout on devnull: the interpreter's exit-time flush cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         kind = "configuration" if isinstance(exc, ConfigurationError) else "run"
         print(f"{kind} error: {exc}", file=sys.stderr)
         return 2

@@ -58,12 +58,6 @@ class SchemeConfig:
         dt = mu * 2.0 * physics.mass * (grid.dx * grid.dx) / physics.hbar
         return cls(N=N, order=order, mu=mu, dt=dt, physics=physics)
 
-    def validate_against(self, grid):
-        expected = self.mu * 2.0 * self.physics.mass * (grid.dx * grid.dx) / self.physics.hbar
-        if abs(self.dt - expected) > 1e-14 * expected:
-            raise ConfigurationError(
-                f"dt={self.dt} inconsistent with mu={self.mu} and dx={grid.dx}")
-
     def series_coefficients(self):
         """2 * (dt/2)^(2p+1) / (2p+1)! for p = 0..N, as exact doubles; inf past
         the float range (numpy's pow does not raise), so such a run diverges."""
@@ -72,15 +66,9 @@ class SchemeConfig:
                 for p in range(self.N + 1)]
 
 
-def _coefficients(cfg, sign):
-    """sign * (-1)^p * c_p for c_p in series_coefficients: the Horner terms of
-    H (sign +1, the imaginary update) or of -H (sign -1, the real one)."""
-    return [(-1) ** p * sign * c for p, c in enumerate(cfg.series_coefficients())]
-
-
 def _half(source, old, coeffs, u, grid, potential, cfg):
     """old + H source as a new plane, for H's signed Horner coefficients
-    (_coefficients); the scratch plane u and the new plane take turns as B's
+    (-1)^p c_p; the scratch plane u and the new plane take turns as B's
     output."""
     new = np.empty(old.shape)
     np.multiply(source, coeffs[-1], out=u)
@@ -90,24 +78,13 @@ def _half(source, old, coeffs, u, grid, potential, cfg):
     return apply_b(u, grid, potential, cfg.physics, cfg.order, out=new, add=(1.0, old))
 
 
-def step_real(field, potential, grid, cfg):
-    """Updated real_part array (real advances t_{n-1} -> t_n)."""
-    return _half(field.imag_part, field.real_part, _coefficients(cfg, -1),
-                 np.empty(field.real_part.shape), grid, potential, cfg)
-
-
-def step_imag(field, potential, grid, cfg):
-    """Updated imag_part array; real_part must already be at t_n."""
-    return _half(field.real_part, field.imag_part, _coefficients(cfg, 1),
-                 np.empty(field.imag_part.shape), grid, potential, cfg)
-
-
 def step(field, potential, grid, cfg, max_abs_limit=None):
     """Advance one full step into new planes, real first, then imag from the
     new real, both half steps sharing one scratch plane.  Non-finite values,
     or any |value| above max_abs_limit (usually DIVERGENCE_FACTOR times the
     initial max), raise DivergenceError."""
-    coeffs, u = _coefficients(cfg, 1), np.empty(field.real_part.shape)
+    coeffs = [(-1) ** p * c for p, c in enumerate(cfg.series_coefficients())]
+    u = np.empty(field.real_part.shape)
     new_real = _half(field.imag_part, field.real_part, [-c for c in coeffs], u,
                      grid, potential, cfg)
     advanced = WaveField(new_real, _half(new_real, field.imag_part, coeffs, u,

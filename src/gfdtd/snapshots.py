@@ -90,7 +90,7 @@ def write_field_dump(wf, grid, step, time_s, out_dir):
 
 def read_field_meta(path):
     """Meta sidecar as a dict with typed values; RunIOError names a bad key."""
-    with _failing_to("read", path), open(path) as fh:
+    with _failing_to("read", path, UnicodeDecodeError), open(path) as fh:
         meta = {key.strip(): value.strip()
                 for key, _, value in (line.partition("=") for line in fh if line.strip())}
     for key, kind in _META_KEYS.items():

@@ -114,7 +114,6 @@ def wavenumber_scan(cfg, grid, v_max=0.0, c=DEFAULT_THRESHOLD, *, v_min=0.0):
     a NaN maximum UNSTABLE."""
     if v_min > v_max:
         raise ValueError(f"v_min {v_min} exceeds v_max {v_max}")
-    cfg.validate_against(grid)
     with np.errstate(over="ignore", invalid="ignore"):   # an inf or NaN x reads unstable
         ep_x = endpoint_x(grid, cfg, v_max)
         ep_value, endpoint_ok = _endpoint(ep_x, cfg.N, c)

@@ -400,6 +400,13 @@ def test_field_meta_errors_are_run_io_errors(tmp_path, old, new, key):
         read_field_dump(dpath, mpath)
 
 
+def test_field_meta_not_utf8_is_run_io_error(tmp_path):
+    mpath = tmp_path / "field_0.meta"
+    mpath.write_bytes(b"layout_version = 1\nnx = 6\xff\n")
+    with pytest.raises(RunIOError, match=r"failed to read .*field_0\.meta"):
+        read_field_meta(str(mpath))
+
+
 def test_field_meta_parseable(tmp_path):
     grid = GridSpec(dims=2, nx=6, dx=1.0, ny=6, dy=2.0)
     wf = WaveField.zeros(grid)
@@ -479,9 +486,9 @@ def child_env():
     return env
 
 
-def run_cli(args, cwd):
-    return subprocess.run([sys.executable, "-m", "gfdtd.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=child_env())
+def run_cli(args, cwd, timeout=None):
+    return subprocess.run([sys.executable, "-m", "gfdtd.cli", *args], capture_output=True,
+                          text=True, cwd=cwd, env=child_env(), timeout=timeout)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -666,6 +673,47 @@ def test_cli_verdict_covers_zero_region_below_barrier(tmp_path):
 def test_cli_missing_config_file_exit_two(tmp_path):
     result = run_cli(["stability", "--config", "nope.json"], str(tmp_path))
     assert result.returncode == 2
+
+
+def test_cli_config_not_utf8_exit_two(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"grid": \xff}')
+    result = run_cli(["stability", "--config", str(path)], str(tmp_path))
+    assert result.returncode == 2
+    assert result.stderr.startswith("configuration error: cannot read config")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--mu-from", "0.2", "--mu-to", "0.3", "--mu-step", "nan"], "--mu-step"),
+    (["--mu-from", "nan", "--mu-to", "0.3", "--mu-step", "0.1"], "--mu-from"),
+    (["--mu-from", "0.2", "--mu-to", "inf", "--mu-step", "0.1"], "--mu-to"),
+    (["--mu-from", "1", "--mu-to", "2", "--mu-step", "1e-20"], "--mu-step"),
+], ids=["nan-step", "nan-from", "inf-to", "step-below-ulp"])
+def test_cli_sweep_rejects_flags_that_never_end(tmp_path, flags, named):
+    # each of these used to print a bogus verdict or loop forever
+    cfg_path = write_config(tmp_path, reduced_document())
+    result = run_cli(["sweep", "--config", cfg_path, *flags], str(tmp_path), timeout=60)
+    assert result.returncode == 2
+    assert result.stderr.startswith("configuration error:") and named in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_cli_sweep_into_closed_pipe_exit_two(tmp_path):
+    # gfdtd sweep ... | head: the reader is gone before the rows are flushed
+    cfg_path = write_config(tmp_path, reduced_document())
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "gfdtd.cli", "sweep", "--config",
+                                 cfg_path, *SWEEP_ARGS], stdout=write_end,
+                                stderr=subprocess.PIPE, text=True, cwd=str(tmp_path),
+                                env=child_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr.startswith("run error:")
+    assert "Traceback" not in result.stderr
 
 
 def test_cli_sweep_reports_threshold(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from gfdtd import (ConfigurationError, DivergenceError, GridSpec, PhysicalParams,
                    PotentialField, SchemeConfig, StencilOrder, WaveField, apply_b,
-                   apply_laplacian, step, step_imag, step_real, stencils)
+                   apply_laplacian, step, stencils)
 
 from conftest import dense_b_matrix
 
@@ -34,10 +34,6 @@ def test_dt_from_mu():
     physics = PhysicalParams(mass=2.0, hbar=0.5)
     cfg = make_cfg(0, 0.3, grid, physics)
     assert cfg.dt == pytest.approx(0.3 * 2 * 2.0 * 0.25 / 0.5, rel=1e-14)
-    cfg.validate_against(grid)
-    other = GridSpec(dims=1, nx=16, dx=0.7)
-    with pytest.raises(ConfigurationError):
-        cfg.validate_against(other)
 
 
 @pytest.mark.parametrize("dt", [3.7e-18, 0.5, 2.0, 1.3e30, 1.0e33])
@@ -73,10 +69,7 @@ def test_zero_source_leaves_component_unchanged(rng, small_grid_2d,
     cfg = make_cfg(2, 0.2, small_grid_2d, unit_physics)
     real = rng.normal(size=small_grid_2d.shape)
     wf = WaveField(real, np.zeros(small_grid_2d.shape))
-    assert np.array_equal(step_real(wf, constant_potential, small_grid_2d, cfg), real)
-    wf2 = WaveField(np.zeros(small_grid_2d.shape), rng.normal(size=small_grid_2d.shape))
-    assert np.array_equal(step_imag(wf2, constant_potential, small_grid_2d, cfg),
-                          wf2.imag_part)
+    assert np.array_equal(step(wf, constant_potential, small_grid_2d, cfg).real_part, real)
 
 
 def test_zero_field_is_fixed_point(small_grid_2d, unit_physics):
@@ -98,7 +91,7 @@ def test_n0_impulse_matches_hand_arithmetic(unit_physics):
     imag = np.zeros(grid.shape)
     imag[3, 3] = 1.0
     wf = WaveField(np.zeros(grid.shape), imag)
-    new_real = step_real(wf, potential, grid, cfg)
+    new_real = step(wf, potential, grid, cfg).real_part
     dt, dx2 = cfg.dt, 0.25
     assert new_real[3, 3] == pytest.approx(dt * (0.5 * 4 / dx2 + v0), rel=1e-13)
     for (j, k) in [(2, 3), (4, 3), (3, 2), (3, 4)]:
@@ -153,8 +146,8 @@ def test_n1_minus_n0_is_the_p1_term(small_grid_2d, unit_physics):
     y = np.arange(small_grid_2d.ny)[None, :]
     real = np.exp(-0.1 * ((x - 4.0) ** 2 + (y - 4.0) ** 2))
     wf = WaveField(real, np.zeros(small_grid_2d.shape))
-    out0 = step_imag(wf, potential, small_grid_2d, cfg0)
-    out1 = step_imag(wf, potential, small_grid_2d, cfg1)
+    out0 = step(wf, potential, small_grid_2d, cfg0).imag_part
+    out1 = step(wf, potential, small_grid_2d, cfg1).imag_part
 
     bmat = dense_b_matrix(small_grid_2d, potential, unit_physics, cfg1.order)
     term = 2.0 * (cfg1.dt / 2) ** 3 / math.factorial(3) * (-1.0) \
@@ -170,7 +163,10 @@ def test_stagger_order_matters(rng, small_grid_2d, unit_physics):
     wf = WaveField(rng.normal(size=small_grid_2d.shape),
                    rng.normal(size=small_grid_2d.shape))
     leapfrog = step(wf, potential, small_grid_2d, cfg)
-    jacobi_imag = step_imag(wf, potential, small_grid_2d, cfg)  # uses old real
+    # uses old real: the real half step leaves real alone when imag is zero
+    zeros = np.zeros(small_grid_2d.shape)
+    jacobi_imag = wf.imag_part + step(WaveField(wf.real_part, zeros), potential,
+                                      small_grid_2d, cfg).imag_part
     assert not np.allclose(leapfrog.imag_part, jacobi_imag, rtol=1e-12, atol=1e-12)
 
 
@@ -272,9 +268,6 @@ def test_step_bit_identical_to_two_buffer_horner(rng, monkeypatch, N, grid, orde
     wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
     for _ in range(20):
         real, imag = two_buffer_step(wf, potential, grid, cfg)
-        assert np.array_equal(step_real(wf, potential, grid, cfg), real)
-        assert np.array_equal(step_imag(WaveField(real, wf.imag_part), potential, grid, cfg),
-                              imag)
         wf = step(wf, potential, grid, cfg)
         assert np.array_equal(wf.real_part, real) and np.array_equal(wf.imag_part, imag)
 

@@ -212,6 +212,20 @@ def test_scan_rejects_inverted_potential_range(grid_2d, physics):
         wavenumber_scan(cfg, grid_2d, v_max=-1.0e-18)
 
 
+@pytest.mark.parametrize("grid, v_min, v_max", [
+    (GridSpec(dims=1, nx=32, dx=1.0e-11), 0.0, 0.0),
+    (GridSpec(dims=2, nx=32, dx=1.0e-11, ny=24, dy=2.7e-11), 0.0, 0.0),
+    (GridSpec(dims=2, nx=32, dx=1.0e-11, ny=24, dy=2.7e-11), 2.0e-17, 6.0e-17)],
+    ids=["1d", "2d-dx!=dy", "2d-potential-levels"])
+def test_scan_reads_dt_not_mu(physics, grid, v_min, v_max):
+    # the verdict is a function of dt and the grid alone: a config whose
+    # recorded mu disagrees with its dt gets the same report
+    cfg = cfg_for(grid, physics, 2, 0.3)
+    other = SchemeConfig(cfg.N, cfg.order, mu=0.7, dt=cfg.dt, physics=cfg.physics)
+    report = wavenumber_scan(cfg, grid, v_max=v_max, v_min=v_min)
+    assert wavenumber_scan(other, grid, v_max=v_max, v_min=v_min) == report
+
+
 def test_scan_nan_maximum_is_unstable(grid_2d, physics, monkeypatch):
     # N=0, mu=0.2 passes the endpoint test; a NaN maximum must not read as
     # an endpoint/scan disagreement, let alone stable
