@@ -2,8 +2,8 @@
 equation, with Von Neumann stability analysis and a barrier-scattering
 scenario driver."""
 
-from .errors import (ConfigurationError, DegenerateFieldError, DivergenceError,
-                     GfdtdError, NonHermitianError, RunIOError)
+from .errors import (ConfigurationError, DegenerateFieldError, GfdtdError,
+                     NonHermitianError, RunIOError)
 from .fields import (ANGSTROM, ELECTRON_MASS, EV, HBAR, GridSpec, PhysicalParams,
                      PotentialField, WaveField, norm, normalize)
 from .stencils import StencilOrder, apply_b, apply_b_power, apply_laplacian
@@ -33,6 +33,6 @@ __all__ = [
     "RunConfig", "parse_config",
     "read_diagonal_snapshot", "read_field_dump", "write_diagonal_snapshot",
     "write_field_dump", "write_runlog",
-    "ConfigurationError", "DegenerateFieldError", "DivergenceError",
-    "GfdtdError", "NonHermitianError", "RunIOError",
+    "ConfigurationError", "DegenerateFieldError", "GfdtdError",
+    "NonHermitianError", "RunIOError",
 ]

@@ -112,6 +112,7 @@ def cmd_sweep(args):
     # mu_i = mu_from + i mu_step up to the limit; one spare row absorbs rounding
     limit = mu_to + 1e-12 * mu_step
     rows = math.floor((limit - mu_from) / mu_step) + 2
+    digits = min(17, max(6, 2 + math.ceil(math.log10(mu_to / mu_step))))   # rows stay distinct
     grid, base = cfg.grid, cfg.scheme
     v_min, v_max = potential_bounds(cfg.barrier, grid)
     first_over_c = None
@@ -122,16 +123,16 @@ def cmd_sweep(args):
             break
         scheme = SchemeConfig.from_mu(base.N, base.order, mu, base.physics, grid)
         report = wavenumber_scan(scheme, grid, v_max=v_max, c=cfg.c, v_min=v_min)
-        print(f"{mu:.6g},{report.endpoint_value:.6g},{report.scan_max:.6g},"
+        print(f"{mu:.{digits}g},{report.endpoint_value:.6g},{report.scan_max:.6g},"
               f"{report.verdict.value}")
         if first_over_c is None and report.scan_max > cfg.c:
             first_over_c = mu
         if first_over_one is None and report.scan_max > 1.0:
             first_over_one = mu
     if first_over_c is not None:
-        print(f"first mu with scan max > c={cfg.c:.4g}: {first_over_c:.6g}")
+        print(f"first mu with scan max > c={cfg.c:.4g}: {first_over_c:.{digits}g}")
     if first_over_one is not None:
-        print(f"first mu with scan max > 1 (amplifying): {first_over_one:.6g}")
+        print(f"first mu with scan max > 1 (amplifying): {first_over_one:.{digits}g}")
     else:
         print("no amplifying mu in the sweep range")
     return 0

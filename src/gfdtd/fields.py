@@ -99,14 +99,12 @@ def _check_shape(arr, grid, what):
 class WaveField:
     """Split wavefunction on a grid.
 
-    real_part samples psi_real at time index ``real_time_index`` (integer
-    steps); imag_part samples psi_imag staggered half a step later once a
-    full step has been applied.
+    real_part samples psi_real at an integer time step; imag_part samples
+    psi_imag staggered half a step later once a full step has been applied.
     """
 
     real_part: np.ndarray
     imag_part: np.ndarray
-    real_time_index: int = 0
 
     def __post_init__(self):
         if self.real_part.shape != self.imag_part.shape:

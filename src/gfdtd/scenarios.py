@@ -10,11 +10,14 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, NonHermitianError
+from .errors import ConfigurationError, NonHermitianError
 from .fields import PotentialField, WaveField, density, norm, normalize
-from .scheme import DIVERGENCE_FACTOR, step
+from .scheme import step
 from .stability import DEFAULT_THRESHOLD, wavenumber_scan
 from .stencils import StencilOrder, apply_b, axis_symbol
+
+# |value| exceeding this multiple of the initial max stops the run
+DIVERGENCE_FACTOR = 1.0e10
 
 
 def _check_indices(grid, **indices):
@@ -193,12 +196,12 @@ class RunLog:
         return self.divergence_step is not None
 
 
-def _observe(wf, potential, grid, physics, order, step_index, time_s):
+def _observe(wf, potential, grid, cfg, n):
     d = density(wf)
-    return RunRecord(step=step_index, time_s=time_s,
+    return RunRecord(step=n, time_s=n * cfg.dt,
                      norm=norm(wf, grid, d),
                      max_density=float(d.max()),
-                     energy_j=energy_expectation(wf, potential, grid, physics, order))
+                     energy_j=energy_expectation(wf, potential, grid, cfg.physics, cfg.order))
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite plane is a divergence
@@ -208,27 +211,26 @@ def run(wf, potential, grid, cfg, steps, snapshot_every=0, on_snapshot=None,
 
     The stability scan runs first and lands in the log.  Observables are
     recorded at step 0 and every ``snapshot_every`` steps (always at the
-    final step); on_snapshot(wf, record) fires at the same cadence.  A
-    divergence stops the run and records the step index instead of
-    raising.  Returns (final_field, RunLog).
+    final step); on_snapshot(wf, record) fires at the same cadence.  A step
+    whose field is non-finite or exceeds DIVERGENCE_FACTOR times the initial
+    max stops the run and is logged as divergence_step instead of raising.
+    Returns (final_field, RunLog), final_field being the last one under the limit.
     """
     log = RunLog()
     v_min, v_max = potential.bounds()
     log.stability_report = wavenumber_scan(cfg, grid, v_max=v_max, c=threshold_c,
                                            v_min=v_min)
     limit = DIVERGENCE_FACTOR * max(wf.max_abs(), 1e-300)
-    record = _observe(wf, potential, grid, cfg.physics, cfg.order, 0, 0.0)
-    log.records.append(record)
-    if on_snapshot is not None:
-        on_snapshot(wf, record)
-    for n in range(1, steps + 1):
-        try:
-            wf = step(wf, potential, grid, cfg, max_abs_limit=limit)
-        except DivergenceError as exc:
-            log.divergence_step = exc.step
-            break
-        if (snapshot_every and n % snapshot_every == 0) or n == steps:
-            record = _observe(wf, potential, grid, cfg.physics, cfg.order, n, n * cfg.dt)
+    for n in range(steps + 1):
+        if n:
+            advanced = step(wf, potential, grid, cfg)
+            m = advanced.max_abs()
+            if not np.isfinite(m) or m > limit:   # an inf limit still stops an inf max
+                log.divergence_step = n
+                break
+            wf = advanced
+        if n in (0, steps) or (snapshot_every and n % snapshot_every == 0):
+            record = _observe(wf, potential, grid, cfg, n)
             log.records.append(record)
             if on_snapshot is not None:
                 on_snapshot(wf, record)

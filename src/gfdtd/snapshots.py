@@ -98,6 +98,8 @@ def read_field_meta(path):
             meta[key] = kind(meta[key])
         except (KeyError, ValueError):
             raise RunIOError(f"{path}: {key} is missing or not {kind.__name__}") from None
+        if key in ("nx", "ny") and meta[key] < 1:   # before any data file is read
+            raise RunIOError(f"{path}: {key} must be at least 1, got {meta[key]}")
     return meta
 
 
@@ -114,7 +116,7 @@ def read_field_dump(data_path, meta_path_):
     if raw.size != 2 * count:
         raise RunIOError(f"{data_path}: expected {2 * count} doubles, found {raw.size}")
     real, imag = raw[:count].reshape(shape), raw[count:].reshape(shape)
-    return WaveField(real, imag, real_time_index=meta["step"]), meta
+    return WaveField(real, imag), meta
 
 
 def write_runlog(log, out_dir):

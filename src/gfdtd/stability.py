@@ -26,6 +26,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .stencils import axis_symbol
 
 DEFAULT_THRESHOLD = 0.99
@@ -82,7 +83,7 @@ def endpoint_x(grid, cfg, v_max=0.0):
 
 def _endpoint(x, N, c):
     if not 0.0 < c < 1.0:
-        raise ValueError(f"threshold c must lie in (0, 1), got {c}")
+        raise ConfigurationError(f"threshold c must lie in (0, 1), got {c}")
     value = abs(truncated_sine(x, N))
     return value, value <= c
 
@@ -113,7 +114,7 @@ def wavenumber_scan(cfg, grid, v_max=0.0, c=DEFAULT_THRESHOLD, *, v_min=0.0):
     Passing it yields STABLE_BY_SCAN, an endpoint pass alone ENDPOINT_SCAN_DISAGREE,
     a NaN maximum UNSTABLE."""
     if v_min > v_max:
-        raise ValueError(f"v_min {v_min} exceeds v_max {v_max}")
+        raise ConfigurationError(f"v_min {v_min} exceeds v_max {v_max}")
     with np.errstate(over="ignore", invalid="ignore"):   # an inf or NaN x reads unstable
         ep_x = endpoint_x(grid, cfg, v_max)
         ep_value, endpoint_ok = _endpoint(ep_x, cfg.N, c)

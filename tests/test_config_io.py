@@ -322,8 +322,7 @@ def test_diagonal_snapshot_nonsquare_rejected(tmp_path):
 
 def test_field_dump_size_and_round_trip(rng, tmp_path):
     grid = GridSpec(dims=2, nx=5, dx=0.5, ny=7, dy=0.25)
-    wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape),
-                   real_time_index=3)
+    wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
     dpath, mpath = write_field_dump(wf, grid, 3, 2.0e-18, str(tmp_path))
     assert os.path.getsize(dpath) == 2 * 5 * 7 * 8
     back, meta = read_field_dump(dpath, mpath)
@@ -458,6 +457,27 @@ def test_writer_into_missing_directory_is_run_io_error(tmp_path, write, names):
     grid = GridSpec(dims=1, nx=6, dx=1.0)
     with pytest.raises(RunIOError, match=names.replace(".", r"\.")):
         write(WaveField.zeros(grid), grid, str(tmp_path / "missing"))
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("nx = 6\nny = 6", "nx = -2\nny = -18", "nx"),   # the count, 36, still matches
+    ("ny = 6", "ny = 0", "ny"),
+], ids=["negative-sizes", "zero-ny"])
+def test_field_meta_sizes_below_one_are_run_io_errors(tmp_path, old, new, key):
+    dpath, mpath = broken_meta(tmp_path, old, new)
+    with pytest.raises(RunIOError, match=rf"field_0\.meta: {key} must be at least 1"):
+        read_field_dump(dpath, mpath)
+
+
+def test_field_meta_zero_nx_beside_empty_dump_is_run_io_error(tmp_path):
+    # nx = 0 with an empty .f64 used to read back as a (0, 6) field
+    dpath, mpath = broken_meta(tmp_path, "nx = 6", "nx = 0")
+    open(dpath, "wb").close()
+    with pytest.raises(RunIOError, match=r"field_0\.meta: nx must be at least 1, got 0"):
+        read_field_dump(dpath, mpath)
+    os.remove(dpath)   # the sizes are checked before the data file is read
+    with pytest.raises(RunIOError, match=r"field_0\.meta: nx must be at least 1"):
+        read_field_dump(dpath, mpath)
 
 
 def test_missing_dump_files_are_run_io_errors(tmp_path):
@@ -729,3 +749,22 @@ def test_cli_sweep_reports_threshold(tmp_path):
     assert line, result.stdout
     threshold = float(line[0].split(":")[1])
     assert threshold == pytest.approx(0.375, abs=0.01)
+
+
+@pytest.mark.parametrize("mu_from, mu_to, mu_step", [
+    (0.3, 0.3000001, 1e-8),
+    (1.0, 1.0 + 1e-13, 1e-14),
+], ids=["step-1e-8", "step-1e-14"])
+def test_cli_sweep_rows_tell_fine_mu_steps_apart(tmp_path, mu_from, mu_to, mu_step):
+    # at 6 significant digits every row of these sweeps used to read the same mu
+    cfg_path = write_config(tmp_path, reduced_document())
+    result = run_cli(["sweep", "--config", cfg_path, "--mu-from", repr(mu_from),
+                      "--mu-to", repr(mu_to), "--mu-step", repr(mu_step)], str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    mus = [line.split(",")[0] for line in lines[1:] if not line.startswith(("first", "no "))]
+    assert len(mus) == 11 and len(set(mus)) == 11
+    for i, text in enumerate(mus):
+        assert abs(float(text) - (mu_from + i * mu_step)) <= mu_step / 2
+    firsts = [line.rsplit(": ", 1)[1] for line in lines if line.startswith("first")]
+    assert firsts and set(firsts) <= set(mus)

@@ -254,6 +254,20 @@ def test_run_divergent_regime(reduced_grid, reduced_packet, reduced_barrier, phy
     assert 0 < log.divergence_step < 500
 
 
+def test_run_counts_steps_up_to_the_divergence(reduced_grid, reduced_packet,
+                                               reduced_barrier, physics):
+    # run() owns the step count: a record per step, each at step * dt, and
+    # the divergence on the step after the last record
+    cfg = SchemeConfig.from_mu(0, StencilOrder.SECOND_ORDER, 0.25, physics,
+                               reduced_grid)
+    wf0 = gaussian_packet_2d(reduced_packet, reduced_grid)
+    _, log = run(wf0, reduced_barrier, reduced_grid, cfg, steps=500, snapshot_every=1)
+    assert log.diverged
+    assert [r.step for r in log.records] == list(range(log.divergence_step))
+    assert log.divergence_step == log.records[-1].step + 1
+    assert all(r.time_s == r.step * cfg.dt for r in log.records)
+
+
 def test_reflection_and_transmission(reduced_grid, reduced_packet, reduced_barrier,
                                      physics):
     # after hitting the 100 eV step with ~300 eV total energy the packet

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfdtd import (GaussianPacketSpec, GridSpec, PhysicalParams, PotentialField,
-                   SchemeConfig, StencilOrder, Verdict, amplification_roots,
-                   endpoint_condition, endpoint_x, gaussian_packet_1d, run,
-                   truncated_sine, wavenumber_scan)
+from gfdtd import (ConfigurationError, GaussianPacketSpec, GridSpec, PhysicalParams,
+                   PotentialField, SchemeConfig, StencilOrder, Verdict, WaveField,
+                   amplification_roots, endpoint_condition, endpoint_x,
+                   gaussian_packet_1d, run, truncated_sine, wavenumber_scan)
 from gfdtd.stability import _symbol_value, interval_max_abs
 
 
@@ -145,7 +145,7 @@ def test_endpoint_mu_035_n2(grid_2d, physics):
 
 def test_endpoint_rejects_bad_threshold(grid_2d, physics):
     cfg = cfg_for(grid_2d, physics, 0, 0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match=r"threshold c must lie in \(0, 1\), got 1\.5"):
         endpoint_condition(cfg, grid_2d, v_max=0.0, c=1.5)
 
 
@@ -202,14 +202,22 @@ def test_scan_dominates_endpoint(grid_2d, physics):
 def test_scan_rejects_bad_threshold(grid_2d, physics, c):
     # N=2, mu=0.45 peaks at |S| = 1.0047, which c = 1.5 would call stable
     cfg = cfg_for(grid_2d, physics, 2, 0.45)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match=r"threshold c must lie in \(0, 1\)"):
         wavenumber_scan(cfg, grid_2d, c=c)
 
 
 def test_scan_rejects_inverted_potential_range(grid_2d, physics):
     cfg = cfg_for(grid_2d, physics, 0, 0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="v_min 0.0 exceeds v_max -1e-18"):
         wavenumber_scan(cfg, grid_2d, v_max=-1.0e-18)
+
+
+def test_run_rejects_bad_threshold(grid_2d, physics):
+    # the verdict runs first, so a library caller sees a typed error
+    cfg = cfg_for(grid_2d, physics, 0, 0.2)
+    with pytest.raises(ConfigurationError, match=r"threshold c must lie in \(0, 1\)"):
+        run(WaveField.zeros(grid_2d), PotentialField.zeros(grid_2d), grid_2d, cfg,
+            steps=1, threshold_c=1.5)
 
 
 @pytest.mark.parametrize("grid, v_min, v_max", [
@@ -274,11 +282,11 @@ UNIT = PhysicalParams(mass=1.0, hbar=1.0)
 GRID_1D = GridSpec(dims=1, nx=400, dx=1.0)
 
 
-@pytest.mark.parametrize("mu,v_term,j_min", [
-    (0.8, 2.0, 301),    # barrier V dt/2hbar = 2 on j >= 301, zero elsewhere
-    (0.5, -2.0, 1),     # well V dt/2hbar = -2 everywhere
+@pytest.mark.parametrize("mu,v_term,j_min,diverges_at", [
+    (0.8, 2.0, 301, 302),    # barrier V dt/2hbar = 2 on j >= 301, zero elsewhere
+    (0.5, -2.0, 1, 197),     # well V dt/2hbar = -2 everywhere
 ])
-def test_run_verdict_covers_every_potential_level(mu, v_term, j_min):
+def test_run_verdict_covers_every_potential_level(mu, v_term, j_min, diverges_at):
     # both regions reach S's interior peak 1.0047 (at x = 1.59 or -1.59),
     # which shifting every mode by max |V| missed; the runs blow up
     cfg = SchemeConfig.from_mu(2, StencilOrder.SECOND_ORDER, mu, UNIT, GRID_1D)
@@ -290,7 +298,7 @@ def test_run_verdict_covers_every_potential_level(mu, v_term, j_min):
     report = log.stability_report
     assert not report.verdict.value.startswith("stable")
     assert report.scan_max == pytest.approx(1.0047408, abs=1e-7)
-    assert log.diverged
+    assert log.divergence_step == diverges_at
 
 
 # --- amplification roots --------------------------------------------------
