@@ -16,8 +16,8 @@ Run from the repository root:
 import numpy as np
 
 from gfdtd import (ANGSTROM, GaussianPacketSpec, GridSpec, PhysicalParams,
-                   PotentialField, SchemeConfig, StencilOrder, free_packet_1d,
-                   gaussian_packet_1d, step)
+                   PotentialField, Propagator, SchemeConfig, StencilOrder,
+                   free_packet_1d, gaussian_packet_1d)
 
 SIGMA = 1.0 * ANGSTROM
 WAVELENGTH = 2.2 * ANGSTROM
@@ -29,9 +29,9 @@ def evolve(grid, physics, mu, steps):
     spec = GaussianPacketSpec(sigma=SIGMA, wavelength=WAVELENGTH,
                               center_j=CENTER, normalize=False)
     wf = gaussian_packet_1d(spec, grid, physics, stagger_dt=cfg.dt)
-    pot = PotentialField.zeros(grid)
+    propagator = Propagator(grid, PotentialField.zeros(grid), cfg)   # B bound once per mu
     for _ in range(steps):
-        wf = step(wf, pot, grid, cfg)
+        wf = propagator.step(wf)
     return wf, steps * cfg.dt, cfg.dt
 
 

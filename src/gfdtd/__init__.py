@@ -7,7 +7,7 @@ from .errors import (ConfigurationError, DegenerateFieldError, GfdtdError,
 from .fields import (ANGSTROM, ELECTRON_MASS, EV, HBAR, GridSpec, PhysicalParams,
                      PotentialField, WaveField, norm, normalize)
 from .stencils import StencilOrder, apply_b, apply_b_power, apply_laplacian
-from .scheme import SchemeConfig, step
+from .scheme import Propagator, SchemeConfig, step
 from .stability import (StabilityReport, Verdict, amplification_roots,
                         endpoint_condition, endpoint_x, truncated_sine, wavenumber_scan)
 from .scenarios import (BarrierSpec, GaussianPacketSpec, RunLog, RunRecord,
@@ -24,7 +24,7 @@ __all__ = [
     "GridSpec", "PhysicalParams", "PotentialField", "WaveField",
     "norm", "normalize",
     "StencilOrder", "apply_b", "apply_b_power", "apply_laplacian",
-    "SchemeConfig", "step",
+    "Propagator", "SchemeConfig", "step",
     "StabilityReport", "Verdict", "amplification_roots",
     "endpoint_condition", "endpoint_x", "truncated_sine", "wavenumber_scan",
     "BarrierSpec", "GaussianPacketSpec", "RunLog", "RunRecord",

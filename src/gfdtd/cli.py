@@ -38,15 +38,11 @@ def _load_config(path):
 
 def _build_problem(cfg):
     grid = cfg.grid
-    if cfg.barrier is None:
-        potential = PotentialField.zeros(grid)
-    else:
-        potential = barrier_potential(cfg.barrier, grid)
+    potential = (PotentialField.zeros(grid) if cfg.barrier is None
+                 else barrier_potential(cfg.barrier, grid))
     if grid.dims == 2:
-        wf = gaussian_packet_2d(cfg.packet, grid)
-    else:
-        wf = gaussian_packet_1d(cfg.packet, grid, cfg.scheme.physics)
-    return potential, wf
+        return potential, gaussian_packet_2d(cfg.packet, grid)
+    return potential, gaussian_packet_1d(cfg.packet, grid, cfg.scheme.physics)
 
 
 def _print_report(report, scheme, bounds):
@@ -115,8 +111,7 @@ def cmd_sweep(args):
     digits = min(17, max(6, 2 + math.ceil(math.log10(mu_to / mu_step))))   # rows stay distinct
     grid, base = cfg.grid, cfg.scheme
     v_min, v_max = potential_bounds(cfg.barrier, grid)
-    first_over_c = None
-    first_over_one = None
+    first_over_c = first_over_one = None
     print("mu,endpoint_value,scan_max,verdict")
     for mu in (mu_from + i * mu_step for i in range(rows)):
         if mu > limit:
@@ -144,27 +139,19 @@ def build_parser():
         description="Generalized FDTD solver for the time-dependent "
                     "Schrodinger equation")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run a simulation from a config file")
-    p_run.add_argument("--config", required=True)
-    p_run.set_defaults(func=cmd_run)
-
-    p_stab = sub.add_parser("stability", help="print the stability report")
-    p_stab.add_argument("--config", required=True)
-    p_stab.set_defaults(func=cmd_stability)
-
-    p_sweep = sub.add_parser("sweep", help="scan stability across mu")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--mu-from", type=float, required=True, dest="mu_from")
-    p_sweep.add_argument("--mu-to", type=float, required=True, dest="mu_to")
-    p_sweep.add_argument("--mu-step", type=float, required=True, dest="mu_step")
-    p_sweep.set_defaults(func=cmd_sweep)
+    for name, func, text in (("run", cmd_run, "run a simulation from a config file"),
+                             ("stability", cmd_stability, "print the stability report"),
+                             ("sweep", cmd_sweep, "scan stability across mu")):
+        command = sub.add_parser(name, help=text)
+        command.add_argument("--config", required=True)
+        command.set_defaults(func=func)
+    for bound in ("from", "to", "step"):   # sweep's, the last parser added
+        command.add_argument(f"--mu-{bound}", type=float, required=True, dest=f"mu_{bound}")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

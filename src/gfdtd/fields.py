@@ -53,9 +53,8 @@ class GridSpec:
                 raise ConfigurationError("ny must be >= 5 in 2-D")
             if self.dy is None or not self.dy > 0:
                 raise ConfigurationError("dy must be positive in 2-D")
-        else:
-            if self.ny is not None or self.dy is not None:
-                raise ConfigurationError("ny/dy are not allowed in 1-D")
+        elif self.ny is not None or self.dy is not None:
+            raise ConfigurationError("ny/dy are not allowed in 1-D")
 
     @property
     def shape(self):

@@ -6,13 +6,14 @@ the upper-right quadrant.  Grid indices in the specs below are 1-based
 (j = 1..nx), matching the mesh-point numbering used throughout.
 """
 
+import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import ConfigurationError, NonHermitianError
 from .fields import PotentialField, WaveField, density, norm, normalize
-from .scheme import step
+from .scheme import Propagator
 from .stability import DEFAULT_THRESHOLD, wavenumber_scan
 from .stencils import StencilOrder, apply_b, axis_symbol
 
@@ -127,15 +128,13 @@ def gaussian_packet_1d(spec, grid, physics, stagger_dt=None, stagger_order=None)
     spec.validate(grid)
     psi0 = free_packet_1d(grid, physics, spec.sigma, spec.wavelength, spec.center_j)
     if stagger_dt is None:
-        wf = WaveField(psi0.real.copy(), psi0.imag.copy())
+        imag = psi0.imag.copy()
     elif stagger_order is not None:
-        imag_half = _half_step_imag_discrete(psi0, grid, physics,
-                                             stagger_order, stagger_dt)
-        wf = WaveField(psi0.real.copy(), imag_half)
+        imag = _half_step_imag_discrete(psi0, grid, physics, stagger_order, stagger_dt)
     else:
-        psi_half = free_packet_1d(grid, physics, spec.sigma, spec.wavelength,
-                                  spec.center_j, t=0.5 * stagger_dt)
-        wf = WaveField(psi0.real.copy(), psi_half.imag.copy())
+        imag = free_packet_1d(grid, physics, spec.sigma, spec.wavelength, spec.center_j,
+                              t=0.5 * stagger_dt).imag.copy()
+    wf = WaveField(psi0.real.copy(), imag)
     return normalize(wf, grid) if spec.normalize else wf
 
 
@@ -190,18 +189,11 @@ class RunLog:
     records: list[RunRecord] = dataclass_field(default_factory=list)
     divergence_step: int | None = None
     stability_report: object = None
+    phase_s: dict = dataclass_field(default_factory=dict)   # not in runlog.csv
 
     @property
     def diverged(self):
         return self.divergence_step is not None
-
-
-def _observe(wf, potential, grid, cfg, n):
-    d = density(wf)
-    return RunRecord(step=n, time_s=n * cfg.dt,
-                     norm=norm(wf, grid, d),
-                     max_density=float(d.max()),
-                     energy_j=energy_expectation(wf, potential, grid, cfg.physics, cfg.order))
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite plane is a divergence
@@ -209,29 +201,41 @@ def run(wf, potential, grid, cfg, steps, snapshot_every=0, on_snapshot=None,
         threshold_c=DEFAULT_THRESHOLD):
     """Drive the leapfrog scheme for ``steps`` steps.
 
-    The stability scan runs first and lands in the log.  Observables are
-    recorded at step 0 and every ``snapshot_every`` steps (always at the
-    final step); on_snapshot(wf, record) fires at the same cadence.  A step
-    whose field is non-finite or exceeds DIVERGENCE_FACTOR times the initial
-    max stops the run and is logged as divergence_step instead of raising.
+    The stability scan runs first and lands in the log; one Propagator steps.
+    Observables are recorded at step 0 and every ``snapshot_every`` steps
+    (always at the final step); on_snapshot(wf, record) fires at the same
+    cadence.  A step whose field is non-finite or exceeds DIVERGENCE_FACTOR
+    times the initial max stops the run and is logged as divergence_step
+    instead of raising.  log.phase_s holds each phase's wall seconds.
     Returns (final_field, RunLog), final_field being the last one under the limit.
     """
-    log = RunLog()
+    clock, log = time.perf_counter, RunLog()
+    start = clock()
     v_min, v_max = potential.bounds()
     log.stability_report = wavenumber_scan(cfg, grid, v_max=v_max, c=threshold_c,
                                            v_min=v_min)
+    phase = log.phase_s = {"verdict": clock() - start, "observe": 0.0, "snapshot": 0.0}
+    propagator = Propagator(grid, potential, cfg)
     limit = DIVERGENCE_FACTOR * max(wf.max_abs(), 1e-300)
     for n in range(steps + 1):
         if n:
-            advanced = step(wf, potential, grid, cfg)
+            advanced = propagator.step(wf)
             m = advanced.max_abs()
             if not np.isfinite(m) or m > limit:   # an inf limit still stops an inf max
                 log.divergence_step = n
                 break
             wf = advanced
         if n in (0, steps) or (snapshot_every and n % snapshot_every == 0):
-            record = _observe(wf, potential, grid, cfg, n)
+            t = clock()   # energy first: its planes are freed before density's is built
+            energy_j = energy_expectation(wf, potential, grid, cfg.physics, cfg.order)
+            d = density(wf)
+            record = RunRecord(n, n * cfg.dt, norm(wf, grid, d), float(d.max()), energy_j)
+            del d   # no plane is kept between steps
             log.records.append(record)
+            phase["observe"] += clock() - t
             if on_snapshot is not None:
+                t = clock()
                 on_snapshot(wf, record)
+                phase["snapshot"] += clock() - t
+    phase["step"] = clock() - start - sum(phase.values())   # all the rest
     return wf, log

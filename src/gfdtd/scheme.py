@@ -16,6 +16,8 @@ scratch plane shared by both half steps; each c_p f term, and at the end
 the old plane, is added inside B's slab loop (apply_b's add=).  The real
 update runs on negated coefficients: B is odd in its input and
 a - x is a + (-x) in IEEE arithmetic, so both updates share one code path.
+A Propagator binds B once (stencils.bind_b) and checks each step's field;
+step() is one step through a Propagator of its own.
 """
 
 import math
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import PhysicalParams, WaveField
-from .stencils import StencilOrder, apply_b
+from .fields import PhysicalParams, WaveField, _check_shape
+from .stencils import StencilOrder, bind_b
 
 MAX_TRUNCATION_INDEX = 8  # keeps (2N+1)! exactly representable
 
@@ -63,24 +65,36 @@ class SchemeConfig:
                 for p in range(self.N + 1)]
 
 
-def _half(source, old, coeffs, u, grid, potential, cfg):
-    """old + H source as a new plane, for H's signed Horner coefficients
-    (-1)^p c_p; the scratch plane u and the new plane take turns as B's
-    output."""
-    new = np.empty(old.shape)
-    np.multiply(source, coeffs[-1], out=u)
-    for c in reversed(coeffs[:-1]):
-        apply_b(u, grid, potential, cfg.physics, cfg.order, out=new)
-        apply_b(new, grid, potential, cfg.physics, cfg.order, out=u, add=(c, source))
-    return apply_b(u, grid, potential, cfg.physics, cfg.order, out=new, add=(1.0, old))
+class Propagator:
+    """Steps fields of one grid under one potential and SchemeConfig, one at a
+    time: B is bound once (stencils.bind_b, one slab scratch) and both half
+    steps' signed coefficients kept.  A misshapen potential or field raises
+    ConfigurationError."""
+
+    __slots__ = ("_grid", "_b", "_real", "_imag")
+
+    def __init__(self, grid, potential, cfg):
+        self._grid, self._b = grid, bind_b(grid, potential, cfg.physics, cfg.order)
+        self._imag = [(-1) ** p * c for p, c in enumerate(cfg.series_coefficients())]
+        self._real = [-c for c in self._imag]
+
+    def _half(self, source, old, coeffs, u):
+        """old + H source as a new plane, for H's signed coefficients (-1)^p c_p."""
+        b, new = self._b, np.empty(old.shape)
+        np.multiply(source, coeffs[-1], out=u)
+        for c in reversed(coeffs[:-1]):
+            b(u, new)
+            b(new, u, c, source)
+        return b(u, new, 1.0, old)
+
+    def step(self, field):
+        """Advance one full step into new planes; no divergence check."""
+        _check_shape(field.real_part, self._grid, "field")   # imag's shape is real's
+        u = np.empty(field.real_part.shape)
+        new_real = self._half(field.imag_part, field.real_part, self._real, u)
+        return WaveField(new_real, self._half(new_real, field.imag_part, self._imag, u))
 
 
 def step(field, potential, grid, cfg):
-    """Advance one full step into new planes, real first, then imag from the
-    new real, both half steps sharing one scratch plane; returned unchecked."""
-    coeffs = [(-1) ** p * c for p, c in enumerate(cfg.series_coefficients())]
-    u = np.empty(field.real_part.shape)
-    new_real = _half(field.imag_part, field.real_part, [-c for c in coeffs], u,
-                     grid, potential, cfg)
-    return WaveField(new_real, _half(new_real, field.imag_part, coeffs, u,
-                                     grid, potential, cfg))
+    """One full step: Propagator(grid, potential, cfg).step(field)."""
+    return Propagator(grid, potential, cfg).step(field)

@@ -103,11 +103,11 @@ def read_field_meta(path):
     return meta
 
 
-def read_field_dump(data_path, meta_path_):
+def read_field_dump(data_path, meta_path):
     """(WaveField, meta dict) reconstructed from a dump pair."""
-    meta = read_field_meta(meta_path_)
+    meta = read_field_meta(meta_path)
     if meta["layout_version"] != META_LAYOUT_VERSION:
-        raise RunIOError(f"unsupported layout version {meta['layout_version']}")
+        raise RunIOError(f"{meta_path}: unsupported layout version {meta['layout_version']}")
     nx, ny = meta["nx"], meta["ny"]
     shape = (nx,) if ny == 1 else (nx, ny)
     count = nx * ny

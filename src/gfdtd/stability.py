@@ -137,8 +137,6 @@ def amplification_roots(alpha):
     the unit circle exactly when |alpha| <= 2.
     """
     b = 2.0 - alpha * alpha
-    disc = complex(b * b - 4.0)
-    sq = np.sqrt(disc)
-    lambda1 = (b + sq) / 2.0
-    lambda2 = (b - sq) / 2.0
+    sq = np.sqrt(complex(b * b - 4.0))
+    lambda1, lambda2 = (b + sq) / 2.0, (b - sq) / 2.0
     return lambda1, lambda2, max(abs(lambda1), abs(lambda2))

@@ -18,8 +18,9 @@ each Horner term without a whole-plane pass.
 
 What depends only on the grid, the order and the Laplacian's scale (folded
 weights, slab bounds, the slices of every pair add and edge copy) is worked
-out once by the cached _plan; a call validates its planes, allocates its
-slab scratch and runs the loop.
+out once by the cached _plan.  _bind allocates the slab scratch, resolves each
+slab's views and returns the loop, which checks nothing: apply_b and
+apply_laplacian validate, bind and call, and the stepper binds B once (bind_b).
 """
 
 import functools
@@ -64,7 +65,7 @@ def axis_symbol(order, s):
 
 @functools.lru_cache(maxsize=64)
 def _plan(grid, order, scale, slab_bytes):
-    """What _apply needs that depends only on its arguments: the folded centre
+    """What _bind needs that depends only on its arguments: the folded centre
     weight, the scratch slab length, and per slab of leading-axis rows its row
     slice, row shape, flat bounds and one group per offset and folded pair
     weight.  A group holds the index of the buffer it sums into (out for the
@@ -110,57 +111,72 @@ def _plan(grid, order, scale, slab_bytes):
     return centre, rows * width, tuple(slabs)
 
 
-def _apply(component, v, grid, order, scale, hbar, out, add=None):
-    """out = scale * Laplacian(f) - (v/hbar) * f (+ a * src for add=(a, src))
-    over the slabs of _plan."""
+def _bind(v, grid, order, scale, hbar):
+    """call(f, out, a=0.0, src=None): out = scale * Laplacian(f) - (v/hbar) * f
+    (+ a * src when src is given) over the slabs of _plan, unchecked."""
     centre, length, slabs = _plan(grid, order, scale, _SLAB_BYTES)
+    scratch = np.empty((len(grid.shape), length))  # pair sums; one slab in 1-D
+    neg_inv_hbar = -1.0 / hbar   # finite: PhysicalParams rejects a smaller hbar
+    # a group of two axes (2-D only) also writes the last scratch slab
+    bound = [(rows, shape, lo, hi, groups, v[rows], scratch[0, :hi - lo],
+              scratch[-1, :hi - lo], scratch[0, :hi - lo].reshape(shape))
+             for rows, shape, lo, hi, groups in slabs]
+
+    def call(f, out, a=0.0, src=None):
+        flat, out_flat = f.reshape(-1), out.reshape(-1)
+        for rows, shape, lo, hi, groups, v_rows, p, s, p_rows in bound:
+            o = out_flat[lo:hi]
+            bufs = o, p, s
+            for into, w, terms in groups:
+                q = bufs[into]
+                for buf, left, right, part, edges, row_ends in terms:
+                    r = bufs[buf]
+                    np.add(flat[left], flat[right], out=r[part])
+                    for to, of in edges:
+                        r[to] = flat[of]
+                    for to, of in row_ends:
+                        r.reshape(shape)[:, to] = f[rows, of]
+                    if r is not q:
+                        q += r
+                q *= w
+                if into:
+                    o += q
+            np.multiply(v_rows, neg_inv_hbar, out=p_rows)
+            p += centre
+            p *= flat[lo:hi]
+            o += p
+            if src is not None:   # a * src; a = 1 needs no multiply
+                o_rows = o.reshape(shape)
+                o_rows += src[rows] if a == 1 else np.multiply(src[rows], a, out=p_rows)
+        return out
+
+    return call
+
+
+def _checked(call, component, grid, out, add=None):
+    """call(f, out, *add) once the planes pass the checks call skips."""
     f = np.ascontiguousarray(component, dtype=float)
-    if f.shape != v.shape:   # v was checked against the grid
-        _check_shape(f, grid, "component")
+    _check_shape(f, grid, "component")
     if out is None:
         out = np.empty_like(f)
     elif out.shape != f.shape or not out.flags.c_contiguous or np.may_share_memory(out, f):
         raise ConfigurationError("out must be a C-contiguous grid-shaped plane apart from the input")
-    if add is not None:
-        a, src = add
-        if src.shape != f.shape or np.may_share_memory(out, src):
-            raise ConfigurationError("add's source must be a grid-shaped plane apart from out")
-    flat, out_flat = f.reshape(-1), out.reshape(-1)
-    scratch = np.empty((len(grid.shape), length))  # pair sums; one slab in 1-D
-    neg_inv_hbar = -1.0 / hbar   # finite: PhysicalParams rejects a smaller hbar
-    for rows, shape, lo, hi, groups in slabs:
-        # a group of two axes (2-D only) also writes the last buffer
-        bufs = out_flat[lo:hi], scratch[0, :hi - lo], scratch[-1, :hi - lo]
-        o, p, _ = bufs
-        for into, w, terms in groups:
-            q = bufs[into]
-            for buf, left, right, part, edges, row_ends in terms:
-                r = bufs[buf]
-                np.add(flat[left], flat[right], out=r[part])
-                for to, of in edges:
-                    r[to] = flat[of]
-                for to, of in row_ends:
-                    r.reshape(shape)[:, to] = f[rows, of]
-                if r is not q:
-                    q += r
-            q *= w
-            if into:
-                o += q
-        p_rows = p.reshape(shape)
-        np.multiply(v[rows], neg_inv_hbar, out=p_rows)
-        p += centre
-        p *= flat[lo:hi]
-        o += p
-        if add is not None:   # a * src; a = 1 needs no multiply
-            o_rows = o.reshape(shape)
-            o_rows += src[rows] if a == 1 else np.multiply(src[rows], a, out=p_rows)
-    return out
+    if add is not None and (add[1].shape != f.shape or np.may_share_memory(out, add[1])):
+        raise ConfigurationError("add's source must be a grid-shaped plane apart from out")
+    return call(f, out, *(add or ()))
 
 
 def apply_laplacian(component, grid, order=StencilOrder.SECOND_ORDER, out=None):
     """(1/dx^2) d2x + (1/dy^2) d2y of one component (x term only in 1-D), in
     1/m^2; written to ``out`` when given, which must not overlap ``component``."""
-    return _apply(component, np.broadcast_to(0.0, grid.shape), grid, order, 1.0, 1.0, out)
+    return _checked(_bind(np.broadcast_to(0.0, grid.shape), grid, order, 1.0, 1.0),
+                    component, grid, out)
+
+
+def bind_b(grid, potential, physics, order=StencilOrder.SECOND_ORDER):
+    """apply_b's set-up done once: call(f, out, a=0.0, src=None) runs its loop unchecked."""
+    _check_shape(potential.values, grid, "potential")
+    return _bind(potential.values, grid, order, physics.hbar / (2.0 * physics.mass), physics.hbar)
 
 
 def apply_b(component, grid, potential, physics, order=StencilOrder.SECOND_ORDER,
@@ -169,9 +185,7 @@ def apply_b(component, grid, potential, physics, order=StencilOrder.SECOND_ORDER
     apply_laplacian.  With ``add=(a, src)`` it returns a * src + B f instead,
     the sum formed slab by slab; ``src`` is a grid-shaped plane that must not
     overlap ``out``."""
-    _check_shape(potential.values, grid, "potential")
-    return _apply(component, potential.values, grid, order,
-                  physics.hbar / (2.0 * physics.mass), physics.hbar, out, add)
+    return _checked(bind_b(grid, potential, physics, order), component, grid, out, add)
 
 
 def apply_b_power(component, power, grid, potential, physics,

@@ -63,7 +63,7 @@ RAISE_SITES = [
     ("config-json-array", lambda tmp: parse_config(json.dumps([1, 2])),
      ConfigurationError, "config document must be a JSON object"),
     ("dump-layout-version", lambda tmp: _dump(tmp, "layout_version = 1", "layout_version = 2"),
-     RunIOError, "unsupported layout version 2"),
+     RunIOError, r"field_0\.meta: unsupported layout version 2"),
     ("dump-truncated", lambda tmp: _dump(tmp, data_bytes=96),
      RunIOError, r"field_0\.f64: expected 72 doubles, found 12"),
 ]

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -227,7 +229,7 @@ def test_run_leaves_input_planes_untouched(reduced_grid, reduced_packet,
 
 def test_run_records_exact_norm_and_peak_density(reduced_grid, reduced_packet,
                                                 reduced_barrier, physics):
-    # _observe builds the density once; its norm and peak must be exactly
+    # run builds the density once; its norm and peak must be exactly
     # what fields.norm and a fresh real^2 + imag^2 give for the same field
     cfg = SchemeConfig.from_mu(2, StencilOrder.FOURTH_ORDER, 0.25, physics,
                                reduced_grid)
@@ -243,6 +245,22 @@ def test_run_records_exact_norm_and_peak_density(reduced_grid, reduced_packet,
     run(wf0, reduced_barrier, reduced_grid, cfg, steps=6, snapshot_every=2,
         on_snapshot=check)
     assert seen == [0, 2, 4, 6]
+
+
+def test_run_times_each_phase(reduced_grid, reduced_packet, reduced_barrier, physics):
+    # disjoint wall-time phases within the call; on_snapshot's time is its own
+    cfg = SchemeConfig.from_mu(2, StencilOrder.FOURTH_ORDER, 0.25, physics, reduced_grid)
+    wf0 = gaussian_packet_2d(reduced_packet, reduced_grid)
+    nap = 0.005
+    for on_snapshot, snapshot_s in ((None, 0.0), (lambda *_: time.sleep(nap), 3 * nap)):
+        start = time.perf_counter()
+        _, log = run(wf0, reduced_barrier, reduced_grid, cfg, steps=4, snapshot_every=2,
+                     on_snapshot=on_snapshot)
+        wall = time.perf_counter() - start
+        assert set(log.phase_s) == {"verdict", "step", "observe", "snapshot"}
+        assert all(seconds >= 0.0 for seconds in log.phase_s.values())
+        assert sum(log.phase_s.values()) <= wall
+        assert log.phase_s["snapshot"] >= snapshot_s
 
 
 def test_run_divergent_regime(reduced_grid, reduced_packet, reduced_barrier, physics):

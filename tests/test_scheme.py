@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from gfdtd import (ConfigurationError, GridSpec, PhysicalParams, PotentialField,
-                   SchemeConfig, StencilOrder, WaveField, apply_b, apply_laplacian, run,
-                   step, stencils)
+                   Propagator, SchemeConfig, StencilOrder, WaveField, apply_b,
+                   apply_laplacian, energy_expectation, run, step, stencils)
 
 from conftest import dense_b_matrix
 
@@ -275,6 +275,52 @@ def test_step_bit_identical_to_two_buffer_horner(rng, monkeypatch, N, grid, orde
         assert np.array_equal(wf.real_part, real) and np.array_equal(wf.imag_part, imag)
 
 
+@pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 1])
+@pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["1d", "2d", "2d-square", "2d-12x9-dx=dy"])
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
+def test_propagator_bit_identical_to_two_buffer_horner(rng, monkeypatch, N, grid, order,
+                                                       slab_bytes):
+    # one Propagator, B bound once, over 20 steps: the same oracle as step
+    monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
+    physics = PhysicalParams(mass=1.3, hbar=0.9)
+    potential = PotentialField(rng.uniform(0.0, 1.0, size=grid.shape))
+    cfg = make_cfg(N, 0.05, grid, physics, order)
+    propagator = Propagator(grid, potential, cfg)
+    wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
+    for _ in range(20):
+        real, imag = two_buffer_step(wf, potential, grid, cfg)
+        wf = propagator.step(wf)
+        assert np.array_equal(wf.real_part, real) and np.array_equal(wf.imag_part, imag)
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["1d", "2d", "2d-square", "2d-12x9-dx=dy"])
+def test_propagator_equals_repeated_step(rng, grid):
+    physics = PhysicalParams(mass=1.3, hbar=0.9)
+    potential = PotentialField(rng.uniform(0.0, 1.0, size=grid.shape))
+    cfg = make_cfg(2, 0.05, grid, physics, StencilOrder.FOURTH_ORDER)
+    propagator = Propagator(grid, potential, cfg)
+    bound = stepped = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
+    for _ in range(20):
+        bound, stepped = propagator.step(bound), step(stepped, potential, grid, cfg)
+    assert np.array_equal(bound.real_part, stepped.real_part)
+    assert np.array_equal(bound.imag_part, stepped.imag_part)
+
+
+@pytest.mark.parametrize("grid, shape", [(GridSpec(dims=1, nx=23, dx=0.7), (22,)),
+                                         (GridSpec(dims=1, nx=23, dx=0.7), (23, 1)),
+                                         (GridSpec(dims=2, nx=11, dx=0.7, ny=9, dy=1.1), (9, 11)),
+                                         (GridSpec(dims=2, nx=11, dx=0.7, ny=9, dy=1.1), (99,))])
+def test_propagator_rejects_misshapen_planes(grid, shape, unit_physics):
+    # a ConfigurationError naming the plane, never a numpy broadcast error
+    cfg = make_cfg(2, 0.05, grid, unit_physics, StencilOrder.FOURTH_ORDER)
+    with pytest.raises(ConfigurationError, match="potential shape"):
+        Propagator(grid, PotentialField(np.zeros(shape)), cfg)
+    propagator = Propagator(grid, PotentialField.zeros(grid), cfg)
+    with pytest.raises(ConfigurationError, match="field shape"):
+        propagator.step(WaveField(np.zeros(shape), np.zeros(shape)))
+
+
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
 @pytest.mark.parametrize("N", [0, 1, 2, 3])
 def test_leapfrog_conserves_q_exactly(rng, N, order, unit_physics):
@@ -316,3 +362,47 @@ def test_step_allocates_three_planes(rng, unit_physics):
                                           cfg.order, out=buf, add=(0.5, wf.imag_part)))
     peak = traced_peak(lambda: step(wf, potential, grid, cfg))
     assert peak <= 3 * buf.nbytes + scratch + 4096
+    propagator = Propagator(grid, potential, cfg)   # its slab scratch is held, not traced
+    assert traced_peak(lambda: propagator.step(wf)) <= 3 * buf.nbytes + 4096
+
+
+def test_run_keeps_no_plane_between_steps(rng, unit_physics):
+    # between steps only the field itself is alive next to the Propagator's
+    # slab scratch; within a step, the next field and one scratch plane join it
+    grid = GridSpec(dims=2, nx=200, dx=1.0, ny=200, dy=1.0)
+    potential = PotentialField(rng.uniform(0.0, 0.5, size=grid.shape))
+    cfg = make_cfg(2, 0.1, grid, unit_physics, StencilOrder.FOURTH_ORDER)
+    wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
+    plane, scratch = wf.real_part.nbytes, 2 * stencils._SLAB_BYTES   # x and y pair sums
+    small = plane // 5   # records, report, array headers: far below one more plane
+    run(wf, potential, grid, cfg, steps=1)   # plans cached before tracing
+    between = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, log = run(wf, potential, grid, cfg, steps=5, snapshot_every=1,
+                     on_snapshot=lambda *_: between.append(tracemalloc.get_traced_memory()[0]))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert not log.diverged and len(between) == 6
+    assert all(held - base <= 2 * plane + scratch + small for held in between)
+    assert peak <= 5 * plane + scratch + small
+
+
+def test_run_plans_stepping_once(rng, monkeypatch, unit_physics):
+    # B is bound once for the whole run, whatever its step count; the rest of
+    # the lookups are the observations' own, counted on one energy_expectation
+    grid = GridSpec(dims=2, nx=12, dx=0.7, ny=9, dy=0.7)
+    potential = PotentialField(rng.uniform(0.0, 0.5, size=grid.shape))
+    cfg = make_cfg(2, 0.05, grid, unit_physics, StencilOrder.FOURTH_ORDER)
+    wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
+    plan, calls = stencils._plan, []
+    monkeypatch.setattr(stencils, "_plan", lambda *args: calls.append(args) or plan(*args))
+    energy_expectation(wf, potential, grid, cfg.physics, cfg.order)
+    per_observation = len(calls)
+    for steps, every in ((20, 5), (4, 1)):   # five observations each
+        calls.clear()
+        _, log = run(wf, potential, grid, cfg, steps=steps, snapshot_every=every)
+        assert len(log.records) == 5
+        assert len(calls) == 1 + per_observation * len(log.records)
