@@ -15,7 +15,7 @@ from .errors import ConfigurationError, NonHermitianError
 from .fields import PotentialField, WaveField, density, norm, normalize
 from .scheme import Propagator
 from .stability import DEFAULT_THRESHOLD, wavenumber_scan
-from .stencils import StencilOrder, apply_b, axis_symbol
+from .stencils import StencilOrder, _checked, axis_symbol, bind_b
 
 # |value| exceeding this multiple of the initial max stops the run
 DIVERGENCE_FACTOR = 1.0e10
@@ -159,13 +159,13 @@ def energy_expectation(wf, potential, grid, physics, order=StencilOrder.FOURTH_O
     """<psi| -(hbar^2/2m) Laplacian + V |psi> in Joules.
 
     The Hamiltonian is H = -hbar B, so this takes two applications of B
-    and four dot products.  H is real and symmetric, so the imaginary
-    residual must vanish; above 1e-10 relative it raises
-    NonHermitianError."""
-    real, imag = wf.real_part, wf.imag_part
-    b = apply_b(real, grid, potential, physics, order)
+    and four dot products, both through one bind_b.  H is real and
+    symmetric, so the imaginary residual must vanish; above 1e-10 relative
+    it raises NonHermitianError."""
+    real, imag, bound = wf.real_part, wf.imag_part, bind_b(grid, potential, physics, order)
+    b = _checked(bound, real, grid, None)
     r_br, i_br = np.vdot(real, b), np.vdot(imag, b)
-    apply_b(imag, grid, potential, physics, order, out=b)
+    _checked(bound, imag, grid, b)
     r_bi, i_bi = np.vdot(real, b), np.vdot(imag, b)
     scale = -physics.hbar * grid.cell_volume
     real_part = float(r_br + i_bi) * scale

@@ -68,8 +68,9 @@ class SchemeConfig:
 class Propagator:
     """Steps fields of one grid under one potential and SchemeConfig, one at a
     time: B is bound once (stencils.bind_b, one slab scratch) and both half
-    steps' signed coefficients kept.  A misshapen potential or field raises
-    ConfigurationError."""
+    steps' signed coefficients kept.  V is read when B is bound, so the
+    potential must not change while the Propagator steps.  A misshapen
+    potential or field raises ConfigurationError."""
 
     __slots__ = ("_grid", "_b", "_real", "_imag")
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gfdtd import GridSpec, PhysicalParams, PotentialField
+from gfdtd import GridSpec, PhysicalParams, PotentialField, stencils
 
 
 @pytest.fixture
@@ -71,3 +71,26 @@ def dense_b_matrix(grid, potential, physics, order):
 @pytest.fixture
 def constant_potential(small_grid_2d):
     return PotentialField(np.full(small_grid_2d.shape, 0.3))
+
+
+def lopsided_bind_b(grid, potential, physics, order):
+    """A stand-in for stencils.bind_b whose B is not symmetric: each row (cell
+    in 1-D) also takes 1e20 times the one before it."""
+    bound = stencils.bind_b(grid, potential, physics, order)
+
+    def call(f, out, *add):
+        bound(f, out, *add)
+        out[1:] += 1e20 * f[:-1]
+        return out
+
+    return call
+
+
+def quadrant_barrier(grid, height=0.8):
+    """A barrier of the given height on the upper half of the leading axis
+    and the upper two thirds of the second, zero elsewhere: the rows before
+    it hold one level, the rows through it two (one in 1-D, a step)."""
+    values = np.zeros(grid.shape)
+    corner = (grid.nx // 2, (grid.ny or 0) // 3)[:grid.dims]
+    values[tuple(slice(i, None) for i in corner)] = height
+    return PotentialField(values)

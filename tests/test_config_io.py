@@ -13,6 +13,8 @@ from gfdtd import (ANGSTROM, EV, ConfigurationError, GridSpec, RunIOError, RunLo
                    read_field_dump, write_diagonal_snapshot, write_field_dump, write_runlog)
 from gfdtd.snapshots import read_field_meta
 
+from conftest import lopsided_bind_b
+
 
 def paper_scale_document():
     return {
@@ -641,14 +643,9 @@ def test_cli_run_rejects_rectangular_grid_before_writing(tmp_path):
 def test_cli_package_error_exit_two(tmp_path, monkeypatch, capsys):
     # an asymmetric stand-in for B makes energy_expectation raise
     # NonHermitianError at the first observation
-    from gfdtd import cli, scenarios, stencils
+    from gfdtd import cli, scenarios
 
-    def lopsided_b(component, grid, potential, physics, order, out=None):
-        out = stencils.apply_b(component, grid, potential, physics, order, out=out)
-        out[1:] += 1e20 * component[:-1]
-        return out
-
-    monkeypatch.setattr(scenarios, "apply_b", lopsided_b)
+    monkeypatch.setattr(scenarios, "bind_b", lopsided_bind_b)
     doc = reduced_document(run={"steps": 2, "out_dir": str(tmp_path / "out")})
     assert cli.main(["run", "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err

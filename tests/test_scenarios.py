@@ -10,6 +10,8 @@ from gfdtd import (ANGSTROM, EV, BarrierSpec, ConfigurationError,
                    energy_expectation, free_packet_1d, gaussian_packet_1d,
                    gaussian_packet_2d, norm, potential_bounds, run)
 
+from conftest import lopsided_bind_b
+
 
 @pytest.fixture
 def physics():
@@ -172,12 +174,7 @@ def test_energy_plane_wave_dispersion(physics):
 
 def test_energy_asymmetric_operator_raises_typed_error(monkeypatch, physics):
     # a non-symmetric stand-in for B leaves an imaginary residual in <H>
-    from gfdtd import scenarios, stencils
-
-    def lopsided_b(component, grid, potential, physics, order, out=None):
-        out = stencils.apply_b(component, grid, potential, physics, order, out=out)
-        out[1:] += 1e20 * component[:-1]
-        return out
+    from gfdtd import scenarios
 
     grid = GridSpec(dims=1, nx=200, dx=0.1 * ANGSTROM)
     spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=1.0 * ANGSTROM,
@@ -185,9 +182,25 @@ def test_energy_asymmetric_operator_raises_typed_error(monkeypatch, physics):
     wf = gaussian_packet_1d(spec, grid, physics)
     pot = PotentialField.zeros(grid)
     energy_expectation(wf, pot, grid, physics)
-    monkeypatch.setattr(scenarios, "apply_b", lopsided_b)
+    monkeypatch.setattr(scenarios, "bind_b", lopsided_bind_b)
     with pytest.raises(NonHermitianError):
         energy_expectation(wf, pot, grid, physics)
+
+
+def test_energy_expectation_binds_b_once(monkeypatch, physics):
+    # both applications of B share one bind_b: one plan lookup, one read of V
+    from gfdtd import stencils
+
+    grid = GridSpec(dims=2, nx=40, dx=0.2 * ANGSTROM, ny=40, dy=0.2 * ANGSTROM)
+    spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=2.0 * ANGSTROM,
+                              center_j=20, center_k=20)
+    wf = gaussian_packet_2d(spec, grid)
+    pot = barrier_potential(BarrierSpec(j_min=25, k_min=15, height=0.5 * EV), grid)
+    expected = energy_expectation(wf, pot, grid, physics)
+    plan, calls = stencils._plan, []
+    monkeypatch.setattr(stencils, "_plan", lambda *args: calls.append(args) or plan(*args))
+    assert energy_expectation(wf, pot, grid, physics) == expected
+    assert len(calls) == 1
 
 
 # --- run driver ---------------------------------------------------------------

@@ -8,7 +8,7 @@ from gfdtd import (ConfigurationError, GridSpec, PhysicalParams, PotentialField,
                    Propagator, SchemeConfig, StencilOrder, WaveField, apply_b,
                    apply_laplacian, energy_expectation, run, step, stencils)
 
-from conftest import dense_b_matrix
+from conftest import dense_b_matrix, quadrant_barrier
 
 
 def make_cfg(N, mu, grid, physics, order=StencilOrder.SECOND_ORDER):
@@ -275,16 +275,19 @@ def test_step_bit_identical_to_two_buffer_horner(rng, monkeypatch, N, grid, orde
         assert np.array_equal(wf.real_part, real) and np.array_equal(wf.imag_part, imag)
 
 
+@pytest.mark.parametrize("potential", ["uniform", "quadrant"])
 @pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 1])
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
 @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["1d", "2d", "2d-square", "2d-12x9-dx=dy"])
 @pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
 def test_propagator_bit_identical_to_two_buffer_horner(rng, monkeypatch, N, grid, order,
-                                                       slab_bytes):
-    # one Propagator, B bound once, over 20 steps: the same oracle as step
+                                                       slab_bytes, potential):
+    # one Propagator, B bound once, over 20 steps: the same oracle as step;
+    # under the quadrant barrier the rows before it take the scalar diagonal
     monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
     physics = PhysicalParams(mass=1.3, hbar=0.9)
-    potential = PotentialField(rng.uniform(0.0, 1.0, size=grid.shape))
+    potential = (PotentialField(rng.uniform(0.0, 1.0, size=grid.shape))
+                 if potential == "uniform" else quadrant_barrier(grid))
     cfg = make_cfg(N, 0.05, grid, physics, order)
     propagator = Propagator(grid, potential, cfg)
     wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))

@@ -7,7 +7,7 @@ from gfdtd import (ConfigurationError, GridSpec, PhysicalParams, PotentialField,
                    StencilOrder, apply_b, apply_b_power, apply_laplacian, stencils)
 from gfdtd.stencils import axis_symbol
 
-from conftest import dense_b_matrix, dense_laplacian_matrix
+from conftest import dense_b_matrix, dense_laplacian_matrix, quadrant_barrier
 
 
 def plane_wave(grid, beta_x, beta_y=None):
@@ -149,6 +149,19 @@ def test_apply_b_power_one_equals_apply_b(rng, small_grid_2d, constant_potential
     assert np.array_equal(direct, powered)
 
 
+def test_apply_b_power_binds_b_once(rng, monkeypatch, small_grid_2d, unit_physics):
+    # one bind_b serves every application, with apply_b's bits
+    potential = PotentialField(rng.uniform(0.0, 1.0, size=small_grid_2d.shape))
+    f = rng.normal(size=small_grid_2d.shape)
+    expected = f
+    for _ in range(5):
+        expected = apply_b(expected, small_grid_2d, potential, unit_physics)
+    plan, calls = stencils._plan, []
+    monkeypatch.setattr(stencils, "_plan", lambda *args: calls.append(args) or plan(*args))
+    assert np.array_equal(apply_b_power(f, 5, small_grid_2d, potential, unit_physics), expected)
+    assert len(calls) == 1
+
+
 def test_apply_b_power_zero_field(small_grid_2d, constant_potential, unit_physics):
     out = apply_b_power(np.zeros(small_grid_2d.shape), 5, small_grid_2d,
                         constant_potential, unit_physics)
@@ -247,19 +260,54 @@ def test_b_exactly_transpose_symmetric(rng, order, unit_physics):
     assert np.array_equal(apply_laplacian(f.T, grid, order), apply_laplacian(f, grid, order).T)
 
 
+def row_step(grid):
+    values = np.zeros(grid.shape)
+    values[grid.nx // 3:] = 0.6
+    return PotentialField(values)
+
+
+def signed_zeros(grid):
+    values = np.zeros(grid.shape)
+    values.reshape(-1)[::2] = -0.0
+    return PotentialField(values)
+
+
+# potentials by name; all but the random one hold one level per row
+ROW_SLAB_POTENTIALS = {
+    "random": lambda grid, rng: PotentialField(rng.uniform(0.0, 1.0, size=grid.shape)),
+    "quadrant": lambda grid, rng: quadrant_barrier(grid),
+    "row-step": lambda grid, rng: row_step(grid),
+    "level": lambda grid, rng: PotentialField(np.full(grid.shape, 0.7)),
+    "well": lambda grid, rng: PotentialField(np.full(grid.shape, -0.4)),
+    "signed-zeros": lambda grid, rng: signed_zeros(grid),
+}
+
+
+@pytest.mark.parametrize("potential", ROW_SLAB_POTENTIALS)
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
 @pytest.mark.parametrize("grid", [GridSpec(dims=1, nx=23, dx=0.7),
                                   GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=1.1),
                                   GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=0.7)])
-def test_row_slabs_do_not_change_a_bit(rng, monkeypatch, grid, order, unit_physics):
+def test_row_slabs_do_not_change_a_bit(rng, monkeypatch, grid, order, potential):
     # whole plane in one slab versus the thinnest slabs, the last of which
-    # overlaps its neighbour
-    potential = PotentialField(rng.uniform(0.0, 1.0, size=grid.shape))
+    # overlaps its neighbour.  A slab where V holds one level takes the scalar
+    # diagonal, any other the general one, so one-row slabs (one cell in 1-D)
+    # take the scalar form wherever a row has one level.  The last cell set to
+    # a new level puts the whole plane in the general form; the diagonal is
+    # local, so every other cell of that plane must keep its bits as well.
+    # 1/hbar is inexact, so a scalar rounded otherwise than v * (-1/hbar) shows
+    physics = PhysicalParams(mass=1.3, hbar=0.9)
+    potential = ROW_SLAB_POTENTIALS[potential](grid, rng)
+    mixed = potential.values.copy()
+    mixed.reshape(-1)[-1] = 2.5
     f = rng.normal(size=grid.shape)
-    whole_b = apply_b(f, grid, potential, unit_physics, order)
+    whole_b = apply_b(f, grid, potential, physics, order)
+    general_b = apply_b(f, grid, PotentialField(mixed), physics, order).reshape(-1)[:-1]
     whole_lap = apply_laplacian(f, grid, order)
     monkeypatch.setattr(stencils, "_SLAB_BYTES", 1)
-    assert np.array_equal(apply_b(f, grid, potential, unit_physics, order), whole_b)
+    thin_b = apply_b(f, grid, potential, physics, order)
+    assert np.array_equal(thin_b, whole_b)
+    assert np.array_equal(thin_b.reshape(-1)[:-1], general_b)
     assert np.array_equal(apply_laplacian(f, grid, order), whole_lap)
 
 
@@ -275,20 +323,24 @@ DENSE_ORACLE_GRIDS = [
 ]
 
 
+@pytest.mark.parametrize("potential", ["uniform", "quadrant"])
 @pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 1])
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
 @pytest.mark.parametrize("grid, grouped", DENSE_ORACLE_GRIDS,
                          ids=["7x9-rectangular", "11x11", "12x9", "12x9-dy-one-ulp-off"])
-def test_operators_match_dense_oracle(rng, monkeypatch, grid, grouped, order, slab_bytes):
+def test_operators_match_dense_oracle(rng, monkeypatch, grid, grouped, order, slab_bytes,
+                                      potential):
     # one-row slabs exercise every flat-range clamp and the edge and row-end
-    # copies of both members of a group
+    # copies of both members of a group; under the quadrant barrier the rows
+    # before it take the scalar diagonal
     monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
     physics = PhysicalParams(mass=1.3, hbar=0.9)
     scale = physics.hbar / (2.0 * physics.mass)
     for _, _, _, _, groups in stencils._plan(grid, order, scale, slab_bytes)[2]:
         assert [len(terms) for _, _, terms in groups] == (
             [2] * order.halo if grouped else [1] * (2 * order.halo))
-    potential = PotentialField(rng.uniform(-1.0, 1.0, size=grid.shape))
+    potential = (PotentialField(rng.uniform(-1.0, 1.0, size=grid.shape))
+                 if potential == "uniform" else quadrant_barrier(grid))
     f = rng.normal(size=grid.shape)
     cases = [(dense_b_matrix(grid, potential, physics, order),
               apply_b(f, grid, potential, physics, order)),
