@@ -108,6 +108,8 @@ class WaveField:
     def __post_init__(self):
         if self.real_part.shape != self.imag_part.shape:
             raise ConfigurationError("real_part and imag_part shapes differ")
+        if np.iscomplexobj(self.real_part) or np.iscomplexobj(self.imag_part):
+            raise ConfigurationError("real_part and imag_part must be real planes")
 
     @classmethod
     def zeros(cls, grid):
@@ -121,12 +123,16 @@ class WaveField:
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Time-independent potential energy per grid point, in Joules."""
+    """Time-independent potential energy per grid point, in Joules.  values is
+    a read-only view of the given array, not a copy: a bound B reads V once."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.values).all():
+        values = np.asarray(self.values).view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        if not np.isfinite(values).all():
             raise ConfigurationError("potential contains non-finite values")
 
     @classmethod

@@ -208,7 +208,10 @@ def run(wf, potential, grid, cfg, steps, snapshot_every=0, on_snapshot=None,
     times the initial max stops the run and is logged as divergence_step
     instead of raising.  log.phase_s holds each phase's wall seconds.
     Returns (final_field, RunLog), final_field being the last one under the limit.
+    A negative ``steps`` or ``snapshot_every`` raises ConfigurationError.
     """
+    if steps < 0 or snapshot_every < 0:
+        raise ConfigurationError(f"steps {steps} and snapshot_every {snapshot_every} must be >= 0")
     clock, log = time.perf_counter, RunLog()
     start = clock()
     v_min, v_max = potential.bounds()

@@ -13,7 +13,7 @@ A half step writes old ± H source straight into the new field's plane.  H
 source is evaluated in Horner form, B(c_0 f - B^2(c_1 f - B^2(c_2 f ...))),
 as 2N+1 applications of B that alternate between the new plane and one
 scratch plane shared by both half steps; each c_p f term, and at the end
-the old plane, is added inside B's slab loop (apply_b's add=).  The real
+the old plane, is added inside B's slab loop (the bound B's a, src).  The real
 update runs on negated coefficients: B is odd in its input and
 a - x is a + (-x) in IEEE arithmetic, so both updates share one code path.
 A Propagator binds B once (stencils.bind_b) and checks each step's field;

@@ -4,28 +4,27 @@ apply_laplacian is the 3-point (second-order) or 5-point (fourth-order)
 central Laplacian; apply_b is the generator B = (hbar/2m) Laplacian - V/hbar
 of the time stepper.  Both run one loop over slabs of rows that writes
 straight into the output, so only the out slab and two scratch slabs sit in
-L2.  Per offset d it sums the pairs f[i-d] + f[i+d] of each axis at flat
-offsets of the input (a neighbour past the edge is dropped: the truncated
-matrix).  Axes whose folded weights w_d/h^2 are equal, x and y where dx = dy,
-form one group: their pair sums are added, scaled once and accumulated into
-out.  Otherwise each axis is a group of its own.  Then comes the diagonal
-term, V times -1/hbar plus the centre weight, times f; where V holds one
-level over the slab's rows, that factor is one scalar worked out when B is
-bound, which saves two passes.  At fourth order with add= and a != 1, a slab
-of a square grid takes 15 numpy passes (13 at one level of V); with dx != dy
-it takes 17 (15), one scale per axis and offset.  x + y is commutative,
-so on a square grid with V = V.T, B f.T is exactly (B f).T.  apply_b's
-add=(a, src) adds a * src in the same slab, which is how the stepper forms
-each Horner term without a whole-plane pass.
+L2.  Per offset d it sums the pairs f[i-d] + f[i+d] of each axis into scratch
+at flat offsets of the input (a neighbour past the edge is dropped: the
+truncated matrix).  Axes whose folded weights w_d/h^2 are equal, x and y
+where dx = dy, form one group: their pair sums are added and scaled once,
+the first group's into out, every later one's accumulated into it.
+Otherwise each axis is a group of its own.  Then comes the diagonal term, V
+times -1/hbar plus the centre weight, times f; where V holds one level over
+the slab's rows, that factor is one scalar worked out when B is bound, which
+saves two passes.  At fourth order with a source term and a != 1, a slab of
+a square grid takes 15 numpy passes (13 at one level of V); with dx != dy it
+takes 17 (15), one scale per axis and offset.  x + y is commutative, so on a
+square grid with V = V.T, B f.T is exactly (B f).T.
 
-What depends only on the grid, the order and the Laplacian's scale (folded
-weights, slab bounds, the slices of every pair add and edge copy) is worked
-out once by the cached _plan.  _bind allocates the slab scratch, resolves each
-slab's views and returns the loop, which checks nothing: apply_b and
-apply_laplacian validate, bind and call, and the stepper binds B once (bind_b).
+_bind sets B up: it allocates the slab scratch, reads V and makes every
+slice and view of each slab once, then returns the loop, which checks
+nothing.  Its call(f, out, a, src) adds a * src in the same slab, which is
+how the stepper forms each Horner term without a whole-plane pass.
+apply_b and apply_laplacian validate, bind and call; the stepper binds B
+once (bind_b).
 """
 
-import functools
 from enum import Enum
 
 import numpy as np
@@ -65,90 +64,73 @@ def axis_symbol(order, s):
     return k
 
 
-@functools.lru_cache(maxsize=64)
-def _plan(grid, order, scale, slab_bytes):
-    """What _bind needs that depends only on its arguments: the folded centre
-    weight, the scratch slab length, and per slab of leading-axis rows its row
-    slice, row shape, flat bounds and one group per offset and folded pair
-    weight.  A group holds the index of the buffer it sums into (out for the
-    first group, else the first scratch slab), its weight, and per member axis
-    the buffer its pair sum goes to (the group's, then the next ones), the
-    slices of its pair add and of its edge copies, and the column slices of
-    its row-end copies.  Slices, ints, floats and tuples only: every caller
-    shares the result."""
-    weights, (n, width) = _WEIGHTS[order], (*grid.shape, 1)[:2]   # rows, row length
-    rows = min(n, max(1, slab_bytes // (8 * width)))
-    centre = scale * weights[0] * sum(h ** -2 for h in grid.spacing)
-    # (offset, folded weight) -> (flat offset, row-end columns) per member axis;
-    # the axes share a group where their weights are equal (dx = dy)
-    offsets = {}
-    for axis, (stride, h) in enumerate(zip((width, 1), grid.spacing)):
-        for d, w in enumerate(weights[1:], 1):
-            # along y the d end cells of each row keep their in-range neighbour
-            row_ends = () if axis == 0 else ((slice(0, d), slice(d, 2 * d)),
-                                             (slice(-d, None), slice(-2 * d, -d)))
-            offsets.setdefault((d, scale * w / h ** 2), []).append((d * stride, row_ends))
-    slabs = []
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        lo, hi = start * width, stop * width
-        groups = []
-        for (_, w), members in offsets.items():
-            into, terms = 1 if groups else 0, []
-            for j, (s, row_ends) in enumerate(members):
-                # q = f[i-s] + f[i+s] at flat offsets; cells in [lo, a) lack the
-                # neighbour before (first rows), cells in [b, hi) the one after
-                a = min(max(lo, s), hi)
-                b = max(min(hi, n * width - s), a)
-                edges = []
-                if a > lo:
-                    edges.append((slice(0, a - lo), slice(lo + s, a + s)))
-                if b < hi:
-                    edges.append((slice(b - lo, hi - lo), slice(b - s, hi - s)))
-                terms.append((into + j, slice(a - s, b - s), slice(a + s, b + s),
-                              slice(a - lo, b - lo), tuple(edges), row_ends))
-            groups.append((into, w, tuple(terms)))
-        slabs.append((slice(start, stop), (stop - start, *grid.shape[1:]), lo, hi,
-                      tuple(groups)))
-    return centre, rows * width, tuple(slabs)
+def _groups(grid, order, scale):
+    """Per offset d and folded pair weight scale * w_d / h^2, the axes whose
+    pair sums share it: x and y where dx = dy, else one axis each."""
+    groups = {}
+    for axis, h in enumerate(grid.spacing):
+        for d, w in enumerate(_WEIGHTS[order][1:], 1):
+            groups.setdefault((d, scale * w / h ** 2), []).append(axis)
+    return groups
 
 
 def _bind(v, grid, order, scale, hbar):
     """call(f, out, a=0.0, src=None): out = scale * Laplacian(f) - (v/hbar) * f
-    (+ a * src when src is given) over the slabs of _plan, unchecked."""
-    centre, length, slabs = _plan(grid, order, scale, _SLAB_BYTES)
-    scratch = np.empty((len(grid.shape), length))  # pair sums; one slab in 1-D
+    (+ a * src when src is given), unchecked; every slice and view it uses
+    is made here, once per slab of leading-axis rows."""
+    n, width = (*grid.shape, 1)[:2]   # rows, row length
+    rows = min(n, max(1, _SLAB_BYTES // (8 * width)))
+    centre = scale * _WEIGHTS[order][0] * sum(h ** -2 for h in grid.spacing)
+    grouping = _groups(grid, order, scale)
+    scratch = np.empty((len(grid.shape), rows * width))   # pair sums; one slab in 1-D
     neg_inv_hbar = -1.0 / hbar   # finite: PhysicalParams rejects a smaller hbar
-    bound = []
-    for rows, shape, lo, hi, groups in slabs:
+    slabs = []
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        lo, hi, part = start * width, stop * width, slice(start, stop)
+        bufs = scratch[:, :hi - lo]   # a group's first axis sums into p, its second into s
+        groups = []
+        for (d, w), axes in grouping.items():
+            terms = []
+            for r, axis in zip(bufs, axes):
+                # r = f[i-k] + f[i+k] at flat offsets; cells in [lo, a) lack the
+                # neighbour before (first rows), cells in [b, hi) the one after
+                r_rows, k = r.reshape(stop - start, *grid.shape[1:]), d * (width, 1)[axis]
+                a = min(max(lo, k), hi)
+                b = max(min(hi, n * width - k), a)
+                if axis:   # the d end cells of each row, which include [lo, a) and [b, hi)
+                    copies = [(r_rows[:, :d], (part, slice(d, 2 * d))),
+                              (r_rows[:, -d:], (part, slice(-2 * d, -d)))]
+                else:      # whole rows: each keeps its one neighbour d rows away
+                    copies = [(to, of) for to, of in (
+                        (r_rows[:a // width - start], slice(start + d, a // width + d)),
+                        (r_rows[b // width - start:], slice(b // width - d, stop - d)))
+                        if to.size]
+                terms.append((slice(a - k, b - k), slice(a + k, b + k), r[a - lo:b - lo], copies))
+            groups.append((w, terms))
         # V read once: where the slab holds one level, its diagonal is the scalar
         # the general form's two operations give every element of p; else None
-        v_rows = v[rows]
+        v_rows, p = v[part], bufs[0]
         low = v_rows.min()
         diag = float(low * neg_inv_hbar) + centre if low == v_rows.max() else None
-        # a group of two axes (2-D only) also writes the last scratch slab
-        bound.append((rows, shape, lo, hi, groups, v_rows, diag, scratch[0, :hi - lo],
-                      scratch[-1, :hi - lo], scratch[0, :hi - lo].reshape(shape)))
+        slabs.append((part, lo, hi, groups, p, bufs[-1], p.reshape(v_rows.shape), v_rows, diag))
 
     def call(f, out, a=0.0, src=None):
         flat, out_flat = f.reshape(-1), out.reshape(-1)
-        for rows, shape, lo, hi, groups, v_rows, diag, p, s, p_rows in bound:
+        for part, lo, hi, groups, p, s, p_rows, v_rows, diag in slabs:
             o = out_flat[lo:hi]
-            bufs = o, p, s
-            for into, w, terms in groups:
-                q = bufs[into]
-                for buf, left, right, part, edges, row_ends in terms:
-                    r = bufs[buf]
-                    np.add(flat[left], flat[right], out=r[part])
-                    for to, of in edges:
-                        r[to] = flat[of]
-                    for to, of in row_ends:
-                        r.reshape(shape)[:, to] = f[rows, of]
-                    if r is not q:
-                        q += r
-                q *= w
-                if into:
-                    o += q
+            for i, (w, terms) in enumerate(groups):
+                for left, right, pair, copies in terms:
+                    np.add(flat[left], flat[right], out=pair)
+                    for to, of in copies:
+                        to[...] = f[of]
+                if len(terms) > 1:   # x + y, then the one scale they share
+                    p += s
+                if i:
+                    p *= w
+                    o += p
+                else:
+                    np.multiply(p, w, out=o)
             if diag is None:
                 np.multiply(v_rows, neg_inv_hbar, out=p_rows)
                 p += centre
@@ -157,24 +139,24 @@ def _bind(v, grid, order, scale, hbar):
                 np.multiply(flat[lo:hi], diag, out=p)
             o += p
             if src is not None:   # a * src; a = 1 needs no multiply
-                o_rows = o.reshape(shape)
-                o_rows += src[rows] if a == 1 else np.multiply(src[rows], a, out=p_rows)
+                o_rows = out[part]
+                o_rows += src[part] if a == 1 else np.multiply(src[part], a, out=p_rows)
         return out
 
     return call
 
 
-def _checked(call, component, grid, out, add=None):
-    """call(f, out, *add) once the planes pass the checks call skips."""
+def _checked(call, component, grid, out):
+    """call(f, out) once the planes pass the checks call skips."""
+    if np.iscomplexobj(component):
+        raise ConfigurationError("component must be real: split a complex field into two planes")
     f = np.ascontiguousarray(component, dtype=float)
     _check_shape(f, grid, "component")
     if out is None:
         out = np.empty_like(f)
     elif out.shape != f.shape or not out.flags.c_contiguous or np.may_share_memory(out, f):
         raise ConfigurationError("out must be a C-contiguous grid-shaped plane apart from the input")
-    if add is not None and (add[1].shape != f.shape or np.may_share_memory(out, add[1])):
-        raise ConfigurationError("add's source must be a grid-shaped plane apart from out")
-    return call(f, out, *(add or ()))
+    return call(f, out)
 
 
 def apply_laplacian(component, grid, order=StencilOrder.SECOND_ORDER, out=None):
@@ -185,19 +167,17 @@ def apply_laplacian(component, grid, order=StencilOrder.SECOND_ORDER, out=None):
 
 
 def bind_b(grid, potential, physics, order=StencilOrder.SECOND_ORDER):
-    """apply_b's set-up done once, V read now (it must not change while call is
-    in use): call(f, out, a=0.0, src=None) runs its loop unchecked."""
+    """apply_b's set-up done once, V read now: call(f, out, a=0.0, src=None)
+    runs its loop unchecked and returns out = B f (+ a * src when src is
+    given; src must not overlap out)."""
     _check_shape(potential.values, grid, "potential")
     return _bind(potential.values, grid, order, physics.hbar / (2.0 * physics.mass), physics.hbar)
 
 
-def apply_b(component, grid, potential, physics, order=StencilOrder.SECOND_ORDER,
-            out=None, add=None):
+def apply_b(component, grid, potential, physics, order=StencilOrder.SECOND_ORDER, out=None):
     """B f = (hbar/2m) Laplacian(f) - (V/hbar) f in 1/s; ``out`` as in
-    apply_laplacian.  With ``add=(a, src)`` it returns a * src + B f instead,
-    the sum formed slab by slab; ``src`` is a grid-shaped plane that must not
-    overlap ``out``."""
-    return _checked(bind_b(grid, potential, physics, order), component, grid, out, add)
+    apply_laplacian."""
+    return _checked(bind_b(grid, potential, physics, order), component, grid, out)
 
 
 def apply_b_power(component, power, grid, potential, physics,
@@ -206,7 +186,7 @@ def apply_b_power(component, power, grid, potential, physics,
     of the Dirichlet-truncated operator, B bound once for all of them."""
     if power < 1 or power % 2 == 0:
         raise ConfigurationError(f"power must be odd and positive, got {power}")
-    out, bound = np.asarray(component, dtype=float), bind_b(grid, potential, physics, order)
+    out, bound = component, bind_b(grid, potential, physics, order)
     for _ in range(power):
         out = _checked(bound, out, grid, None)
     return out

@@ -11,8 +11,9 @@ import pytest
 
 import gfdtd
 from gfdtd import (BarrierSpec, ConfigurationError, GaussianPacketSpec, GridSpec,
-                   PhysicalParams, PotentialField, RunIOError, WaveField, errors,
-                   free_packet_1d, gaussian_packet_2d, parse_config, read_field_dump,
+                   PhysicalParams, PotentialField, RunIOError, SchemeConfig, StencilOrder,
+                   WaveField, apply_b, apply_laplacian, errors, free_packet_1d,
+                   gaussian_packet_2d, parse_config, read_field_dump, run,
                    write_field_dump)
 
 MODULES = sorted(Path(gfdtd.__file__).parent.glob("*.py"))
@@ -32,6 +33,13 @@ def _dump(tmp_path, meta_old=None, meta_new=None, data_bytes=None):
     return read_field_dump(dpath, mpath)
 
 
+def _run(steps, snapshot_every):
+    """run() on a zero 1-D field with the given counts."""
+    cfg = SchemeConfig.from_mu(0, StencilOrder.SECOND_ORDER, 0.1, PhysicalParams(), GRID_1D)
+    return run(WaveField.zeros(GRID_1D), PotentialField.zeros(GRID_1D), GRID_1D, cfg,
+               steps=steps, snapshot_every=snapshot_every)
+
+
 RAISE_SITES = [
     ("grid-dx", lambda tmp: GridSpec(dims=1, nx=6, dx=0.0),
      ConfigurationError, "dx must be positive"),
@@ -43,6 +51,21 @@ RAISE_SITES = [
      ConfigurationError, "hbar must be positive"),
     ("wavefield-shapes", lambda tmp: WaveField(np.zeros(6), np.zeros(5)),
      ConfigurationError, "real_part and imag_part shapes differ"),
+    # a complex plane would lose its imaginary part to the float conversion
+    ("wavefield-complex-real", lambda tmp: WaveField(np.ones(6) * (1 + 2j), np.zeros(6)),
+     ConfigurationError, "real_part and imag_part must be real planes"),
+    ("wavefield-complex-imag", lambda tmp: WaveField(np.zeros(6), np.ones(6) * 1j),
+     ConfigurationError, "real_part and imag_part must be real planes"),
+    ("apply-b-complex", lambda tmp: apply_b(np.ones(6) * (1 + 2j), GRID_1D,
+                                            PotentialField.zeros(GRID_1D), PhysicalParams()),
+     ConfigurationError, "component must be real"),
+    ("laplacian-complex", lambda tmp: apply_laplacian(np.ones(6) * (1 + 2j), GRID_1D),
+     ConfigurationError, "component must be real"),
+    # a negative count would log no record, not even step 0's
+    ("run-negative-steps", lambda tmp: _run(-3, 0),
+     ConfigurationError, "steps -3 and snapshot_every 0 must be >= 0"),
+    ("run-negative-snapshot-every", lambda tmp: _run(5, -1),
+     ConfigurationError, "steps 5 and snapshot_every -1 must be >= 0"),
     ("potential-nan", lambda tmp: PotentialField(np.array([0.0, np.nan])),
      ConfigurationError, "potential contains non-finite values"),
     ("potential-inf", lambda tmp: PotentialField(np.array([np.inf, 0.0])),

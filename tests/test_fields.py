@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gfdtd import (ANGSTROM, ConfigurationError, DegenerateFieldError,
-                   GaussianPacketSpec, GridSpec, PhysicalParams, WaveField,
+                   GaussianPacketSpec, GridSpec, PhysicalParams, PotentialField, WaveField,
                    gaussian_packet_2d, norm, normalize)
 
 
@@ -148,3 +148,13 @@ def test_max_abs_allocates_no_plane():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_potential_values_are_a_read_only_view_of_the_input():
+    # no copy, so no second plane; a write would change a bound B on some rows only
+    given = np.zeros((6, 5))
+    potential = PotentialField(given)
+    assert np.shares_memory(potential.values, given)
+    with pytest.raises(ValueError):
+        potential.values[0, 0] = 1.0
+    assert given.flags.writeable

@@ -188,7 +188,7 @@ def test_energy_asymmetric_operator_raises_typed_error(monkeypatch, physics):
 
 
 def test_energy_expectation_binds_b_once(monkeypatch, physics):
-    # both applications of B share one bind_b: one plan lookup, one read of V
+    # both applications of B share one bind_b: one set-up, one read of V
     from gfdtd import stencils
 
     grid = GridSpec(dims=2, nx=40, dx=0.2 * ANGSTROM, ny=40, dy=0.2 * ANGSTROM)
@@ -197,8 +197,8 @@ def test_energy_expectation_binds_b_once(monkeypatch, physics):
     wf = gaussian_packet_2d(spec, grid)
     pot = barrier_potential(BarrierSpec(j_min=25, k_min=15, height=0.5 * EV), grid)
     expected = energy_expectation(wf, pot, grid, physics)
-    plan, calls = stencils._plan, []
-    monkeypatch.setattr(stencils, "_plan", lambda *args: calls.append(args) or plan(*args))
+    bind, calls = stencils._bind, []
+    monkeypatch.setattr(stencils, "_bind", lambda *args: calls.append(args) or bind(*args))
     assert energy_expectation(wf, pot, grid, physics) == expected
     assert len(calls) == 1
 

@@ -344,13 +344,13 @@ def test_leapfrog_conserves_q_exactly(rng, N, order, unit_physics):
 
 def test_step_allocates_three_planes(rng, unit_physics):
     # the two planes of the new field and one scratch plane shared by both
-    # half steps, next to apply_b's own slab scratch and a few small objects
+    # half steps, next to the bound B's own slab scratch and a few small objects
     grid = GridSpec(dims=2, nx=200, dx=1.0, ny=200, dy=1.0)
     potential = PotentialField(rng.uniform(0.0, 0.5, size=grid.shape))
     cfg = make_cfg(2, 0.1, grid, unit_physics, StencilOrder.FOURTH_ORDER)
     wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
     buf = np.empty(grid.shape)
-    step(wf, potential, grid, cfg)   # plans cached before tracing
+    step(wf, potential, grid, cfg)   # warm-up before tracing
 
     def traced_peak(fn):
         tracemalloc.start()
@@ -361,8 +361,8 @@ def test_step_allocates_three_planes(rng, unit_physics):
         finally:
             tracemalloc.stop()
 
-    scratch = traced_peak(lambda: apply_b(wf.real_part, grid, potential, cfg.physics,
-                                          cfg.order, out=buf, add=(0.5, wf.imag_part)))
+    scratch = traced_peak(lambda: stencils.bind_b(grid, potential, cfg.physics, cfg.order)(
+        wf.real_part, buf, 0.5, wf.imag_part))
     peak = traced_peak(lambda: step(wf, potential, grid, cfg))
     assert peak <= 3 * buf.nbytes + scratch + 4096
     propagator = Propagator(grid, potential, cfg)   # its slab scratch is held, not traced
@@ -378,7 +378,7 @@ def test_run_keeps_no_plane_between_steps(rng, unit_physics):
     wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
     plane, scratch = wf.real_part.nbytes, 2 * stencils._SLAB_BYTES   # x and y pair sums
     small = plane // 5   # records, report, array headers: far below one more plane
-    run(wf, potential, grid, cfg, steps=1)   # plans cached before tracing
+    run(wf, potential, grid, cfg, steps=1)   # warm-up before tracing
     between = []
     tracemalloc.start()
     try:
@@ -393,15 +393,15 @@ def test_run_keeps_no_plane_between_steps(rng, unit_physics):
     assert peak <= 5 * plane + scratch + small
 
 
-def test_run_plans_stepping_once(rng, monkeypatch, unit_physics):
+def test_run_binds_b_once_for_stepping(rng, monkeypatch, unit_physics):
     # B is bound once for the whole run, whatever its step count; the rest of
-    # the lookups are the observations' own, counted on one energy_expectation
+    # the binds are the observations' own, counted on one energy_expectation
     grid = GridSpec(dims=2, nx=12, dx=0.7, ny=9, dy=0.7)
     potential = PotentialField(rng.uniform(0.0, 0.5, size=grid.shape))
     cfg = make_cfg(2, 0.05, grid, unit_physics, StencilOrder.FOURTH_ORDER)
     wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
-    plan, calls = stencils._plan, []
-    monkeypatch.setattr(stencils, "_plan", lambda *args: calls.append(args) or plan(*args))
+    bind, calls = stencils._bind, []
+    monkeypatch.setattr(stencils, "_bind", lambda *args: calls.append(args) or bind(*args))
     energy_expectation(wf, potential, grid, cfg.physics, cfg.order)
     per_observation = len(calls)
     for steps, every in ((20, 5), (4, 1)):   # five observations each

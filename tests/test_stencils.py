@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfdtd import (ConfigurationError, GridSpec, PhysicalParams, PotentialField,
                    StencilOrder, apply_b, apply_b_power, apply_laplacian, stencils)
@@ -156,8 +157,8 @@ def test_apply_b_power_binds_b_once(rng, monkeypatch, small_grid_2d, unit_physic
     expected = f
     for _ in range(5):
         expected = apply_b(expected, small_grid_2d, potential, unit_physics)
-    plan, calls = stencils._plan, []
-    monkeypatch.setattr(stencils, "_plan", lambda *args: calls.append(args) or plan(*args))
+    bind, calls = stencils._bind, []
+    monkeypatch.setattr(stencils, "_bind", lambda *args: calls.append(args) or bind(*args))
     assert np.array_equal(apply_b_power(f, 5, small_grid_2d, potential, unit_physics), expected)
     assert len(calls) == 1
 
@@ -336,9 +337,8 @@ def test_operators_match_dense_oracle(rng, monkeypatch, grid, grouped, order, sl
     monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
     physics = PhysicalParams(mass=1.3, hbar=0.9)
     scale = physics.hbar / (2.0 * physics.mass)
-    for _, _, _, _, groups in stencils._plan(grid, order, scale, slab_bytes)[2]:
-        assert [len(terms) for _, _, terms in groups] == (
-            [2] * order.halo if grouped else [1] * (2 * order.halo))
+    assert [len(axes) for axes in stencils._groups(grid, order, scale).values()] == (
+        [2] * order.halo if grouped else [1] * (2 * order.halo))
     potential = (PotentialField(rng.uniform(-1.0, 1.0, size=grid.shape))
                  if potential == "uniform" else quadrant_barrier(grid))
     f = rng.normal(size=grid.shape)
@@ -371,9 +371,9 @@ def test_apply_b_into_out_allocates_no_plane(rng, order, layout, unit_physics):
     assert peak < 1 << 20
 
 
-def test_plan_cache_keeps_grids_orders_and_physics_apart(rng):
+def test_b_of_one_shape_matches_dense_oracle_across_grids_orders_and_physics(rng):
     # same shape throughout, so only dx/dy, the order or the physics tell
-    # the cached plans apart; each result must still be its own B
+    # the operators apart; each result must still be its own B
     shape = (7, 9)
     f = rng.normal(size=shape)
     potential = PotentialField(rng.uniform(-1.0, 1.0, size=shape))
@@ -382,14 +382,13 @@ def test_plan_cache_keeps_grids_orders_and_physics_apart(rng):
              GridSpec(dims=2, nx=7, dx=0.7, ny=9, dy=0.5)]
     physics = [PhysicalParams(mass=1.3, hbar=0.9), PhysicalParams(mass=2.0, hbar=0.9),
                PhysicalParams(mass=1.3, hbar=0.4)]
-    for _ in range(2):   # the second round is served from the cache
-        for grid in grids:
-            for phys in physics:
-                for order in StencilOrder:
-                    expected = (dense_b_matrix(grid, potential, phys, order)
-                                @ f.ravel()).reshape(shape)
-                    out = apply_b(f, grid, potential, phys, order)
-                    assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+    for grid in grids:
+        for phys in physics:
+            for order in StencilOrder:
+                expected = (dense_b_matrix(grid, potential, phys, order)
+                            @ f.ravel()).reshape(shape)
+                out = apply_b(f, grid, potential, phys, order)
+                assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
@@ -407,16 +406,6 @@ def test_apply_b_with_strided_potential_view(rng, order, unit_physics):
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_add_rejects_misshapen_or_overlapping_source(rng, small_grid_2d,
-                                                     constant_potential, unit_physics):
-    f = rng.normal(size=small_grid_2d.shape)
-    out = np.empty(small_grid_2d.shape)
-    for src in (np.zeros((8, 7)), np.zeros(64), out, out[::-1], out.T):
-        with pytest.raises(ConfigurationError):
-            apply_b(f, small_grid_2d, constant_potential, unit_physics, out=out,
-                    add=(0.5, src))
-
-
 @pytest.mark.parametrize("a", [-0.37, 1.0])
 @pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 1])
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
@@ -428,9 +417,36 @@ def test_add_equals_b_plus_scaled_source_bit_for_bit(rng, monkeypatch, grid, ord
     monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
     potential = PotentialField(rng.uniform(0.0, 1.0, size=grid.shape))
     f, src = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
-    fused = apply_b(f, grid, potential, unit_physics, order, add=(a, src))
+    bound = stencils.bind_b(grid, potential, unit_physics, order)
+    fused = bound(f, np.empty(grid.shape), a, src)
     separate = apply_b(f, grid, potential, unit_physics, order) + a * src
     assert np.array_equal(fused, separate)
     # the source may be the input itself, and in any memory layout
-    fused = apply_b(f, grid, potential, unit_physics, order, add=(a, np.asfortranarray(f)))
+    fused = bound(f, np.empty(grid.shape), a, np.asfortranarray(f))
     assert np.array_equal(fused, apply_b(f, grid, potential, unit_physics, order) + a * f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(5, 12), min_size=1, max_size=2),
+       dy=st.sampled_from([0.7, 1.1]), order=st.sampled_from(list(StencilOrder)),
+       slab_bytes=st.sampled_from([1, stencils._SLAB_BYTES]), levels=st.booleans(),
+       a=st.sampled_from([1.0, -0.37]), seed=st.integers(0, 2 ** 32 - 1))
+def test_bound_b_matches_dense_oracle_and_adds_source_bit_for_bit(shape, dy, order, slab_bytes,
+                                                                  levels, a, seed):
+    # dy = dx groups the axes; V with one level per row gives one-row slabs
+    # the scalar diagonal
+    rng = np.random.default_rng(seed)
+    grid = (GridSpec(dims=1, nx=shape[0], dx=0.7) if len(shape) == 1
+            else GridSpec(dims=2, nx=shape[0], dx=0.7, ny=shape[1], dy=dy))
+    physics = PhysicalParams(mass=1.3, hbar=0.9)
+    v = (rng.choice([-0.4, 0.0, 0.6], size=(grid.nx,) + (1,) * (grid.dims - 1))
+         if levels else rng.uniform(-1.0, 1.0, size=grid.shape))
+    potential = PotentialField(np.broadcast_to(v, grid.shape).copy())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stencils, "_SLAB_BYTES", slab_bytes)
+        bound = stencils.bind_b(grid, potential, physics, order)
+    f, src = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
+    plain = bound(f, np.empty(grid.shape))
+    expected = (dense_b_matrix(grid, potential, physics, order) @ f.ravel()).reshape(grid.shape)
+    assert np.abs(plain - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.array_equal(bound(f, np.empty(grid.shape), a, src), plain + a * src)
