@@ -132,6 +132,8 @@ class PotentialField:
         values = np.asarray(self.values).view()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+        if np.iscomplexobj(values):   # B would cut V to its real part
+            raise ConfigurationError("potential must be real: V is an energy per grid point")
         if not np.isfinite(values).all():
             raise ConfigurationError("potential contains non-finite values")
 

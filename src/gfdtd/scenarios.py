@@ -155,14 +155,15 @@ def potential_bounds(spec, grid):
     return (spec.height if covers_grid else 0.0), spec.height
 
 
-def energy_expectation(wf, potential, grid, physics, order=StencilOrder.FOURTH_ORDER):
+def energy_expectation(wf, potential, grid, physics, order=StencilOrder.FOURTH_ORDER, bound=None):
     """<psi| -(hbar^2/2m) Laplacian + V |psi> in Joules.
 
-    The Hamiltonian is H = -hbar B, so this takes two applications of B
-    and four dot products, both through one bind_b.  H is real and
-    symmetric, so the imaginary residual must vanish; above 1e-10 relative
-    it raises NonHermitianError."""
-    real, imag, bound = wf.real_part, wf.imag_part, bind_b(grid, potential, physics, order)
+    H = -hbar B, so this takes two applications of B and four dot products,
+    both through ``bound`` (B bound for the same arguments, as a Propagator's
+    b is) or else one bind_b.  H is real and symmetric, so the imaginary
+    residual must vanish; above 1e-10 relative it raises NonHermitianError."""
+    real, imag = wf.real_part, wf.imag_part
+    bound = bound or bind_b(grid, potential, physics, order)
     b = _checked(bound, real, grid, None)
     r_br, i_br = np.vdot(real, b), np.vdot(imag, b)
     _checked(bound, imag, grid, b)
@@ -230,7 +231,7 @@ def run(wf, potential, grid, cfg, steps, snapshot_every=0, on_snapshot=None,
             wf = advanced
         if n in (0, steps) or (snapshot_every and n % snapshot_every == 0):
             t = clock()   # energy first: its planes are freed before density's is built
-            energy_j = energy_expectation(wf, potential, grid, cfg.physics, cfg.order)
+            energy_j = energy_expectation(wf, potential, grid, cfg.physics, cfg.order, propagator.b)
             d = density(wf)
             record = RunRecord(n, n * cfg.dt, norm(wf, grid, d), float(d.max()), energy_j)
             del d   # no plane is kept between steps

@@ -9,15 +9,15 @@ real part, by a truncated Taylor series in odd powers of the generator B:
 
 N = 0 is the classic explicit FDTD update.  dt = mu * 2 m dx^2 / hbar.
 
-A half step writes old ± H source straight into the new field's plane.  H
-source is evaluated in Horner form, B(c_0 f - B^2(c_1 f - B^2(c_2 f ...))),
-as 2N+1 applications of B that alternate between the new plane and one
-scratch plane shared by both half steps; each c_p f term, and at the end
-the old plane, is added inside B's slab loop (the bound B's a, src).  The real
-update runs on negated coefficients: B is odd in its input and
-a - x is a + (-x) in IEEE arithmetic, so both updates share one code path.
-A Propagator binds B once (stencils.bind_b) and checks each step's field;
-step() is one step through a Propagator of its own.
+A half step writes old ± H source straight into the new field's plane, with
+H source in nested-sine form, dt B(f - r_0 B^2(f - r_1 B^2(f - ...))) and
+r_p = (dt/2)^2/((2p+2)(2p+3)): 2N+1 calls of the bound B (stencils.bind_b),
+alternating between the new plane and, for N >= 1, one scratch plane shared
+by both half steps.  Each call folds its scalar (-r_p, or ±dt last) into B's
+weights and adds its f term, or at last the old plane, inside B's slab loop,
+so no pass scales or adds a whole plane; at N = 0 a step allocates only the
+new field's two planes.  A Propagator binds B once and checks each step's
+field; step() is one step through a Propagator of its own.
 """
 
 import math
@@ -57,43 +57,40 @@ class SchemeConfig:
         dt = mu * 2.0 * physics.mass * (grid.dx * grid.dx) / physics.hbar
         return cls(N=N, order=order, mu=mu, dt=dt, physics=physics)
 
-    def series_coefficients(self):
-        """2 * (dt/2)^(2p+1) / (2p+1)! for p = 0..N, as exact doubles; inf past
-        the float range (numpy's pow does not raise), so such a run diverges."""
+    def horner_ratios(self):
+        """The nested-sine form's r_p = (dt/2)^2 / ((2p+2)(2p+3)), p < N; inf past
+        the float range (numpy's float64 does not raise), so such a run diverges."""
         half = np.float64(0.5 * self.dt)
-        return [float(2.0 * half ** (2 * p + 1) / math.factorial(2 * p + 1))
-                for p in range(self.N + 1)]
+        return [float(half * half / ((2 * p + 2) * (2 * p + 3))) for p in range(self.N)]
 
 
 class Propagator:
     """Steps fields of one grid under one potential and SchemeConfig, one at a
-    time: B is bound once (stencils.bind_b, one slab scratch) and both half
-    steps' signed coefficients kept.  V is read when B is bound, so the
-    potential must not change while the Propagator steps.  A misshapen
-    potential or field raises ConfigurationError."""
+    time: B is bound once (b, which the run's observations share; one slab
+    scratch), and dt and the Horner ratios are kept.  V is read when B is
+    bound, so the potential must not change while the Propagator steps.  A
+    misshapen potential or field raises ConfigurationError."""
 
-    __slots__ = ("_grid", "_b", "_real", "_imag")
+    __slots__ = ("_grid", "b", "_dt", "_ratios")
 
     def __init__(self, grid, potential, cfg):
-        self._grid, self._b = grid, bind_b(grid, potential, cfg.physics, cfg.order)
-        self._imag = [(-1) ** p * c for p, c in enumerate(cfg.series_coefficients())]
-        self._real = [-c for c in self._imag]
+        self._grid, self.b = grid, bind_b(grid, potential, cfg.physics, cfg.order)
+        self._dt, self._ratios = cfg.dt, cfg.horner_ratios()
 
-    def _half(self, source, old, coeffs, u):
-        """old + H source as a new plane, for H's signed coefficients (-1)^p c_p."""
-        b, new = self._b, np.empty(old.shape)
-        np.multiply(source, coeffs[-1], out=u)
-        for c in reversed(coeffs[:-1]):
-            b(u, new)
-            b(new, u, c, source)
-        return b(u, new, 1.0, old)
+    def _half(self, source, old, dt, u):
+        """old + dt * B(f - r_0 B^2(f - ...)) for f = source, as a new plane."""
+        b, new, g = self.b, np.empty(old.shape), source
+        for r in reversed(self._ratios):
+            b(g, new)
+            g = b(new, u, -r, source)
+        return b(g, new, dt, old)
 
     def step(self, field):
         """Advance one full step into new planes; no divergence check."""
         _check_shape(field.real_part, self._grid, "field")   # imag's shape is real's
-        u = np.empty(field.real_part.shape)
-        new_real = self._half(field.imag_part, field.real_part, self._real, u)
-        return WaveField(new_real, self._half(new_real, field.imag_part, self._imag, u))
+        u = np.empty(field.real_part.shape) if self._ratios else None
+        new_real = self._half(field.imag_part, field.real_part, -self._dt, u)
+        return WaveField(new_real, self._half(new_real, field.imag_part, self._dt, u))
 
 
 def step(field, potential, grid, cfg):

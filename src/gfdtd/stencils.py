@@ -11,18 +11,18 @@ where dx = dy, form one group: their pair sums are added and scaled once,
 the first group's into out, every later one's accumulated into it.
 Otherwise each axis is a group of its own.  Then comes the diagonal term, V
 times -1/hbar plus the centre weight, times f; where V holds one level over
-the slab's rows, that factor is one scalar worked out when B is bound, which
-saves two passes.  At fourth order with a source term and a != 1, a slab of
-a square grid takes 15 numpy passes (13 at one level of V); with dx != dy it
-takes 17 (15), one scale per axis and offset.  x + y is commutative, so on a
-square grid with V = V.T, B f.T is exactly (B f).T.
+the slab's rows, that factor is one scalar, which saves two passes.  At
+fourth order with a source term, a slab of a square grid takes 14 numpy
+passes (12 at one level of V); with dx != dy it takes 16 (14), one scale
+per axis and offset.  x + y is commutative, so on a square grid with
+V = V.T, B f.T is exactly (B f).T.
 
-_bind sets B up: it allocates the slab scratch, reads V and makes every
-slice and view of each slab once, then returns the loop, which checks
-nothing.  Its call(f, out, a, src) adds a * src in the same slab, which is
-how the stepper forms each Horner term without a whole-plane pass.
-apply_b and apply_laplacian validate, bind and call; the stepper binds B
-once (bind_b).
+_bind sets B up once (slab scratch, V, every slice and view of each slab)
+and returns the loop, which checks nothing: call(f, out, scale, src) is
+scale * B f + src, scale folded into each group's weight and the diagonal
+(w * 1.0 is w, so apply_b's bits stay) and src added in the same slab, so
+the stepper forms each Horner term without a whole-plane pass.  apply_b and
+apply_laplacian validate, bind and call; the stepper binds B once (bind_b).
 """
 
 from enum import Enum
@@ -64,24 +64,24 @@ def axis_symbol(order, s):
     return k
 
 
-def _groups(grid, order, scale):
-    """Per offset d and folded pair weight scale * w_d / h^2, the axes whose
+def _groups(grid, order, kinetic):
+    """Per offset d and folded pair weight kinetic * w_d / h^2, the axes whose
     pair sums share it: x and y where dx = dy, else one axis each."""
     groups = {}
     for axis, h in enumerate(grid.spacing):
         for d, w in enumerate(_WEIGHTS[order][1:], 1):
-            groups.setdefault((d, scale * w / h ** 2), []).append(axis)
+            groups.setdefault((d, kinetic * w / h ** 2), []).append(axis)
     return groups
 
 
-def _bind(v, grid, order, scale, hbar):
-    """call(f, out, a=0.0, src=None): out = scale * Laplacian(f) - (v/hbar) * f
-    (+ a * src when src is given), unchecked; every slice and view it uses
-    is made here, once per slab of leading-axis rows."""
+def _bind(v, grid, order, kinetic, hbar):
+    """call(f, out, scale=1.0, src=None): out = scale * (kinetic * Laplacian(f)
+    - (v/hbar) * f) + src when src is given, unchecked; every slice and view
+    it uses is made here, once per slab of leading-axis rows."""
     n, width = (*grid.shape, 1)[:2]   # rows, row length
     rows = min(n, max(1, _SLAB_BYTES // (8 * width)))
-    centre = scale * _WEIGHTS[order][0] * sum(h ** -2 for h in grid.spacing)
-    grouping = _groups(grid, order, scale)
+    centre = kinetic * _WEIGHTS[order][0] * sum(h ** -2 for h in grid.spacing)
+    grouping = _groups(grid, order, kinetic)
     scratch = np.empty((len(grid.shape), rows * width))   # pair sums; one slab in 1-D
     neg_inv_hbar = -1.0 / hbar   # finite: PhysicalParams rejects a smaller hbar
     slabs = []
@@ -108,16 +108,17 @@ def _bind(v, grid, order, scale, hbar):
                         if to.size]
                 terms.append((slice(a - k, b - k), slice(a + k, b + k), r[a - lo:b - lo], copies))
             groups.append((w, terms))
-        # V read once: where the slab holds one level, its diagonal is the scalar
-        # the general form's two operations give every element of p; else None
+        # V read once: where the slab holds one level, the diagonal is a scalar
+        # worked out per call by the general form's two operations
         v_rows, p = v[part], bufs[0]
         low = v_rows.min()
-        diag = float(low * neg_inv_hbar) + centre if low == v_rows.max() else None
-        slabs.append((part, lo, hi, groups, p, bufs[-1], p.reshape(v_rows.shape), v_rows, diag))
+        level = float(low) if low == v_rows.max() else None
+        slabs.append((part, lo, hi, groups, p, bufs[-1], p.reshape(v_rows.shape), v_rows, level))
 
-    def call(f, out, a=0.0, src=None):
+    def call(f, out, scale=1.0, src=None):
         flat, out_flat = f.reshape(-1), out.reshape(-1)
-        for part, lo, hi, groups, p, s, p_rows, v_rows, diag in slabs:
+        v_scale, c = neg_inv_hbar * scale, centre * scale   # x 1.0 is exact
+        for part, lo, hi, groups, p, s, p_rows, v_rows, level in slabs:
             o = out_flat[lo:hi]
             for i, (w, terms) in enumerate(groups):
                 for left, right, pair, copies in terms:
@@ -127,20 +128,19 @@ def _bind(v, grid, order, scale, hbar):
                 if len(terms) > 1:   # x + y, then the one scale they share
                     p += s
                 if i:
-                    p *= w
+                    p *= w * scale
                     o += p
                 else:
-                    np.multiply(p, w, out=o)
-            if diag is None:
-                np.multiply(v_rows, neg_inv_hbar, out=p_rows)
-                p += centre
+                    np.multiply(p, w * scale, out=o)
+            if level is None:
+                np.multiply(v_rows, v_scale, out=p_rows)
+                p += c
                 p *= flat[lo:hi]
             else:
-                np.multiply(flat[lo:hi], diag, out=p)
+                np.multiply(flat[lo:hi], level * v_scale + c, out=p)
             o += p
-            if src is not None:   # a * src; a = 1 needs no multiply
-                o_rows = out[part]
-                o_rows += src[part] if a == 1 else np.multiply(src[part], a, out=p_rows)
+            if src is not None:
+                np.add(out[part], src[part], out=out[part])
         return out
 
     return call
@@ -167,8 +167,8 @@ def apply_laplacian(component, grid, order=StencilOrder.SECOND_ORDER, out=None):
 
 
 def bind_b(grid, potential, physics, order=StencilOrder.SECOND_ORDER):
-    """apply_b's set-up done once, V read now: call(f, out, a=0.0, src=None)
-    runs its loop unchecked and returns out = B f (+ a * src when src is
+    """apply_b's set-up done once, V read now: call(f, out, scale=1.0, src=None)
+    runs its loop unchecked and returns out = scale * B f (+ src when src is
     given; src must not overlap out)."""
     _check_shape(potential.values, grid, "potential")
     return _bind(potential.values, grid, order, physics.hbar / (2.0 * physics.mass), physics.hbar)

@@ -641,11 +641,11 @@ def test_cli_run_rejects_rectangular_grid_before_writing(tmp_path):
 
 
 def test_cli_package_error_exit_two(tmp_path, monkeypatch, capsys):
-    # an asymmetric stand-in for B makes energy_expectation raise
-    # NonHermitianError at the first observation
-    from gfdtd import cli, scenarios
+    # an asymmetric stand-in for the run's bound B makes energy_expectation
+    # raise NonHermitianError at the first observation
+    from gfdtd import cli, scheme
 
-    monkeypatch.setattr(scenarios, "bind_b", lopsided_bind_b)
+    monkeypatch.setattr(scheme, "bind_b", lopsided_bind_b)
     doc = reduced_document(run={"steps": 2, "out_dir": str(tmp_path / "out")})
     assert cli.main(["run", "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err

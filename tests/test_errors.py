@@ -4,6 +4,7 @@ prints."""
 
 import ast
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 
 import gfdtd
 from gfdtd import (BarrierSpec, ConfigurationError, GaussianPacketSpec, GridSpec,
-                   PhysicalParams, PotentialField, RunIOError, SchemeConfig, StencilOrder,
-                   WaveField, apply_b, apply_laplacian, errors, free_packet_1d,
+                   PhysicalParams, PotentialField, Propagator, RunIOError, SchemeConfig,
+                   StencilOrder, WaveField, apply_b, apply_laplacian, errors, free_packet_1d,
                    gaussian_packet_2d, parse_config, read_field_dump, run,
                    write_field_dump)
 
@@ -70,6 +71,9 @@ RAISE_SITES = [
      ConfigurationError, "potential contains non-finite values"),
     ("potential-inf", lambda tmp: PotentialField(np.array([np.inf, 0.0])),
      ConfigurationError, "potential contains non-finite values"),
+    # B would cut a complex V to its real part
+    ("potential-complex", lambda tmp: PotentialField(np.ones(6) * (1 + 1j)),
+     ConfigurationError, "potential must be real"),
     ("packet-sigma", lambda tmp: GaussianPacketSpec(0.0, 1.0, 3).validate(GRID_1D),
      ConfigurationError, "sigma and wavelength must be positive"),
     ("packet-wavelength", lambda tmp: GaussianPacketSpec(1.0, -1.0, 3).validate(GRID_1D),
@@ -97,6 +101,18 @@ RAISE_SITES = [
 def test_validation_site_raises_typed_error(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("bind", [
+    lambda v: apply_b(np.ones(6), GRID_1D, PotentialField(v), PhysicalParams()),
+    lambda v: Propagator(GRID_1D, PotentialField(v), SchemeConfig.from_mu(
+        2, StencilOrder.FOURTH_ORDER, 0.1, PhysicalParams(), GRID_1D)),
+], ids=["apply_b", "Propagator"])
+def test_complex_potential_raises_before_any_complex_warning(bind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        with pytest.raises(ConfigurationError, match="potential must be real"):
+            bind(np.ones(6) * (1 + 1j))
 
 
 def _typed_error_names():

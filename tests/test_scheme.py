@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from gfdtd import (ConfigurationError, GridSpec, PhysicalParams, PotentialField,
-                   Propagator, SchemeConfig, StencilOrder, WaveField, apply_b,
-                   apply_laplacian, energy_expectation, run, step, stencils)
+                   Propagator, SchemeConfig, StencilOrder, WaveField, apply_laplacian,
+                   energy_expectation, run, step, stencils)
 
 from conftest import dense_b_matrix, quadrant_barrier
 
@@ -37,20 +37,26 @@ def test_dt_from_mu():
 
 
 @pytest.mark.parametrize("dt", [3.7e-18, 0.5, 2.0, 1.3e30, 1.0e33])
-def test_series_coefficients_are_the_closed_form(dt):
+def test_horner_ratios_are_the_closed_form(dt):
+    # r_p is exact in one multiply and one divide, and the ratios chain dt to
+    # H's Taylor coefficients 2 (dt/2)^(2p+1) / (2p+1)!
     cfg = SchemeConfig(N=4, order=StencilOrder.SECOND_ORDER, mu=0.1, dt=dt,
                        physics=PhysicalParams(mass=1.0, hbar=1.0))
     half = 0.5 * dt
-    assert cfg.series_coefficients() == [2.0 * half ** (2 * p + 1) / math.factorial(2 * p + 1)
-                                         for p in range(5)]
+    ratios = cfg.horner_ratios()
+    assert ratios == [half * half / ((2 * p + 2) * (2 * p + 3)) for p in range(4)]
+    for p in range(5):
+        chained = dt * math.prod(ratios[:p])
+        assert chained == pytest.approx(2.0 * half ** (2 * p + 1) / math.factorial(2 * p + 1),
+                                        rel=1e-14)
 
 
-def test_series_coefficients_overflow_to_inf():
-    # (dt/2)^3 passes the float range: inf, not float pow's OverflowError
+def test_horner_ratios_overflow_to_inf():
+    # (dt/2)^2 passes the float range: inf, not float pow's OverflowError
     cfg = SchemeConfig(N=2, order=StencilOrder.SECOND_ORDER, mu=0.1, dt=1.0e200,
                        physics=PhysicalParams(mass=1.0, hbar=1.0))
     with np.errstate(over="ignore"):
-        assert cfg.series_coefficients() == [1.0e200, math.inf, math.inf]
+        assert cfg.horner_ratios() == [math.inf, math.inf]
 
 
 def test_invalid_scheme_config():
@@ -230,23 +236,24 @@ def test_divergence_detection(small_grid_2d, unit_physics):
     assert np.array_equal(final.imag_part, fields[-2].imag_part)
 
 
-def two_buffer_horner(source, grid, potential, cfg):
-    """The stepper's former H source: two fresh planes, with each c_p f term
-    and the old plane added in whole-plane passes outside apply_b."""
-    coeffs = [-c if p % 2 else c for p, c in enumerate(cfg.series_coefficients())]
-    u = np.multiply(source, coeffs[-1])
-    v = np.empty_like(u)
-    for a in reversed(coeffs[:-1]):
-        apply_b(u, grid, potential, cfg.physics, cfg.order, out=v)
-        apply_b(v, grid, potential, cfg.physics, cfg.order, out=u)
-        np.multiply(source, a, out=v)
-        u += v
-    return apply_b(u, grid, potential, cfg.physics, cfg.order, out=v)
+def two_buffer_horner(source, old, dt, grid, potential, cfg):
+    """old + dt * B(f - r_0 B^2(f - r_1 B^2(f - ...))) for f = source, unfused:
+    two fresh planes, the bound B at each scale without a source, then each f
+    term and the old plane added in whole-plane passes outside B."""
+    b, half = stencils.bind_b(grid, potential, cfg.physics, cfg.order), 0.5 * cfg.dt
+    u, v = source.copy(), np.empty(grid.shape)
+    for p in reversed(range(cfg.N)):
+        b(u, v)
+        b(v, u, -(half * half / ((2 * p + 2) * (2 * p + 3))))
+        u += source
+    b(u, v, dt)
+    v += old
+    return v
 
 
 def two_buffer_step(field, potential, grid, cfg):
-    real = field.real_part - two_buffer_horner(field.imag_part, grid, potential, cfg)
-    imag = field.imag_part + two_buffer_horner(real, grid, potential, cfg)
+    real = two_buffer_horner(field.imag_part, field.real_part, -cfg.dt, grid, potential, cfg)
+    imag = two_buffer_horner(real, field.imag_part, cfg.dt, grid, potential, cfg)
     return real, imag
 
 
@@ -262,8 +269,8 @@ ORACLE_GRIDS = [GridSpec(dims=1, nx=23, dx=0.7),
 @pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
 def test_step_bit_identical_to_two_buffer_horner(rng, monkeypatch, N, grid, order,
                                                  slab_bytes):
-    # the fused update reorders no floating-point operation: negated
-    # coefficients give -H exactly, and a + (-h) is a - h
+    # adding each source inside B's slab loop reorders no floating-point
+    # operation: every element of scale * B f is formed, then the source added
     monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
     physics = PhysicalParams(mass=1.3, hbar=0.9)
     potential = PotentialField(rng.uniform(0.0, 1.0, size=grid.shape))
@@ -342,6 +349,17 @@ def test_leapfrog_conserves_q_exactly(rng, N, order, unit_physics):
     assert max(abs(value - q[0]) for value in q) <= 1e-12 * abs(q[0])
 
 
+def traced_peak(fn):
+    """Peak bytes tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_step_allocates_three_planes(rng, unit_physics):
     # the two planes of the new field and one scratch plane shared by both
     # half steps, next to the bound B's own slab scratch and a few small objects
@@ -351,16 +369,6 @@ def test_step_allocates_three_planes(rng, unit_physics):
     wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
     buf = np.empty(grid.shape)
     step(wf, potential, grid, cfg)   # warm-up before tracing
-
-    def traced_peak(fn):
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     scratch = traced_peak(lambda: stencils.bind_b(grid, potential, cfg.physics, cfg.order)(
         wf.real_part, buf, 0.5, wf.imag_part))
     peak = traced_peak(lambda: step(wf, potential, grid, cfg))
@@ -369,15 +377,21 @@ def test_step_allocates_three_planes(rng, unit_physics):
     assert traced_peak(lambda: propagator.step(wf)) <= 3 * buf.nbytes + 4096
 
 
-def test_run_keeps_no_plane_between_steps(rng, unit_physics):
-    # between steps only the field itself is alive next to the Propagator's
-    # slab scratch; within a step, the next field and one scratch plane join it
+def test_n0_step_allocates_only_the_new_field(rng, unit_physics):
+    # classic FDTD: each half step is the one call old +- dt B source, so the
+    # new field's two planes are all a step allocates
     grid = GridSpec(dims=2, nx=200, dx=1.0, ny=200, dy=1.0)
     potential = PotentialField(rng.uniform(0.0, 0.5, size=grid.shape))
-    cfg = make_cfg(2, 0.1, grid, unit_physics, StencilOrder.FOURTH_ORDER)
+    cfg = make_cfg(0, 0.1, grid, unit_physics, StencilOrder.FOURTH_ORDER)
     wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
-    plane, scratch = wf.real_part.nbytes, 2 * stencils._SLAB_BYTES   # x and y pair sums
-    small = plane // 5   # records, report, array headers: far below one more plane
+    propagator = Propagator(grid, potential, cfg)
+    propagator.step(wf)   # warm-up before tracing
+    assert traced_peak(lambda: propagator.step(wf)) <= 2 * wf.real_part.nbytes + 4096
+
+
+def traced_run(wf, potential, grid, cfg):
+    """run() over 5 steps with an observation at each, under tracemalloc:
+    (bytes held at each observation, peak bytes, log), both above the base."""
     run(wf, potential, grid, cfg, steps=1)   # warm-up before tracing
     between = []
     tracemalloc.start()
@@ -389,23 +403,50 @@ def test_run_keeps_no_plane_between_steps(rng, unit_physics):
     finally:
         tracemalloc.stop()
     assert not log.diverged and len(between) == 6
-    assert all(held - base <= 2 * plane + scratch + small for held in between)
+    return [held - base for held in between], peak
+
+
+def test_run_keeps_no_plane_between_steps(rng, unit_physics):
+    # between steps only the field itself is alive next to the Propagator's
+    # slab scratch; within a step, the next field and one scratch plane join it
+    grid = GridSpec(dims=2, nx=200, dx=1.0, ny=200, dy=1.0)
+    potential = PotentialField(rng.uniform(0.0, 0.5, size=grid.shape))
+    cfg = make_cfg(2, 0.1, grid, unit_physics, StencilOrder.FOURTH_ORDER)
+    wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
+    plane, scratch = wf.real_part.nbytes, 2 * stencils._SLAB_BYTES   # x and y pair sums
+    small = plane // 5   # records, report, array headers: far below one more plane
+    between, peak = traced_run(wf, potential, grid, cfg)
+    assert all(held <= 2 * plane + scratch + small for held in between)
     assert peak <= 5 * plane + scratch + small
 
 
+def test_n0_run_peaks_at_two_planes_besides_the_field(rng, unit_physics):
+    # a classic FDTD step adds only the next field; an observation, which
+    # shares the Propagator's bound B and its slab scratch, at most two planes
+    grid = GridSpec(dims=2, nx=200, dx=1.0, ny=200, dy=1.0)
+    potential = PotentialField(rng.uniform(0.0, 0.5, size=grid.shape))
+    cfg = make_cfg(0, 0.1, grid, unit_physics, StencilOrder.FOURTH_ORDER)
+    wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
+    plane, scratch = wf.real_part.nbytes, 2 * stencils._SLAB_BYTES
+    _, peak = traced_run(wf, potential, grid, cfg)
+    assert peak <= 2 * plane + 2 * plane + scratch + plane // 5
+
+
 def test_run_binds_b_once_for_stepping(rng, monkeypatch, unit_physics):
-    # B is bound once for the whole run, whatever its step count; the rest of
-    # the binds are the observations' own, counted on one energy_expectation
+    # B is bound once for the whole run, whatever its step count: every
+    # observation's energy goes through the Propagator's bound B, with the
+    # bits of an energy_expectation that binds its own
     grid = GridSpec(dims=2, nx=12, dx=0.7, ny=9, dy=0.7)
     potential = PotentialField(rng.uniform(0.0, 0.5, size=grid.shape))
     cfg = make_cfg(2, 0.05, grid, unit_physics, StencilOrder.FOURTH_ORDER)
     wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
     bind, calls = stencils._bind, []
     monkeypatch.setattr(stencils, "_bind", lambda *args: calls.append(args) or bind(*args))
-    energy_expectation(wf, potential, grid, cfg.physics, cfg.order)
-    per_observation = len(calls)
     for steps, every in ((20, 5), (4, 1)):   # five observations each
         calls.clear()
-        _, log = run(wf, potential, grid, cfg, steps=steps, snapshot_every=every)
-        assert len(log.records) == 5
-        assert len(calls) == 1 + per_observation * len(log.records)
+        seen = []
+        _, log = run(wf, potential, grid, cfg, steps=steps, snapshot_every=every,
+                     on_snapshot=lambda field, record: seen.append((field, record)))
+        assert len(log.records) == 5 and len(calls) == 1
+        assert all(record.energy_j == energy_expectation(field, potential, grid, cfg.physics,
+                                                         cfg.order) for field, record in seen)

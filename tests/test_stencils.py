@@ -406,33 +406,35 @@ def test_apply_b_with_strided_potential_view(rng, order, unit_physics):
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("a", [-0.37, 1.0])
+@pytest.mark.parametrize("scale", [-0.37, 1.0])
 @pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 1])
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
 @pytest.mark.parametrize("grid", [GridSpec(dims=1, nx=23, dx=0.7),
                                   GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=1.1),
                                   GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=0.7)])
-def test_add_equals_b_plus_scaled_source_bit_for_bit(rng, monkeypatch, grid, order,
-                                                     slab_bytes, a, unit_physics):
+def test_source_adds_at_unit_weight_bit_for_bit(rng, monkeypatch, grid, order, slab_bytes,
+                                                scale, unit_physics):
+    # call(f, out, s, src) is call(f, out, s) + src, and scale 1.0 is apply_b
     monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
     potential = PotentialField(rng.uniform(0.0, 1.0, size=grid.shape))
     f, src = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
     bound = stencils.bind_b(grid, potential, unit_physics, order)
-    fused = bound(f, np.empty(grid.shape), a, src)
-    separate = apply_b(f, grid, potential, unit_physics, order) + a * src
-    assert np.array_equal(fused, separate)
+    scaled = bound(f, np.empty(grid.shape), scale)
+    assert np.array_equal(bound(f, np.empty(grid.shape), scale, src), scaled + src)
+    assert np.array_equal(bound(f, np.empty(grid.shape), 1.0),
+                          apply_b(f, grid, potential, unit_physics, order))
     # the source may be the input itself, and in any memory layout
-    fused = bound(f, np.empty(grid.shape), a, np.asfortranarray(f))
-    assert np.array_equal(fused, apply_b(f, grid, potential, unit_physics, order) + a * f)
+    fused = bound(f, np.empty(grid.shape), scale, np.asfortranarray(f))
+    assert np.array_equal(fused, scaled + f)
 
 
 @settings(max_examples=60, deadline=None)
 @given(shape=st.lists(st.integers(5, 12), min_size=1, max_size=2),
        dy=st.sampled_from([0.7, 1.1]), order=st.sampled_from(list(StencilOrder)),
        slab_bytes=st.sampled_from([1, stencils._SLAB_BYTES]), levels=st.booleans(),
-       a=st.sampled_from([1.0, -0.37]), seed=st.integers(0, 2 ** 32 - 1))
+       scale=st.sampled_from([1.0, -0.37, 2.5e3]), seed=st.integers(0, 2 ** 32 - 1))
 def test_bound_b_matches_dense_oracle_and_adds_source_bit_for_bit(shape, dy, order, slab_bytes,
-                                                                  levels, a, seed):
+                                                                  levels, scale, seed):
     # dy = dx groups the axes; V with one level per row gives one-row slabs
     # the scalar diagonal
     rng = np.random.default_rng(seed)
@@ -446,7 +448,8 @@ def test_bound_b_matches_dense_oracle_and_adds_source_bit_for_bit(shape, dy, ord
         mp.setattr(stencils, "_SLAB_BYTES", slab_bytes)
         bound = stencils.bind_b(grid, potential, physics, order)
     f, src = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
-    plain = bound(f, np.empty(grid.shape))
+    plain, scaled = bound(f, np.empty(grid.shape)), bound(f, np.empty(grid.shape), scale)
     expected = (dense_b_matrix(grid, potential, physics, order) @ f.ravel()).reshape(grid.shape)
     assert np.abs(plain - expected).max() <= 1e-12 * np.abs(expected).max()
-    assert np.array_equal(bound(f, np.empty(grid.shape), a, src), plain + a * src)
+    assert np.abs(scaled - scale * expected).max() <= 1e-12 * np.abs(scale * expected).max()
+    assert np.array_equal(bound(f, np.empty(grid.shape), scale, src), scaled + src)
