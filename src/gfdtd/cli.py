@@ -36,13 +36,10 @@ def _load_config(path):
     return parse_config(text)
 
 
-def _build_problem(cfg):
-    grid = cfg.grid
-    potential = (PotentialField.zeros(grid) if cfg.barrier is None
-                 else barrier_potential(cfg.barrier, grid))
-    if grid.dims == 2:
-        return potential, gaussian_packet_2d(cfg.packet, grid)
-    return potential, gaussian_packet_1d(cfg.packet, grid, cfg.scheme.physics)
+def _packet(cfg):
+    if cfg.grid.dims == 2:
+        return gaussian_packet_2d(cfg.packet, cfg.grid)
+    return gaussian_packet_1d(cfg.packet, cfg.grid, cfg.scheme.physics)
 
 
 def _print_report(report, scheme, bounds):
@@ -64,14 +61,9 @@ def cmd_stability(args):
     return 0
 
 
-def cmd_run(args):
-    cfg = _load_config(args.config)
-    grid, scheme = cfg.grid, cfg.scheme
-    if grid.dims == 2 and grid.ny != grid.nx:   # before out_dir exists
-        raise ConfigurationError(f"grid.ny ({grid.ny}) must equal grid.nx ({grid.nx}): "
-                                 "run writes diagonal snapshots")
-    potential, wf = _build_problem(cfg)
-    out_dir = cfg.out_dir
+def _snapshot_writer(cfg):
+    """Make cfg.out_dir; returns the on_snapshot that writes each record's files."""
+    grid, out_dir = cfg.grid, cfg.out_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -81,12 +73,24 @@ def cmd_run(args):
         write_diagonal_snapshot(field, grid, record.step, record.time_s, out_dir)
         if cfg.full_field_dumps:
             write_field_dump(field, grid, record.step, record.time_s, out_dir)
+    return on_snapshot
 
-    final, log = run_simulation(wf, potential, grid, scheme, cfg.steps,
-                                snapshot_every=cfg.snapshot_every,
-                                on_snapshot=on_snapshot, threshold_c=cfg.c)
+
+def cmd_run(args):
+    cfg = _load_config(args.config)
+    grid, scheme = cfg.grid, cfg.scheme
+    if grid.dims == 2 and grid.ny != grid.nx:   # before out_dir exists
+        raise ConfigurationError(f"grid.ny ({grid.ny}) must equal grid.nx ({grid.nx}): "
+                                 "run writes diagonal snapshots")
+    potential = (PotentialField.zeros(grid) if cfg.barrier is None
+                 else barrier_potential(cfg.barrier, grid))
+    # the packet is built in the call and named nowhere here, so run() can
+    # free it after step 1; _snapshot_writer, evaluated next, makes out_dir
+    _, log = run_simulation(_packet(cfg), potential, grid, scheme, cfg.steps,
+                            snapshot_every=cfg.snapshot_every,
+                            on_snapshot=_snapshot_writer(cfg), threshold_c=cfg.c)
     _print_report(log.stability_report, scheme, potential.bounds())
-    write_runlog(log, out_dir)
+    write_runlog(log, cfg.out_dir)
     last = log.records[-1]
     print(f"recorded {len(log.records)} snapshots; final step {last.step}, "
           f"norm {last.norm:.6g}, energy {last.energy_j / EV:.6g} eV")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ConfigurationError, NonHermitianError
-from .fields import PotentialField, WaveField, density, norm, normalize
+from .fields import PotentialField, WaveField, _normalized, density, norm
 from .scheme import Propagator
 from .stability import DEFAULT_THRESHOLD, wavenumber_scan
 from .stencils import StencilOrder, _checked, axis_symbol, bind_b
@@ -71,10 +71,19 @@ def gaussian_packet_2d(spec, grid):
     k = np.arange(1, grid.ny + 1)[None, :]
     xj = (j - spec.center_j) * grid.dx
     yk = (k - spec.center_k) * grid.dy
-    envelope = np.exp(-0.5 * (xj / spec.sigma) ** 2 - 0.5 * (yk / spec.sigma) ** 2)
-    phase = 2.0 * np.pi * (xj + yk) / spec.wavelength
-    wf = WaveField(envelope * np.cos(phase), envelope * np.sin(phase))
-    return normalize(wf, grid) if spec.normalize else wf
+    # each plane built in place: at most three exist at once, no temporaries
+    envelope = np.subtract(-0.5 * (xj / spec.sigma) ** 2, 0.5 * (yk / spec.sigma) ** 2)
+    np.exp(envelope, out=envelope)
+    phase = np.add(xj, yk)
+    phase *= 2.0 * np.pi
+    phase /= spec.wavelength
+    real = np.cos(phase)
+    real *= envelope
+    np.sin(phase, out=phase)
+    phase *= envelope
+    del envelope   # before normalisation's two planes
+    wf = WaveField(real, phase)
+    return _normalized(wf, grid, in_place=True) if spec.normalize else wf
 
 
 def free_packet_1d(grid, physics, sigma, wavelength, center_j, t=0.0):
@@ -115,7 +124,7 @@ def _half_step_imag_discrete(psi0, grid, physics, order, dt):
     lam_sym = axis_symbol(order, np.sin(0.5 * k * grid.dx) ** 2) / grid.dx ** 2
     omega = physics.hbar * lam_sym / (2.0 * physics.mass)
     psi_half = np.fft.ifft(np.fft.fft(psi0) * np.exp(-1j * omega * 0.5 * dt))
-    return psi_half.imag
+    return psi_half.imag.copy()
 
 
 def gaussian_packet_1d(spec, grid, physics, stagger_dt=None, stagger_order=None):
@@ -135,7 +144,7 @@ def gaussian_packet_1d(spec, grid, physics, stagger_dt=None, stagger_order=None)
         imag = free_packet_1d(grid, physics, spec.sigma, spec.wavelength, spec.center_j,
                               t=0.5 * stagger_dt).imag.copy()
     wf = WaveField(psi0.real.copy(), imag)
-    return normalize(wf, grid) if spec.normalize else wf
+    return _normalized(wf, grid, in_place=True) if spec.normalize else wf
 
 
 def barrier_potential(spec, grid):
@@ -197,7 +206,6 @@ class RunLog:
         return self.divergence_step is not None
 
 
-@np.errstate(over="ignore", invalid="ignore")   # a non-finite plane is a divergence
 def run(wf, potential, grid, cfg, steps, snapshot_every=0, on_snapshot=None,
         threshold_c=DEFAULT_THRESHOLD):
     """Drive the leapfrog scheme for ``steps`` steps.
@@ -209,37 +217,41 @@ def run(wf, potential, grid, cfg, steps, snapshot_every=0, on_snapshot=None,
     times the initial max stops the run and is logged as divergence_step
     instead of raising.  log.phase_s holds each phase's wall seconds.
     Returns (final_field, RunLog), final_field being the last one under the limit.
+    ``wf``'s planes are never written, nor referenced once step 1 is accepted.
     A negative ``steps`` or ``snapshot_every`` raises ConfigurationError.
     """
     if steps < 0 or snapshot_every < 0:
         raise ConfigurationError(f"steps {steps} and snapshot_every {snapshot_every} must be >= 0")
-    clock, log = time.perf_counter, RunLog()
-    start = clock()
-    v_min, v_max = potential.bounds()
-    log.stability_report = wavenumber_scan(cfg, grid, v_max=v_max, c=threshold_c,
-                                           v_min=v_min)
-    phase = log.phase_s = {"verdict": clock() - start, "observe": 0.0, "snapshot": 0.0}
-    propagator = Propagator(grid, potential, cfg)
-    limit = DIVERGENCE_FACTOR * max(wf.max_abs(), 1e-300)
-    for n in range(steps + 1):
-        if n:
-            advanced = propagator.step(wf)
-            m = advanced.max_abs()
-            if not np.isfinite(m) or m > limit:   # an inf limit still stops an inf max
-                log.divergence_step = n
-                break
-            wf = advanced
-        if n in (0, steps) or (snapshot_every and n % snapshot_every == 0):
-            t = clock()   # energy first: its planes are freed before density's is built
-            energy_j = energy_expectation(wf, potential, grid, cfg.physics, cfg.order, propagator.b)
-            d = density(wf)
-            record = RunRecord(n, n * cfg.dt, norm(wf, grid, d), float(d.max()), energy_j)
-            del d   # no plane is kept between steps
-            log.records.append(record)
-            phase["observe"] += clock() - t
-            if on_snapshot is not None:
-                t = clock()
-                on_snapshot(wf, record)
-                phase["snapshot"] += clock() - t
-    phase["step"] = clock() - start - sum(phase.values())   # all the rest
+    # a with block, not a decorator, whose wrapper would hold wf for the whole run
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite plane is a divergence
+        clock, log = time.perf_counter, RunLog()
+        start = clock()
+        v_min, v_max = potential.bounds()
+        log.stability_report = wavenumber_scan(cfg, grid, v_max=v_max, c=threshold_c,
+                                               v_min=v_min)
+        phase = log.phase_s = {"verdict": clock() - start, "observe": 0.0, "snapshot": 0.0}
+        propagator = Propagator(grid, potential, cfg)
+        limit = DIVERGENCE_FACTOR * max(wf.max_abs(), 1e-300)
+        for n in range(steps + 1):
+            if n:
+                advanced = propagator.step(wf)
+                m = advanced.max_abs()
+                if not np.isfinite(m) or m > limit:   # an inf limit still stops an inf max
+                    log.divergence_step = n
+                    break
+                wf = advanced
+            if n in (0, steps) or (snapshot_every and n % snapshot_every == 0):
+                t = clock()   # energy first: its planes are freed before density's is built
+                energy_j = energy_expectation(wf, potential, grid, cfg.physics, cfg.order,
+                                              propagator.b)
+                d = density(wf)
+                record = RunRecord(n, n * cfg.dt, norm(wf, grid, d), float(d.max()), energy_j)
+                del d   # no plane is kept between steps
+                log.records.append(record)
+                phase["observe"] += clock() - t
+                if on_snapshot is not None:
+                    t = clock()
+                    on_snapshot(wf, record)
+                    phase["snapshot"] += clock() - t
+        phase["step"] = clock() - start - sum(phase.values())   # all the rest
     return wf, log

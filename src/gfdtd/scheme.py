@@ -16,8 +16,8 @@ alternating between the new plane and, for N >= 1, one scratch plane shared
 by both half steps.  Each call folds its scalar (-r_p, or ±dt last) into B's
 weights and adds its f term, or at last the old plane, inside B's slab loop,
 so no pass scales or adds a whole plane; at N = 0 a step allocates only the
-new field's two planes.  A Propagator binds B once and checks each step's
-field; step() is one step through a Propagator of its own.
+new field's two planes, as one (2, *shape) block.  A Propagator binds B once
+and checks each step's field; step() is one step through a Propagator of its own.
 """
 
 import math
@@ -77,20 +77,24 @@ class Propagator:
         self._grid, self.b = grid, bind_b(grid, potential, cfg.physics, cfg.order)
         self._dt, self._ratios = cfg.dt, cfg.horner_ratios()
 
-    def _half(self, source, old, dt, u):
-        """old + dt * B(f - r_0 B^2(f - ...)) for f = source, as a new plane."""
-        b, new, g = self.b, np.empty(old.shape), source
+    def _half(self, source, old, dt, u, new):
+        """new = old + dt * B(f - r_0 B^2(f - ...)) for f = source."""
+        b, g = self.b, source
         for r in reversed(self._ratios):
             b(g, new)
             g = b(new, u, -r, source)
         return b(g, new, dt, old)
 
     def step(self, field):
-        """Advance one full step into new planes; no divergence check."""
+        """Advance one full step into a new (2, *shape) block; no divergence check."""
         _check_shape(field.real_part, self._grid, "field")   # imag's shape is real's
         u = np.empty(field.real_part.shape) if self._ratios else None
-        new_real = self._half(field.imag_part, field.real_part, -self._dt, u)
-        return WaveField(new_real, self._half(new_real, field.imag_part, self._dt, u))
+        # one allocation: the block a freed field leaves is reused whole, where
+        # two planes let the allocator trim the heap and fault it back each step
+        block = np.empty((2, *field.real_part.shape))
+        real, imag = block[0], block[1]   # indexing: unpacking iterates, 1 µs more
+        self._half(field.imag_part, field.real_part, -self._dt, u, real)
+        return WaveField(real, self._half(real, field.imag_part, self._dt, u, imag))
 
 
 def step(field, potential, grid, cfg):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,14 @@ def quadrant_barrier(grid, height=0.8):
     corner = (grid.nx // 2, (grid.ny or 0) // 3)[:grid.dims]
     values[tuple(slice(i, None) for i in corner)] = height
     return PotentialField(values)
+
+
+def traced_peak(fn):
+    """Peak bytes tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

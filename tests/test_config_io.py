@@ -13,7 +13,7 @@ from gfdtd import (ANGSTROM, EV, ConfigurationError, GridSpec, RunIOError, RunLo
                    read_field_dump, write_diagonal_snapshot, write_field_dump, write_runlog)
 from gfdtd.snapshots import read_field_meta
 
-from conftest import lopsided_bind_b
+from conftest import lopsided_bind_b, traced_peak
 
 
 def paper_scale_document():
@@ -651,6 +651,24 @@ def test_cli_package_error_exit_two(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("run error: energy expectation has imaginary residual")
     assert "Traceback" not in err
+
+
+def test_cli_run_holds_two_fields_besides_v(tmp_path, capsys):
+    # the initial packet is freed after step 1, so at every step and dump
+    # the run holds at most the field, the next one (or an observation's two
+    # planes), V and the bound B's slab scratch
+    from gfdtd import cli, stencils
+
+    doc = reduced_document(grid={"nx": 300, "ny": 300},
+                           run={"steps": 3, "snapshot_every": 1, "out_dir": str(tmp_path / "out"),
+                                "full_field_dumps": True})
+    argv = ["run", "--config", write_config(tmp_path, doc)]
+    assert cli.main(argv) == 0   # warm-up before tracing
+    plane = 8 * 300 * 300
+    peak = traced_peak(lambda: cli.main(argv))
+    assert peak <= 2 * 2 * plane + plane + 2 * stencils._SLAB_BYTES + plane // 5
+    assert (tmp_path / "out" / "field_3.f64").stat().st_size == 2 * plane
+    capsys.readouterr()
 
 
 def barrier_1d_document(out_dir):

@@ -1,4 +1,6 @@
+import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -6,11 +8,12 @@ import pytest
 from gfdtd import (ANGSTROM, EV, BarrierSpec, ConfigurationError,
                    GaussianPacketSpec, GridSpec, NonHermitianError,
                    PhysicalParams, PotentialField,
-                   SchemeConfig, StencilOrder, barrier_potential,
+                   SchemeConfig, StencilOrder, WaveField, barrier_potential,
                    energy_expectation, free_packet_1d, gaussian_packet_1d,
                    gaussian_packet_2d, norm, potential_bounds, run)
+from gfdtd.scenarios import _half_step_imag_discrete
 
-from conftest import lopsided_bind_b
+from conftest import lopsided_bind_b, traced_peak
 
 
 @pytest.fixture
@@ -90,6 +93,70 @@ def test_packet_wide_envelope_limit():
 def test_packet_normalized_by_default(reduced_grid, reduced_packet):
     wf = gaussian_packet_2d(reduced_packet, reduced_grid)
     assert norm(wf, reduced_grid) == pytest.approx(1.0, rel=1e-12)
+
+
+def one_line_packet_2d(spec, grid):
+    """The packet as one expression per plane, each ufunc making a new plane,
+    and normalised into new planes: the oracle for the in-place builder."""
+    j = np.arange(1, grid.nx + 1)[:, None]
+    k = np.arange(1, grid.ny + 1)[None, :]
+    xj = (j - spec.center_j) * grid.dx
+    yk = (k - spec.center_k) * grid.dy
+    envelope = np.exp(-0.5 * (xj / spec.sigma) ** 2 - 0.5 * (yk / spec.sigma) ** 2)
+    phase = 2.0 * np.pi * (xj + yk) / spec.wavelength
+    return unit_norm_copy(envelope * np.cos(phase), envelope * np.sin(phase), spec, grid)
+
+
+def unit_norm_copy(real, imag, spec, grid):
+    if not spec.normalize:
+        return real, imag
+    scale = 1.0 / np.sqrt(norm(WaveField(real, imag), grid))
+    return real * scale, imag * scale
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("grid, center", [
+    (GridSpec(dims=2, nx=200, dx=0.1 * ANGSTROM, ny=200, dy=0.1 * ANGSTROM), (50, 50)),
+    (GridSpec(dims=2, nx=180, dx=0.1 * ANGSTROM, ny=230, dy=0.13 * ANGSTROM), (131, 17)),
+    (GridSpec(dims=2, nx=12, dx=0.3 * ANGSTROM, ny=9, dy=0.2 * ANGSTROM), (3, 8)),
+], ids=["square", "dx-ne-dy-off-centre", "small"])
+def test_packet_2d_equals_the_one_line_formula_bit_for_bit(grid, center, normalize):
+    spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=1.0 * ANGSTROM,
+                              center_j=center[0], center_k=center[1], normalize=normalize)
+    wf = gaussian_packet_2d(spec, grid)
+    real, imag = one_line_packet_2d(spec, grid)
+    assert np.array_equal(wf.real_part, real) and np.array_equal(wf.imag_part, imag)
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("stagger", ["none", "analytic", "discrete"])
+def test_packet_1d_equals_normalising_into_new_planes(physics, stagger, normalize):
+    grid = GridSpec(dims=1, nx=300, dx=0.1 * ANGSTROM)
+    spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=2.2 * ANGSTROM,
+                              center_j=110, normalize=normalize)
+    order = StencilOrder.FOURTH_ORDER
+    dt = SchemeConfig.from_mu(2, order, 0.25, physics, grid).dt
+    psi0 = free_packet_1d(grid, physics, spec.sigma, spec.wavelength, spec.center_j)
+    if stagger == "none":
+        dt, order, imag = None, None, psi0.imag
+    elif stagger == "analytic":
+        order, imag = None, free_packet_1d(grid, physics, spec.sigma, spec.wavelength,
+                                           spec.center_j, t=0.5 * dt).imag
+    else:
+        imag = _half_step_imag_discrete(psi0, grid, physics, order, dt)
+    real, imag = unit_norm_copy(psi0.real.copy(), imag.copy(), spec, grid)
+    wf = gaussian_packet_1d(spec, grid, physics, stagger_dt=dt, stagger_order=order)
+    assert np.array_equal(wf.real_part, real) and np.array_equal(wf.imag_part, imag)
+    assert wf.real_part.flags.c_contiguous and wf.imag_part.flags.c_contiguous
+
+
+def test_packet_2d_peaks_at_its_planes_and_normalisation(reduced_grid, reduced_packet):
+    # the two output planes, built in place, and the density plane and its
+    # square term that normalisation adds: no other plane-sized temporary
+    gaussian_packet_2d(reduced_packet, reduced_grid)   # warm-up before tracing
+    plane = 8 * reduced_grid.nx * reduced_grid.ny
+    peak = traced_peak(lambda: gaussian_packet_2d(reduced_packet, reduced_grid))
+    assert peak <= 2 * plane + 2 * plane + plane // 5
 
 
 # --- barrier ----------------------------------------------------------------
@@ -238,6 +305,25 @@ def test_run_leaves_input_planes_untouched(reduced_grid, reduced_packet,
     assert np.array_equal(wf0.real_part, real)
     assert np.array_equal(wf0.imag_part, imag)
     assert not np.array_equal(wf.real_part, real)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 a call's arguments "
+                    "stay on the caller's stack, so the caller keeps the field alive")
+def test_run_releases_the_given_field_after_step_1(reduced_grid, reduced_packet,
+                                                    reduced_barrier, physics):
+    # with no reference left in the caller, the first accepted step frees the
+    # initial field: nothing in run() (a decorator's wrapper) pins it
+    cfg = SchemeConfig.from_mu(0, StencilOrder.SECOND_ORDER, 0.2, physics, reduced_grid)
+    refs, alive = [], []
+
+    def packet():
+        wf = gaussian_packet_2d(reduced_packet, reduced_grid)
+        refs.extend(weakref.ref(obj) for obj in (wf, wf.real_part, wf.imag_part))
+        return wf
+
+    run(packet(), reduced_barrier, reduced_grid, cfg, steps=2, snapshot_every=1,
+        on_snapshot=lambda *_: alive.append([ref() is not None for ref in refs]))
+    assert alive == [[True] * 3, [False] * 3, [False] * 3]
 
 
 def test_run_records_exact_norm_and_peak_density(reduced_grid, reduced_packet,

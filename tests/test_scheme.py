@@ -8,7 +8,7 @@ from gfdtd import (ConfigurationError, GridSpec, PhysicalParams, PotentialField,
                    Propagator, SchemeConfig, StencilOrder, WaveField, apply_laplacian,
                    energy_expectation, run, step, stencils)
 
-from conftest import dense_b_matrix, quadrant_barrier
+from conftest import dense_b_matrix, quadrant_barrier, traced_peak
 
 
 def make_cfg(N, mu, grid, physics, order=StencilOrder.SECOND_ORDER):
@@ -349,17 +349,6 @@ def test_leapfrog_conserves_q_exactly(rng, N, order, unit_physics):
     assert max(abs(value - q[0]) for value in q) <= 1e-12 * abs(q[0])
 
 
-def traced_peak(fn):
-    """Peak bytes tracemalloc sees while fn runs."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_step_allocates_three_planes(rng, unit_physics):
     # the two planes of the new field and one scratch plane shared by both
     # half steps, next to the bound B's own slab scratch and a few small objects
@@ -387,6 +376,21 @@ def test_n0_step_allocates_only_the_new_field(rng, unit_physics):
     propagator = Propagator(grid, potential, cfg)
     propagator.step(wf)   # warm-up before tracing
     assert traced_peak(lambda: propagator.step(wf)) <= 2 * wf.real_part.nbytes + 4096
+
+
+@pytest.mark.parametrize("N", [0, 2])
+def test_step_writes_the_new_field_into_one_block(rng, N, unit_physics):
+    # one (2, *shape) allocation per step: a freed field's block is reused
+    # whole instead of the heap top being trimmed and faulted back
+    grid = GridSpec(dims=2, nx=12, dx=1.0, ny=9, dy=1.0)
+    potential = PotentialField(rng.uniform(0.0, 0.5, size=grid.shape))
+    cfg = make_cfg(N, 0.1, grid, unit_physics, StencilOrder.FOURTH_ORDER)
+    wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
+    new = Propagator(grid, potential, cfg).step(wf)
+    block = new.real_part.base
+    assert block is not None and block is new.imag_part.base
+    assert block.shape == (2, *grid.shape)
+    assert np.shares_memory(new.real_part, block[0]) and np.shares_memory(new.imag_part, block[1])
 
 
 def traced_run(wf, potential, grid, cfg):
