@@ -11,7 +11,7 @@ at the same instant.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,18 +161,10 @@ def norm(wf, grid, density_plane=None):
     return float(d.sum()) * grid.cell_volume
 
 
-def _normalized(wf, grid, in_place):
-    """wf scaled by 1/sqrt(norm) so the norm becomes 1: into new planes, or in
-    place, which only a builder of wf's planes may ask for."""
+def normalize(wf, grid):
+    """Scale both components by the same factor so the norm becomes 1."""
     n = norm(wf, grid)
     if n <= 0.0:
         raise DegenerateFieldError("cannot normalize a zero-norm field")
     scale = 1.0 / np.sqrt(n)
-    real, imag = (wf.real_part, wf.imag_part) if in_place else (None, None)
-    return WaveField(np.multiply(wf.real_part, scale, out=real),
-                     np.multiply(wf.imag_part, scale, out=imag))
-
-
-def normalize(wf, grid):
-    """Scale both components by the same factor, into new planes, so the norm becomes 1."""
-    return _normalized(wf, grid, in_place=False)
+    return replace(wf, real_part=wf.real_part * scale, imag_part=wf.imag_part * scale)

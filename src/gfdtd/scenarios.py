@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ConfigurationError, NonHermitianError
-from .fields import PotentialField, WaveField, _normalized, density, norm
+from .fields import PotentialField, WaveField, density, norm, normalize
 from .scheme import Propagator
 from .stability import DEFAULT_THRESHOLD, wavenumber_scan
 from .stencils import StencilOrder, _checked, axis_symbol, bind_b
@@ -83,7 +83,7 @@ def gaussian_packet_2d(spec, grid):
     phase *= envelope
     del envelope   # before normalisation's two planes
     wf = WaveField(real, phase)
-    return _normalized(wf, grid, in_place=True) if spec.normalize else wf
+    return normalize(wf, grid) if spec.normalize else wf
 
 
 def free_packet_1d(grid, physics, sigma, wavelength, center_j, t=0.0):
@@ -124,7 +124,7 @@ def _half_step_imag_discrete(psi0, grid, physics, order, dt):
     lam_sym = axis_symbol(order, np.sin(0.5 * k * grid.dx) ** 2) / grid.dx ** 2
     omega = physics.hbar * lam_sym / (2.0 * physics.mass)
     psi_half = np.fft.ifft(np.fft.fft(psi0) * np.exp(-1j * omega * 0.5 * dt))
-    return psi_half.imag.copy()
+    return psi_half.imag
 
 
 def gaussian_packet_1d(spec, grid, physics, stagger_dt=None, stagger_order=None):
@@ -144,7 +144,7 @@ def gaussian_packet_1d(spec, grid, physics, stagger_dt=None, stagger_order=None)
         imag = free_packet_1d(grid, physics, spec.sigma, spec.wavelength, spec.center_j,
                               t=0.5 * stagger_dt).imag.copy()
     wf = WaveField(psi0.real.copy(), imag)
-    return _normalized(wf, grid, in_place=True) if spec.normalize else wf
+    return normalize(wf, grid) if spec.normalize else wf
 
 
 def barrier_potential(spec, grid):

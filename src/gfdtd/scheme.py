@@ -90,7 +90,7 @@ class Propagator:
         _check_shape(field.real_part, self._grid, "field")   # imag's shape is real's
         u = np.empty(field.real_part.shape) if self._ratios else None
         # one allocation: the block a freed field leaves is reused whole, where
-        # two planes let the allocator trim the heap and fault it back each step
+        # two planes, by the heap's layout, can be trimmed and faulted back in
         block = np.empty((2, *field.real_part.shape))
         real, imag = block[0], block[1]   # indexing: unpacking iterates, 1 µs more
         self._half(field.imag_part, field.real_part, -self._dt, u, real)

@@ -11,7 +11,6 @@ from gfdtd import (ANGSTROM, EV, BarrierSpec, ConfigurationError,
                    SchemeConfig, StencilOrder, WaveField, barrier_potential,
                    energy_expectation, free_packet_1d, gaussian_packet_1d,
                    gaussian_packet_2d, norm, potential_bounds, run)
-from gfdtd.scenarios import _half_step_imag_discrete
 
 from conftest import lopsided_bind_b, traced_peak
 
@@ -104,10 +103,7 @@ def one_line_packet_2d(spec, grid):
     yk = (k - spec.center_k) * grid.dy
     envelope = np.exp(-0.5 * (xj / spec.sigma) ** 2 - 0.5 * (yk / spec.sigma) ** 2)
     phase = 2.0 * np.pi * (xj + yk) / spec.wavelength
-    return unit_norm_copy(envelope * np.cos(phase), envelope * np.sin(phase), spec, grid)
-
-
-def unit_norm_copy(real, imag, spec, grid):
+    real, imag = envelope * np.cos(phase), envelope * np.sin(phase)
     if not spec.normalize:
         return real, imag
     scale = 1.0 / np.sqrt(norm(WaveField(real, imag), grid))
@@ -128,31 +124,10 @@ def test_packet_2d_equals_the_one_line_formula_bit_for_bit(grid, center, normali
     assert np.array_equal(wf.real_part, real) and np.array_equal(wf.imag_part, imag)
 
 
-@pytest.mark.parametrize("normalize", [True, False])
-@pytest.mark.parametrize("stagger", ["none", "analytic", "discrete"])
-def test_packet_1d_equals_normalising_into_new_planes(physics, stagger, normalize):
-    grid = GridSpec(dims=1, nx=300, dx=0.1 * ANGSTROM)
-    spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=2.2 * ANGSTROM,
-                              center_j=110, normalize=normalize)
-    order = StencilOrder.FOURTH_ORDER
-    dt = SchemeConfig.from_mu(2, order, 0.25, physics, grid).dt
-    psi0 = free_packet_1d(grid, physics, spec.sigma, spec.wavelength, spec.center_j)
-    if stagger == "none":
-        dt, order, imag = None, None, psi0.imag
-    elif stagger == "analytic":
-        order, imag = None, free_packet_1d(grid, physics, spec.sigma, spec.wavelength,
-                                           spec.center_j, t=0.5 * dt).imag
-    else:
-        imag = _half_step_imag_discrete(psi0, grid, physics, order, dt)
-    real, imag = unit_norm_copy(psi0.real.copy(), imag.copy(), spec, grid)
-    wf = gaussian_packet_1d(spec, grid, physics, stagger_dt=dt, stagger_order=order)
-    assert np.array_equal(wf.real_part, real) and np.array_equal(wf.imag_part, imag)
-    assert wf.real_part.flags.c_contiguous and wf.imag_part.flags.c_contiguous
-
-
 def test_packet_2d_peaks_at_its_planes_and_normalisation(reduced_grid, reduced_packet):
-    # the two output planes, built in place, and the density plane and its
-    # square term that normalisation adds: no other plane-sized temporary
+    # the two output planes, built in place, and the two that normalize()
+    # adds (the norm's density plane and square term, then the scaled
+    # copies): no other plane-sized temporary
     gaussian_packet_2d(reduced_packet, reduced_grid)   # warm-up before tracing
     plane = 8 * reduced_grid.nx * reduced_grid.ny
     peak = traced_peak(lambda: gaussian_packet_2d(reduced_packet, reduced_grid))
