@@ -20,7 +20,7 @@ import numpy as np
 
 from gfdtd import (ANGSTROM, EV, BarrierSpec, GaussianPacketSpec, GridSpec,
                    PhysicalParams, SchemeConfig, StencilOrder,
-                   barrier_potential, energy_expectation, gaussian_packet_2d,
+                   barrier_potential, energy_expectation, gaussian_packet,
                    run)
 
 
@@ -37,7 +37,7 @@ def main():
     packet = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=1.0 * ANGSTROM,
                                 center_j=n // 4, center_k=n // 4)
     barrier = BarrierSpec(j_min=n // 2 + 1, k_min=n // 2 + 1, height=100 * EV)
-    wf = gaussian_packet_2d(packet, grid)
+    wf = gaussian_packet(packet, grid)
     pot = barrier_potential(barrier, grid)
 
     cfg = SchemeConfig.from_mu(2, StencilOrder.FOURTH_ORDER, 0.25, physics, grid)

@@ -17,7 +17,7 @@ import numpy as np
 
 from gfdtd import (ANGSTROM, GaussianPacketSpec, GridSpec, PhysicalParams,
                    PotentialField, Propagator, SchemeConfig, StencilOrder,
-                   free_packet_1d, gaussian_packet_1d)
+                   free_packet_1d, gaussian_packet)
 
 SIGMA = 1.0 * ANGSTROM
 WAVELENGTH = 2.2 * ANGSTROM
@@ -28,7 +28,7 @@ def evolve(grid, physics, mu, steps):
     cfg = SchemeConfig.from_mu(2, StencilOrder.FOURTH_ORDER, mu, physics, grid)
     spec = GaussianPacketSpec(sigma=SIGMA, wavelength=WAVELENGTH,
                               center_j=CENTER, normalize=False)
-    wf = gaussian_packet_1d(spec, grid, physics, stagger_dt=cfg.dt)
+    wf = gaussian_packet(spec, grid, physics, stagger_dt=cfg.dt)
     propagator = Propagator(grid, PotentialField.zeros(grid), cfg)   # B bound once per mu
     for _ in range(steps):
         wf = propagator.step(wf)

@@ -21,7 +21,7 @@ Run from the repository root:
 
 from gfdtd import (ANGSTROM, EV, BarrierSpec, GaussianPacketSpec, GridSpec,
                    PhysicalParams, SchemeConfig, StencilOrder,
-                   barrier_potential, gaussian_packet_2d, run)
+                   barrier_potential, gaussian_packet, run)
 
 CASES = [
     (0, StencilOrder.SECOND_ORDER, 0.20),
@@ -46,7 +46,7 @@ def main():
     print("-" * 88)
     for N, order, mu in CASES:
         cfg = SchemeConfig.from_mu(N, order, mu, physics, grid)
-        wf = gaussian_packet_2d(packet, grid)
+        wf = gaussian_packet(packet, grid)
         final, log = run(wf, pot, grid, cfg, steps=500, snapshot_every=100)
         report = log.stability_report
         if log.diverged:

@@ -12,7 +12,8 @@ from .stability import (StabilityReport, Verdict, amplification_roots,
                         endpoint_condition, endpoint_x, truncated_sine, wavenumber_scan)
 from .scenarios import (BarrierSpec, GaussianPacketSpec, RunLog, RunRecord,
                         barrier_potential, energy_expectation, free_packet_1d,
-                        gaussian_packet_1d, gaussian_packet_2d, potential_bounds, run)
+                        gaussian_packet, potential_bounds, run)
+from .scenarios import gaussian_packet_1d, gaussian_packet_2d   # aliases, not in __all__
 from .config import RunConfig, parse_config
 from .snapshots import (read_diagonal_snapshot, read_field_dump,
                         write_diagonal_snapshot, write_field_dump, write_runlog)
@@ -29,7 +30,7 @@ __all__ = [
     "endpoint_condition", "endpoint_x", "truncated_sine", "wavenumber_scan",
     "BarrierSpec", "GaussianPacketSpec", "RunLog", "RunRecord",
     "barrier_potential", "energy_expectation", "free_packet_1d",
-    "gaussian_packet_1d", "gaussian_packet_2d", "potential_bounds", "run",
+    "gaussian_packet", "potential_bounds", "run",
     "RunConfig", "parse_config",
     "read_diagonal_snapshot", "read_field_dump", "write_diagonal_snapshot",
     "write_field_dump", "write_runlog",

@@ -20,8 +20,8 @@ import sys
 from .config import parse_config
 from .errors import ConfigurationError, GfdtdError, RunIOError
 from .fields import EV
-from .scenarios import PotentialField, barrier_potential, gaussian_packet_1d, \
-    gaussian_packet_2d, potential_bounds, run as run_simulation
+from .scenarios import PotentialField, barrier_potential, gaussian_packet, potential_bounds, \
+    run as run_simulation
 from .scheme import SchemeConfig
 from .snapshots import write_diagonal_snapshot, write_field_dump, write_runlog
 from .stability import wavenumber_scan
@@ -34,12 +34,6 @@ def _load_config(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
-
-
-def _packet(cfg):
-    if cfg.grid.dims == 2:
-        return gaussian_packet_2d(cfg.packet, cfg.grid)
-    return gaussian_packet_1d(cfg.packet, cfg.grid, cfg.scheme.physics)
 
 
 def _print_report(report, scheme, bounds):
@@ -86,7 +80,7 @@ def cmd_run(args):
                  else barrier_potential(cfg.barrier, grid))
     # the packet is built in the call and named nowhere here, so run() can
     # free it after step 1; _snapshot_writer, evaluated next, makes out_dir
-    _, log = run_simulation(_packet(cfg), potential, grid, scheme, cfg.steps,
+    _, log = run_simulation(gaussian_packet(cfg.packet, grid), potential, grid, scheme, cfg.steps,
                             snapshot_every=cfg.snapshot_every,
                             on_snapshot=_snapshot_writer(cfg), threshold_c=cfg.c)
     _print_report(log.stability_report, scheme, potential.bounds())

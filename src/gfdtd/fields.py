@@ -164,7 +164,7 @@ def norm(wf, grid, density_plane=None):
 def normalize(wf, grid):
     """Scale both components by the same factor so the norm becomes 1."""
     n = norm(wf, grid)
-    if n <= 0.0:
-        raise DegenerateFieldError("cannot normalize a zero-norm field")
+    if not 0.0 < n < math.inf:   # NaN fails both
+        raise DegenerateFieldError(f"cannot normalize a field of norm {n}")
     scale = 1.0 / np.sqrt(n)
     return replace(wf, real_part=wf.real_part * scale, imag_part=wf.imag_part * scale)

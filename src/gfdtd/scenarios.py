@@ -6,13 +6,14 @@ the upper-right quadrant.  Grid indices in the specs below are 1-based
 (j = 1..nx), matching the mesh-point numbering used throughout.
 """
 
+import math
 import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import ConfigurationError, NonHermitianError
-from .fields import PotentialField, WaveField, density, norm, normalize
+from .fields import GridSpec, PotentialField, WaveField, density, norm, normalize
 from .scheme import Propagator
 from .stability import DEFAULT_THRESHOLD, wavenumber_scan
 from .stencils import StencilOrder, _checked, axis_symbol, bind_b
@@ -61,31 +62,6 @@ class BarrierSpec:
         _check_indices(grid, j_min=self.j_min, k_min=self.k_min)
 
 
-def gaussian_packet_2d(spec, grid):
-    """Initial split wavefunction: cos phase in the real part, sin in the
-    imaginary part, both under the same Gaussian envelope."""
-    spec.validate(grid)
-    if grid.dims != 2:
-        raise ConfigurationError("gaussian_packet_2d needs a 2-D grid")
-    j = np.arange(1, grid.nx + 1)[:, None]
-    k = np.arange(1, grid.ny + 1)[None, :]
-    xj = (j - spec.center_j) * grid.dx
-    yk = (k - spec.center_k) * grid.dy
-    # each plane built in place: at most three exist at once, no temporaries
-    envelope = np.subtract(-0.5 * (xj / spec.sigma) ** 2, 0.5 * (yk / spec.sigma) ** 2)
-    np.exp(envelope, out=envelope)
-    phase = np.add(xj, yk)
-    phase *= 2.0 * np.pi
-    phase /= spec.wavelength
-    real = np.cos(phase)
-    real *= envelope
-    np.sin(phase, out=phase)
-    phase *= envelope
-    del envelope   # before normalisation's two planes
-    wf = WaveField(real, phase)
-    return normalize(wf, grid) if spec.normalize else wf
-
-
 def free_packet_1d(grid, physics, sigma, wavelength, center_j, t=0.0):
     """Closed-form free-space evolution of a 1-D Gaussian packet.
 
@@ -96,55 +72,83 @@ def free_packet_1d(grid, physics, sigma, wavelength, center_j, t=0.0):
                     * exp(i k0 (x - x0) - i hbar k0^2 t / (2 m)),
         a = sigma^2 / 2 + i hbar t / (2 m),   v = hbar k0 / m.
 
-    Returns a complex array; callers split real/imag as needed.  Used
-    both to build initial data (including half-step-staggered imaginary
-    parts at t = -dt/2) and as the reference in accuracy measurements.
+    Returns a complex array.  Used as the reference in accuracy measurements
+    and, one factor per axis, for gaussian_packet's closed-form half step.  A
+    term that overflows raises ConfigurationError.
     """
     if grid.dims != 1:
         raise ConfigurationError("free_packet_1d needs a 1-D grid")
-    k0 = 2.0 * np.pi / wavelength
     x = (np.arange(1, grid.nx + 1) - center_j) * grid.dx  # displacement from center
-    a = sigma ** 2 / 2.0 + 1j * physics.hbar * t / (2.0 * physics.mass)
-    v = physics.hbar * k0 / physics.mass
-    amp = sigma / np.sqrt(2.0 * a)
-    return amp * np.exp(-(x - v * t) ** 2 / (4.0 * a)
-                        + 1j * (k0 * x - physics.hbar * k0 ** 2 * t / (2.0 * physics.mass)))
+    # in np.float64 an overflow is inf, not OverflowError; checked below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k0 = 2.0 * np.pi / np.float64(wavelength)
+        a = np.float64(sigma) ** 2 / 2.0 + 1j * physics.hbar * t / (2.0 * physics.mass)
+        v = physics.hbar * k0 / physics.mass
+        amp = sigma / np.sqrt(2.0 * a)
+        psi = amp * np.exp(-(x - v * t) ** 2 / (4.0 * a)
+                           + 1j * (k0 * x - physics.hbar * k0 ** 2 * t / (2.0 * physics.mass)))
+    if not (np.isfinite(a) and np.isfinite(psi).all()):
+        raise ConfigurationError(f"free packet overflows: sigma {sigma!r}, "
+                                 f"wavelength {wavelength!r}")
+    return psi
 
 
 def _half_step_imag_discrete(psi0, grid, physics, order, dt):
     """psi_imag advanced to t = +dt/2 under the semi-discrete dynamics.
 
     Applies exp(-i E dt/2) per Fourier mode with E the eigenvalue of the
-    discrete (stencil) kinetic operator, so the only error left against
-    the stepper is the time-truncation error itself.  Valid for free
-    space with the packet well away from the boundaries (the periodic
+    discrete (stencil) kinetic operator, a sum over the axes, so the only
+    error left against the stepper is the time-truncation error itself.  Valid
+    for free space with the packet well away from the boundaries (the periodic
     FFT then agrees with the Dirichlet operator to packet-tail accuracy).
     """
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
-    lam_sym = axis_symbol(order, np.sin(0.5 * k * grid.dx) ** 2) / grid.dx ** 2
+    lam_sym = sum(np.ix_(*(axis_symbol(order, np.sin(np.pi * np.fft.fftfreq(n)) ** 2) / h ** 2
+                           for n, h in zip(grid.shape, grid.spacing))))   # sin^2(beta h/2)
     omega = physics.hbar * lam_sym / (2.0 * physics.mass)
-    psi_half = np.fft.ifft(np.fft.fft(psi0) * np.exp(-1j * omega * 0.5 * dt))
-    return psi_half.imag
+    return np.fft.ifftn(np.fft.fftn(psi0) * np.exp(-0.5j * dt * omega)).imag
 
 
-def gaussian_packet_1d(spec, grid, physics, stagger_dt=None, stagger_order=None):
-    """1-D packet; when stagger_dt is given the imaginary part receives
-    a half-step phase correction to t = +stagger_dt/2 (the first step
-    consumes psi_imag at t_{1/2}), otherwise both parts are sampled at
-    t = 0.  The correction uses the analytic free-particle evolution, or
-    the discrete-dispersion evolution when stagger_order names a stencil
-    order (used by time-convergence measurements)."""
+def gaussian_packet(spec, grid, physics=None, stagger_dt=None, stagger_order=None):
+    """Initial split wavefunction, 1-D or 2-D: cos phase in the real part, sin
+    in the imaginary part, both under the same Gaussian envelope; the exponent
+    and the phase 2 pi (x + y) / wavelength sum one term per axis.  With
+    stagger_dt (and physics) the imaginary part is advanced to t = +dt/2, the
+    first step consuming psi_imag at t_{1/2}: by the free closed form, or by
+    the discrete dispersion when stagger_order names a stencil order (used by
+    time-convergence measurements).  Non-finite planes raise ConfigurationError."""
     spec.validate(grid)
-    psi0 = free_packet_1d(grid, physics, spec.sigma, spec.wavelength, spec.center_j)
-    if stagger_dt is None:
-        imag = psi0.imag.copy()
-    elif stagger_order is not None:
-        imag = _half_step_imag_discrete(psi0, grid, physics, stagger_order, stagger_dt)
-    else:
-        imag = free_packet_1d(grid, physics, spec.sigma, spec.wavelength, spec.center_j,
-                              t=0.5 * stagger_dt).imag.copy()
-    wf = WaveField(psi0.real.copy(), imag)
+    if stagger_dt is not None and physics is None:
+        raise ConfigurationError("stagger_dt needs physics")
+    axes = list(zip(grid.shape, (spec.center_j, spec.center_k), grid.spacing))
+    xs = np.ix_(*((np.arange(1, n + 1) - c) * h for n, c, h in axes))
+    # each plane built in place: at most three exist at once, no temporaries;
+    # 0 + (-a) + (-b) is -a - b, and 0 + x + y is x + y, bit for bit
+    with np.errstate(over="ignore", invalid="ignore"):   # exp(-inf) = 0 is the limit
+        envelope = sum(-0.5 * (x / spec.sigma) ** 2 for x in xs)
+        np.exp(envelope, out=envelope)
+        phase = sum(xs)
+        phase *= 2.0 * np.pi
+        phase /= spec.wavelength
+        real = np.cos(phase)
+        real *= envelope
+        np.sin(phase, out=phase)
+        phase *= envelope
+    del envelope   # before the half step's and normalisation's planes
+    if stagger_dt is not None and stagger_order is not None:
+        phase = _half_step_imag_discrete(real + 1j * phase, grid, physics, stagger_order,
+                                         stagger_dt)
+    elif stagger_dt is not None:   # the free Gaussian is a product of per-axis factors
+        phase = math.prod(np.ix_(*(free_packet_1d(GridSpec(1, n, h), physics, spec.sigma,
+                                                  spec.wavelength, c, 0.5 * stagger_dt)
+                                   for n, c, h in axes))).imag
+    if not (np.isfinite(real).all() and np.isfinite(phase).all()):
+        raise ConfigurationError(f"packet is not finite: sigma {spec.sigma!r}, "
+                                 f"wavelength {spec.wavelength!r}")
+    wf = WaveField(real, phase)
     return normalize(wf, grid) if spec.normalize else wf
+
+
+gaussian_packet_1d = gaussian_packet_2d = gaussian_packet   # older names, for perfbench
 
 
 def barrier_potential(spec, grid):

@@ -15,8 +15,8 @@ from gfdtd import (ANGSTROM, EV, BarrierSpec, GaussianPacketSpec, GridSpec,
                    PhysicalParams, PotentialField, SchemeConfig, StencilOrder,
                    Verdict, WaveField, amplification_roots, apply_b_power,
                    apply_laplacian, barrier_potential, endpoint_condition,
-                   energy_expectation, free_packet_1d, gaussian_packet_1d,
-                   gaussian_packet_2d, parse_config, read_diagonal_snapshot,
+                   energy_expectation, free_packet_1d, gaussian_packet,
+                   parse_config, read_diagonal_snapshot,
                    read_field_dump, run, step, truncated_sine, wavenumber_scan,
                    write_diagonal_snapshot, write_field_dump)
 
@@ -30,7 +30,7 @@ def reduced_setup():
     grid = GridSpec(dims=2, nx=200, dx=DX, ny=200, dy=DX)
     spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=1.0 * ANGSTROM,
                               center_j=50, center_k=50)
-    wf = gaussian_packet_2d(spec, grid)
+    wf = gaussian_packet(spec, grid)
     pot = barrier_potential(BarrierSpec(j_min=101, k_min=101, height=100 * EV),
                             grid)
     return grid, wf, pot
@@ -80,7 +80,7 @@ def test_criterion_3_packet_energy():
     grid = GridSpec(dims=2, nx=800, dx=DX, ny=800, dy=DX)
     spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=1.0 * ANGSTROM,
                               center_j=200, center_k=200)
-    wf = gaussian_packet_2d(spec, grid)
+    wf = gaussian_packet(spec, grid)
     pot = barrier_potential(BarrierSpec(j_min=401, k_min=401, height=100 * EV),
                             grid)
     energy_ev = energy_expectation(wf, pot, grid, PHYSICS) / EV
@@ -187,8 +187,7 @@ def test_criterion_7_1d_analytic_convergence():
         spec = GaussianPacketSpec(sigma=sigma, wavelength=lam, center_j=center,
                                   normalize=False)
         order = StencilOrder.FOURTH_ORDER if discrete_stagger else None
-        wf = gaussian_packet_1d(spec, grid, PHYSICS, stagger_dt=cfg.dt,
-                                stagger_order=order)
+        wf = gaussian_packet(spec, grid, PHYSICS, stagger_dt=cfg.dt, stagger_order=order)
         for _ in range(steps):
             wf = step(wf, pot, grid, cfg)
         return wf, cfg

@@ -509,8 +509,10 @@ def child_env():
 
 
 def run_cli(args, cwd, timeout=None):
-    return subprocess.run([sys.executable, "-m", "gfdtd.cli", *args], capture_output=True,
-                          text=True, cwd=cwd, env=child_env(), timeout=timeout)
+    # as pytest's filterwarnings does in-process: a leaked RuntimeWarning fails
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "gfdtd.cli",
+                           *args], capture_output=True, text=True, cwd=cwd, env=child_env(),
+                          timeout=timeout)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -614,6 +616,30 @@ def test_cli_extreme_finite_values_report_cleanly(tmp_path, command, section, ke
     else:
         assert result.returncode == 1
         assert "DIVERGENCE detected at step 1" in result.stdout
+
+
+@pytest.mark.parametrize("init", [{"sigma_angstrom": 1e300}, {"sigma_angstrom": 1e-160},
+                                  {"sigma_angstrom": 1e-300}, {"lambda_angstrom": 1e-300}],
+                         ids=["sigma-huge", "sigma-tiny", "sigma-denormal", "lambda-denormal"])
+@pytest.mark.parametrize("dims", [1, 2])
+def test_cli_run_packet_extremes_end_cleanly(tmp_path, dims, init):
+    # an envelope whose exponent overflows is exp(-inf) = 0 off the centre;
+    # a packet that is not finite is a configuration error, never a NaN run
+    doc = reduced_document(grid={"nx": 40, "ny": 40},
+                           init={"center_j": 20, "center_k": 20, **init},
+                           run={"steps": 4, "snapshot_every": 2, "out_dir": str(tmp_path / "out")})
+    del doc["potential"]
+    if dims == 1:
+        doc["grid"] = {"dims": 1, "nx": 40, "dx_angstrom": 0.1}
+        del doc["init"]["center_k"]
+    result = run_cli(["run", "--config", write_config(tmp_path, doc)], str(tmp_path))
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr, result.stderr
+    if result.returncode == 2:
+        assert result.stderr.startswith("configuration error:")
+    else:
+        assert result.returncode == 0, result.stdout
+        step0 = (tmp_path / "out" / "runlog.csv").read_text().splitlines()[1].split(",")
+        assert step0[0] == "0" and float(step0[2]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cli_run_io_error_exit_two(tmp_path):

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import gfdtd
-from gfdtd import (BarrierSpec, ConfigurationError, GaussianPacketSpec, GridSpec,
-                   PhysicalParams, PotentialField, Propagator, RunIOError, SchemeConfig,
-                   StencilOrder, WaveField, apply_b, apply_laplacian, errors, free_packet_1d,
-                   gaussian_packet_2d, parse_config, read_field_dump, run,
-                   write_field_dump)
+from gfdtd import (BarrierSpec, ConfigurationError, DegenerateFieldError, GaussianPacketSpec,
+                   GridSpec, PhysicalParams, PotentialField, Propagator, RunIOError,
+                   SchemeConfig, StencilOrder, WaveField, apply_b, apply_laplacian, errors,
+                   free_packet_1d, gaussian_packet, normalize, parse_config, read_field_dump,
+                   run, write_field_dump)
 
 MODULES = sorted(Path(gfdtd.__file__).parent.glob("*.py"))
 GRID_1D = GridSpec(dims=1, nx=6, dx=1.0)
@@ -80,11 +80,23 @@ RAISE_SITES = [
      ConfigurationError, "sigma and wavelength must be positive"),
     ("barrier-height", lambda tmp: BarrierSpec(1, 1, -1.0).validate(GRID_2D),
      ConfigurationError, "barrier height must be nonnegative"),
-    ("packet-2d-on-1d", lambda tmp: gaussian_packet_2d(GaussianPacketSpec(1.0, 1.0, 3),
-                                                       GRID_1D),
-     ConfigurationError, "gaussian_packet_2d needs a 2-D grid"),
+    # the half step evolves under physics' hbar and mass
+    ("packet-stagger-without-physics",
+     lambda tmp: gaussian_packet(GaussianPacketSpec(1.0, 1.0, 3), GRID_1D, stagger_dt=0.1),
+     ConfigurationError, "stagger_dt needs physics"),
+    # x 2 pi / wavelength overflows off the centre: cos(inf) is NaN
+    ("packet-phase-overflow", lambda tmp: gaussian_packet(GaussianPacketSpec(1.0, 1e-310, 3),
+                                                          GRID_1D),
+     ConfigurationError, r"packet is not finite: sigma 1\.0, wavelength 1e-310"),
     ("free-packet-on-2d", lambda tmp: free_packet_1d(GRID_2D, PhysicalParams(), 1.0, 1.0, 3),
      ConfigurationError, "free_packet_1d needs a 1-D grid"),
+    # sigma ** 2 overflows: a bare OverflowError before, not a GfdtdError
+    ("free-packet-sigma-overflow",
+     lambda tmp: free_packet_1d(GRID_1D, PhysicalParams(), 1e300, 1.0, 3),
+     ConfigurationError, r"free packet overflows: sigma 1e\+300, wavelength 1\.0"),
+    # a NaN norm fails n <= 0 too, and would scale both planes to NaN
+    ("normalize-nan", lambda tmp: normalize(WaveField(np.full(6, np.nan), np.zeros(6)), GRID_1D),
+     DegenerateFieldError, "cannot normalize a field of norm nan"),
     ("config-invalid-json", lambda tmp: parse_config("{"),
      ConfigurationError, "config is not valid JSON"),
     ("config-json-array", lambda tmp: parse_config(json.dumps([1, 2])),

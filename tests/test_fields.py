@@ -5,7 +5,7 @@ import pytest
 
 from gfdtd import (ANGSTROM, ConfigurationError, DegenerateFieldError,
                    GaussianPacketSpec, GridSpec, PhysicalParams, PotentialField, WaveField,
-                   gaussian_packet_2d, norm, normalize)
+                   gaussian_packet, norm, normalize)
 
 
 def test_grid_invariants():
@@ -57,7 +57,7 @@ def test_norm_gaussian_against_direct_summation():
     grid = GridSpec(dims=2, nx=200, dx=0.1 * ANGSTROM, ny=200, dy=0.1 * ANGSTROM)
     spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=1.0 * ANGSTROM,
                               center_j=50, center_k=50, normalize=False)
-    wf = gaussian_packet_2d(spec, grid)
+    wf = gaussian_packet(spec, grid)
 
     # brute-force oracle: explicit double loop over grid points
     total = 0.0

@@ -9,8 +9,8 @@ from gfdtd import (ANGSTROM, EV, BarrierSpec, ConfigurationError,
                    GaussianPacketSpec, GridSpec, NonHermitianError,
                    PhysicalParams, PotentialField,
                    SchemeConfig, StencilOrder, WaveField, barrier_potential,
-                   energy_expectation, free_packet_1d, gaussian_packet_1d,
-                   gaussian_packet_2d, norm, potential_bounds, run)
+                   energy_expectation, free_packet_1d, gaussian_packet,
+                   norm, potential_bounds, run)
 
 from conftest import lopsided_bind_b, traced_peak
 
@@ -43,7 +43,7 @@ def reduced_barrier(reduced_grid):
 def test_packet_center_values(reduced_grid):
     spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=1.0 * ANGSTROM,
                               center_j=50, center_k=50, normalize=False)
-    wf = gaussian_packet_2d(spec, reduced_grid)
+    wf = gaussian_packet(spec, reduced_grid)
     assert wf.real_part[49, 49] == 1.0
     assert wf.imag_part[49, 49] == 0.0
 
@@ -52,7 +52,7 @@ def test_packet_center_outside_grid(reduced_grid):
     spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=1.0 * ANGSTROM,
                               center_j=500, center_k=50)
     with pytest.raises(ConfigurationError):
-        gaussian_packet_2d(spec, reduced_grid)
+        gaussian_packet(spec, reduced_grid)
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -81,7 +81,7 @@ def test_packet_wide_envelope_limit():
     grid = GridSpec(dims=2, nx=8, dx=1.0, ny=8, dy=1.0)
     spec = GaussianPacketSpec(sigma=1e12, wavelength=5.0, center_j=4, center_k=4,
                               normalize=False)
-    wf = gaussian_packet_2d(spec, grid)
+    wf = gaussian_packet(spec, grid)
     j = np.arange(1, 9)[:, None] - 4
     k = np.arange(1, 9)[None, :] - 4
     phase = 2 * np.pi * (j + k) / 5.0
@@ -90,19 +90,19 @@ def test_packet_wide_envelope_limit():
 
 
 def test_packet_normalized_by_default(reduced_grid, reduced_packet):
-    wf = gaussian_packet_2d(reduced_packet, reduced_grid)
+    wf = gaussian_packet(reduced_packet, reduced_grid)
     assert norm(wf, reduced_grid) == pytest.approx(1.0, rel=1e-12)
 
 
-def one_line_packet_2d(spec, grid):
+def one_line_packet(spec, grid):
     """The packet as one expression per plane, each ufunc making a new plane,
-    and normalised into new planes: the oracle for the in-place builder."""
-    j = np.arange(1, grid.nx + 1)[:, None]
-    k = np.arange(1, grid.ny + 1)[None, :]
-    xj = (j - spec.center_j) * grid.dx
-    yk = (k - spec.center_k) * grid.dy
-    envelope = np.exp(-0.5 * (xj / spec.sigma) ** 2 - 0.5 * (yk / spec.sigma) ** 2)
-    phase = 2.0 * np.pi * (xj + yk) / spec.wavelength
+    and normalised into new planes: the oracle for the in-place builder.
+    Each axis's displacement is shaped to broadcast along its own axis."""
+    centers = (spec.center_j, spec.center_k)
+    xs = [(np.arange(1, n + 1) - c).reshape([n if b == a else 1 for b in range(grid.dims)]) * h
+          for a, (n, c, h) in enumerate(zip(grid.shape, centers, grid.spacing))]
+    envelope = np.exp(-sum(0.5 * (x / spec.sigma) ** 2 for x in xs))
+    phase = 2.0 * np.pi * sum(xs) / spec.wavelength
     real, imag = envelope * np.cos(phase), envelope * np.sin(phase)
     if not spec.normalize:
         return real, imag
@@ -115,22 +115,77 @@ def one_line_packet_2d(spec, grid):
     (GridSpec(dims=2, nx=200, dx=0.1 * ANGSTROM, ny=200, dy=0.1 * ANGSTROM), (50, 50)),
     (GridSpec(dims=2, nx=180, dx=0.1 * ANGSTROM, ny=230, dy=0.13 * ANGSTROM), (131, 17)),
     (GridSpec(dims=2, nx=12, dx=0.3 * ANGSTROM, ny=9, dy=0.2 * ANGSTROM), (3, 8)),
-], ids=["square", "dx-ne-dy-off-centre", "small"])
+    (GridSpec(dims=1, nx=300, dx=0.07 * ANGSTROM), (113, None)),
+], ids=["square", "dx-ne-dy-off-centre", "small", "1-d"])
 def test_packet_2d_equals_the_one_line_formula_bit_for_bit(grid, center, normalize):
     spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=1.0 * ANGSTROM,
                               center_j=center[0], center_k=center[1], normalize=normalize)
-    wf = gaussian_packet_2d(spec, grid)
-    real, imag = one_line_packet_2d(spec, grid)
+    wf = gaussian_packet(spec, grid)
+    real, imag = one_line_packet(spec, grid)
     assert np.array_equal(wf.real_part, real) and np.array_equal(wf.imag_part, imag)
+
+
+def test_packet_builder_is_one_function_under_every_name():
+    import gfdtd
+    from gfdtd import scenarios
+
+    assert scenarios.gaussian_packet_1d is scenarios.gaussian_packet_2d is gaussian_packet
+    assert gfdtd.gaussian_packet_1d is gfdtd.gaussian_packet_2d is gaussian_packet
+    assert "gaussian_packet" in gfdtd.__all__
+    assert not {"gaussian_packet_1d", "gaussian_packet_2d"} & set(gfdtd.__all__)
+
+
+def test_packet_1d_matches_the_closed_form_at_t0(physics):
+    # the real in-place formula against free_packet_1d's complex one
+    grid = GridSpec(dims=1, nx=2048, dx=0.1 * ANGSTROM)
+    spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=2.2 * ANGSTROM, center_j=400,
+                              normalize=False)
+    wf = gaussian_packet(spec, grid)
+    psi = free_packet_1d(grid, physics, spec.sigma, spec.wavelength, spec.center_j)
+    assert np.abs(wf.real_part + 1j * wf.imag_part - psi).max() <= 1e-15 * np.abs(psi).max()
+
+
+def _discrete_half_step_1d(psi0, n, h, order, physics, dt):
+    """One axis's complex factor advanced by dt/2 under the stencil's dispersion."""
+    from gfdtd.stencils import axis_symbol
+
+    omega = physics.hbar * axis_symbol(order, np.sin(np.pi * np.fft.fftfreq(n)) ** 2) / (
+        2.0 * physics.mass * h ** 2)
+    return np.fft.ifft(np.fft.fft(psi0) * np.exp(-0.5j * omega * dt))
+
+
+@pytest.mark.parametrize("order", [None, StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER],
+                         ids=["closed-form", "discrete-2nd", "discrete-4th"])
+def test_packet_2d_stagger_is_the_product_of_per_axis_factors(physics, order):
+    # the free Gaussian separates by axis, and so does the discrete dispersion
+    # (omega is a sum over axes): the 2-D staggered imaginary part is the
+    # imaginary part of the product of the two 1-D complex factors
+    grid = GridSpec(dims=2, nx=64, dx=0.1 * ANGSTROM, ny=48, dy=0.13 * ANGSTROM)
+    spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=2.0 * ANGSTROM,
+                              center_j=30, center_k=20, normalize=False)
+    dt = SchemeConfig.from_mu(2, StencilOrder.FOURTH_ORDER, 0.25, physics, grid).dt
+    wf = gaussian_packet(spec, grid, physics, stagger_dt=dt, stagger_order=order)
+    factors = []
+    for n, c, h in zip(grid.shape, (spec.center_j, spec.center_k), grid.spacing):
+        axis = GridSpec(dims=1, nx=n, dx=h)
+        if order is None:
+            factors.append(free_packet_1d(axis, physics, spec.sigma, spec.wavelength, c,
+                                          t=0.5 * dt))
+        else:
+            psi0 = free_packet_1d(axis, physics, spec.sigma, spec.wavelength, c)
+            factors.append(_discrete_half_step_1d(psi0, n, h, order, physics, dt))
+    product = factors[0][:, None] * factors[1][None, :]
+    assert np.abs(wf.imag_part - product.imag).max() <= 1e-14
+    assert not np.array_equal(wf.imag_part, gaussian_packet(spec, grid).imag_part)
 
 
 def test_packet_2d_peaks_at_its_planes_and_normalisation(reduced_grid, reduced_packet):
     # the two output planes, built in place, and the two that normalize()
     # adds (the norm's density plane and square term, then the scaled
     # copies): no other plane-sized temporary
-    gaussian_packet_2d(reduced_packet, reduced_grid)   # warm-up before tracing
+    gaussian_packet(reduced_packet, reduced_grid)   # warm-up before tracing
     plane = 8 * reduced_grid.nx * reduced_grid.ny
-    peak = traced_peak(lambda: gaussian_packet_2d(reduced_packet, reduced_grid))
+    peak = traced_peak(lambda: gaussian_packet(reduced_packet, reduced_grid))
     assert peak <= 2 * plane + 2 * plane + plane // 5
 
 
@@ -177,7 +232,7 @@ def test_energy_zero_momentum_gaussian_kinetic(physics):
     energies = []
     for sigma in (1.0 * ANGSTROM, 2.0 * ANGSTROM):
         spec = GaussianPacketSpec(sigma=sigma, wavelength=1e12, center_j=200)
-        wf = gaussian_packet_1d(spec, grid, physics)
+        wf = gaussian_packet(spec, grid, physics)
         energies.append(energy_expectation(wf, pot, grid, physics))
     assert energies[0] > energies[1] > 0.0
 
@@ -188,7 +243,7 @@ def test_energy_barrier_experiment_packet_is_300ev(physics):
     grid = GridSpec(dims=2, nx=800, dx=dx, ny=800, dy=dx)
     spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=1.0 * ANGSTROM,
                               center_j=200, center_k=200)
-    wf = gaussian_packet_2d(spec, grid)
+    wf = gaussian_packet(spec, grid)
     pot = barrier_potential(BarrierSpec(j_min=401, k_min=401, height=100 * EV), grid)
     energy_ev = energy_expectation(wf, pot, grid, physics) / EV
     assert energy_ev == pytest.approx(300.0, rel=0.10)
@@ -205,7 +260,7 @@ def test_energy_plane_wave_dispersion(physics):
     grid = GridSpec(dims=1, nx=1000, dx=0.1 * ANGSTROM)
     lam = 40 * ANGSTROM  # beta dx = 2 pi / 400
     spec = GaussianPacketSpec(sigma=8.0 * ANGSTROM, wavelength=lam, center_j=500)
-    wf = gaussian_packet_1d(spec, grid, physics)
+    wf = gaussian_packet(spec, grid, physics)
     pot = PotentialField.zeros(grid)
     beta = 2 * np.pi / lam
     kinetic = physics.hbar ** 2 * beta ** 2 / (2 * physics.mass)
@@ -221,7 +276,7 @@ def test_energy_asymmetric_operator_raises_typed_error(monkeypatch, physics):
     grid = GridSpec(dims=1, nx=200, dx=0.1 * ANGSTROM)
     spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=1.0 * ANGSTROM,
                               center_j=100)
-    wf = gaussian_packet_1d(spec, grid, physics)
+    wf = gaussian_packet(spec, grid, physics)
     pot = PotentialField.zeros(grid)
     energy_expectation(wf, pot, grid, physics)
     monkeypatch.setattr(scenarios, "bind_b", lopsided_bind_b)
@@ -236,7 +291,7 @@ def test_energy_expectation_binds_b_once(monkeypatch, physics):
     grid = GridSpec(dims=2, nx=40, dx=0.2 * ANGSTROM, ny=40, dy=0.2 * ANGSTROM)
     spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=2.0 * ANGSTROM,
                               center_j=20, center_k=20)
-    wf = gaussian_packet_2d(spec, grid)
+    wf = gaussian_packet(spec, grid)
     pot = barrier_potential(BarrierSpec(j_min=25, k_min=15, height=0.5 * EV), grid)
     expected = energy_expectation(wf, pot, grid, physics)
     bind, calls = stencils._bind, []
@@ -250,7 +305,7 @@ def test_energy_expectation_binds_b_once(monkeypatch, physics):
 def test_run_zero_steps(reduced_grid, reduced_packet, reduced_barrier, physics):
     cfg = SchemeConfig.from_mu(0, StencilOrder.SECOND_ORDER, 0.2, physics,
                                reduced_grid)
-    wf0 = gaussian_packet_2d(reduced_packet, reduced_grid)
+    wf0 = gaussian_packet(reduced_packet, reduced_grid)
     wf, log = run(wf0, reduced_barrier, reduced_grid, cfg, steps=0)
     assert len(log.records) == 1
     assert log.records[0].step == 0
@@ -261,7 +316,7 @@ def test_run_zero_steps(reduced_grid, reduced_packet, reduced_barrier, physics):
 def test_run_stable_regime(reduced_grid, reduced_packet, reduced_barrier, physics):
     cfg = SchemeConfig.from_mu(0, StencilOrder.SECOND_ORDER, 0.2, physics,
                                reduced_grid)
-    wf0 = gaussian_packet_2d(reduced_packet, reduced_grid)
+    wf0 = gaussian_packet(reduced_packet, reduced_grid)
     wf, log = run(wf0, reduced_barrier, reduced_grid, cfg, steps=500,
                   snapshot_every=100)
     assert not log.diverged
@@ -274,7 +329,7 @@ def test_run_leaves_input_planes_untouched(reduced_grid, reduced_packet,
                                            reduced_barrier, physics):
     cfg = SchemeConfig.from_mu(2, StencilOrder.FOURTH_ORDER, 0.25, physics,
                                reduced_grid)
-    wf0 = gaussian_packet_2d(reduced_packet, reduced_grid)
+    wf0 = gaussian_packet(reduced_packet, reduced_grid)
     real, imag = wf0.real_part.copy(), wf0.imag_part.copy()
     wf, _ = run(wf0, reduced_barrier, reduced_grid, cfg, steps=3)
     assert np.array_equal(wf0.real_part, real)
@@ -292,7 +347,7 @@ def test_run_releases_the_given_field_after_step_1(reduced_grid, reduced_packet,
     refs, alive = [], []
 
     def packet():
-        wf = gaussian_packet_2d(reduced_packet, reduced_grid)
+        wf = gaussian_packet(reduced_packet, reduced_grid)
         refs.extend(weakref.ref(obj) for obj in (wf, wf.real_part, wf.imag_part))
         return wf
 
@@ -307,7 +362,7 @@ def test_run_records_exact_norm_and_peak_density(reduced_grid, reduced_packet,
     # what fields.norm and a fresh real^2 + imag^2 give for the same field
     cfg = SchemeConfig.from_mu(2, StencilOrder.FOURTH_ORDER, 0.25, physics,
                                reduced_grid)
-    wf0 = gaussian_packet_2d(reduced_packet, reduced_grid)
+    wf0 = gaussian_packet(reduced_packet, reduced_grid)
     seen = []
 
     def check(field, record):
@@ -324,7 +379,7 @@ def test_run_records_exact_norm_and_peak_density(reduced_grid, reduced_packet,
 def test_run_times_each_phase(reduced_grid, reduced_packet, reduced_barrier, physics):
     # disjoint wall-time phases within the call; on_snapshot's time is its own
     cfg = SchemeConfig.from_mu(2, StencilOrder.FOURTH_ORDER, 0.25, physics, reduced_grid)
-    wf0 = gaussian_packet_2d(reduced_packet, reduced_grid)
+    wf0 = gaussian_packet(reduced_packet, reduced_grid)
     nap = 0.005
     for on_snapshot, snapshot_s in ((None, 0.0), (lambda *_: time.sleep(nap), 3 * nap)):
         start = time.perf_counter()
@@ -340,7 +395,7 @@ def test_run_times_each_phase(reduced_grid, reduced_packet, reduced_barrier, phy
 def test_run_divergent_regime(reduced_grid, reduced_packet, reduced_barrier, physics):
     cfg = SchemeConfig.from_mu(0, StencilOrder.SECOND_ORDER, 0.25, physics,
                                reduced_grid)
-    wf0 = gaussian_packet_2d(reduced_packet, reduced_grid)
+    wf0 = gaussian_packet(reduced_packet, reduced_grid)
     wf, log = run(wf0, reduced_barrier, reduced_grid, cfg, steps=500)
     assert log.diverged
     assert 0 < log.divergence_step < 500
@@ -352,7 +407,7 @@ def test_run_counts_steps_up_to_the_divergence(reduced_grid, reduced_packet,
     # the divergence on the step after the last record
     cfg = SchemeConfig.from_mu(0, StencilOrder.SECOND_ORDER, 0.25, physics,
                                reduced_grid)
-    wf0 = gaussian_packet_2d(reduced_packet, reduced_grid)
+    wf0 = gaussian_packet(reduced_packet, reduced_grid)
     _, log = run(wf0, reduced_barrier, reduced_grid, cfg, steps=500, snapshot_every=1)
     assert log.diverged
     assert [r.step for r in log.records] == list(range(log.divergence_step))
@@ -366,7 +421,7 @@ def test_reflection_and_transmission(reduced_grid, reduced_packet, reduced_barri
     # must have probability mass on both sides of the barrier edge
     cfg = SchemeConfig.from_mu(0, StencilOrder.SECOND_ORDER, 0.2, physics,
                                reduced_grid)
-    wf0 = gaussian_packet_2d(reduced_packet, reduced_grid)
+    wf0 = gaussian_packet(reduced_packet, reduced_grid)
     wf, log = run(wf0, reduced_barrier, reduced_grid, cfg, steps=500)
     assert not log.diverged
     density = wf.real_part ** 2 + wf.imag_part ** 2
@@ -382,7 +437,7 @@ def test_diagonal_symmetry(reduced_grid, reduced_packet, reduced_barrier, physic
     # the whole setup is symmetric under j <-> k, so the solution is too
     cfg = SchemeConfig.from_mu(2, StencilOrder.SECOND_ORDER, 0.25, physics,
                                reduced_grid)
-    wf0 = gaussian_packet_2d(reduced_packet, reduced_grid)
+    wf0 = gaussian_packet(reduced_packet, reduced_grid)
     seen = []
 
     def check(field, record):
@@ -431,7 +486,7 @@ def test_gfdtd_tracks_analytic_free_packet(physics):
 
     spec = GaussianPacketSpec(sigma=sigma, wavelength=lam, center_j=center,
                               normalize=False)
-    wf = gaussian_packet_1d(spec, grid, physics, stagger_dt=cfg.dt)
+    wf = gaussian_packet(spec, grid, physics, stagger_dt=cfg.dt)
     pot = PotentialField.zeros(grid)
     from gfdtd import step
     for _ in range(steps):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gfdtd import (ConfigurationError, GaussianPacketSpec, GridSpec, PhysicalParams,
                    PotentialField, SchemeConfig, StencilOrder, Verdict, WaveField,
                    amplification_roots, endpoint_condition, endpoint_x,
-                   gaussian_packet_1d, run, truncated_sine, wavenumber_scan)
+                   gaussian_packet, run, truncated_sine, wavenumber_scan)
 from gfdtd.stability import _symbol_value, interval_max_abs
 
 
@@ -283,19 +283,19 @@ GRID_1D = GridSpec(dims=1, nx=400, dx=1.0)
 
 
 @pytest.mark.parametrize("mu,v_term,j_min,diverges_at", [
-    (0.8, 2.0, 301, 300),    # barrier V dt/2hbar = 2 on j >= 301, zero elsewhere
+    (0.8, 2.0, 301, 301),    # barrier V dt/2hbar = 2 on j >= 301, zero elsewhere
     (0.5, -2.0, 1, 197),     # well V dt/2hbar = -2 everywhere
 ])
 def test_run_verdict_covers_every_potential_level(mu, v_term, j_min, diverges_at):
     # both regions reach S's interior peak 1.0047 (at x = 1.59 or -1.59),
     # which shifting every mode by max |V| missed; the runs blow up.  The
     # barrier run grows from round-off, so its step moves with the stepper's
-    # rounding; the well's packet seeds its unstable band itself
+    # and the packet's rounding; the well's packet seeds its unstable band itself
     cfg = SchemeConfig.from_mu(2, StencilOrder.SECOND_ORDER, mu, UNIT, GRID_1D)
     values = np.zeros(GRID_1D.shape)
     values[j_min - 1:] = v_term * 2.0 * UNIT.hbar / cfg.dt
-    wf = gaussian_packet_1d(GaussianPacketSpec(sigma=10.0, wavelength=8.0,
-                                               center_j=100), GRID_1D, UNIT)
+    wf = gaussian_packet(GaussianPacketSpec(sigma=10.0, wavelength=8.0, center_j=100),
+                         GRID_1D, UNIT)
     _, log = run(wf, PotentialField(values), GRID_1D, cfg, steps=600)
     report = log.stability_report
     assert not report.verdict.value.startswith("stable")
