@@ -28,7 +28,8 @@ def evolve(grid, physics, mu, steps):
     cfg = SchemeConfig.from_mu(2, StencilOrder.FOURTH_ORDER, mu, physics, grid)
     spec = GaussianPacketSpec(sigma=SIGMA, wavelength=WAVELENGTH,
                               center_j=CENTER, normalize=False)
-    wf = gaussian_packet(spec, grid, physics, stagger_dt=cfg.dt)
+    # imaginary part started at +dt/2 under the stencil's own dispersion
+    wf = gaussian_packet(spec, grid, physics, stagger_dt=cfg.dt, stagger_order=cfg.order)
     propagator = Propagator(grid, PotentialField.zeros(grid), cfg)   # B bound once per mu
     for _ in range(steps):
         wf = propagator.step(wf)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ConfigurationError, NonHermitianError
-from .fields import GridSpec, PotentialField, WaveField, density, norm, normalize
+from .fields import PotentialField, WaveField, density, norm, normalize
 from .scheme import Propagator
 from .stability import DEFAULT_THRESHOLD, wavenumber_scan
 from .stencils import StencilOrder, _checked, axis_symbol, bind_b
@@ -72,9 +72,8 @@ def free_packet_1d(grid, physics, sigma, wavelength, center_j, t=0.0):
                     * exp(i k0 (x - x0) - i hbar k0^2 t / (2 m)),
         a = sigma^2 / 2 + i hbar t / (2 m),   v = hbar k0 / m.
 
-    Returns a complex array.  Used as the reference in accuracy measurements
-    and, one factor per axis, for gaussian_packet's closed-form half step.  A
-    term that overflows raises ConfigurationError.
+    Returns a complex array, the reference in accuracy measurements.  A term
+    that overflows raises ConfigurationError.
     """
     if grid.dims != 1:
         raise ConfigurationError("free_packet_1d needs a 1-D grid")
@@ -93,32 +92,27 @@ def free_packet_1d(grid, physics, sigma, wavelength, center_j, t=0.0):
     return psi
 
 
-def _half_step_imag_discrete(psi0, grid, physics, order, dt):
-    """psi_imag advanced to t = +dt/2 under the semi-discrete dynamics.
-
-    Applies exp(-i E dt/2) per Fourier mode with E the eigenvalue of the
-    discrete (stencil) kinetic operator, a sum over the axes, so the only
-    error left against the stepper is the time-truncation error itself.  Valid
-    for free space with the packet well away from the boundaries (the periodic
-    FFT then agrees with the Dirichlet operator to packet-tail accuracy).
-    """
-    lam_sym = sum(np.ix_(*(axis_symbol(order, np.sin(np.pi * np.fft.fftfreq(n)) ** 2) / h ** 2
-                           for n, h in zip(grid.shape, grid.spacing))))   # sin^2(beta h/2)
-    omega = physics.hbar * lam_sym / (2.0 * physics.mass)
-    return np.fft.ifftn(np.fft.fftn(psi0) * np.exp(-0.5j * dt * omega)).imag
+def _staggered_axis(x, h, spec, physics, order, dt):
+    """exp(-x^2 / (2 sigma^2) + 2 pi i x / wavelength) times exp(-i omega dt/2) per
+    Fourier mode, omega = hbar K / 2m for this axis's stencil symbol K: the stencil's
+    own half step, valid for a packet far from the walls (the FFT is periodic)."""
+    s = np.sin(np.pi * np.fft.fftfreq(x.size)) ** 2   # sin^2(beta h/2)
+    omega = physics.hbar * axis_symbol(order, s) / (2.0 * physics.mass * h ** 2)
+    psi = np.exp(-0.5 * (x / spec.sigma) ** 2 + 1j * (x * 2.0 * np.pi / spec.wavelength))
+    return np.fft.ifft(np.fft.fft(psi) * np.exp(-0.5j * dt * omega))
 
 
 def gaussian_packet(spec, grid, physics=None, stagger_dt=None, stagger_order=None):
     """Initial split wavefunction, 1-D or 2-D: cos phase in the real part, sin
     in the imaginary part, both under the same Gaussian envelope; the exponent
     and the phase 2 pi (x + y) / wavelength sum one term per axis.  With
-    stagger_dt (and physics) the imaginary part is advanced to t = +dt/2, the
-    first step consuming psi_imag at t_{1/2}: by the free closed form, or by
-    the discrete dispersion when stagger_order names a stencil order (used by
-    time-convergence measurements).  Non-finite planes raise ConfigurationError."""
+    stagger_dt, physics and stagger_order the imaginary part is instead that of
+    the outer product of one complex 1-D factor per axis advanced to t = +dt/2
+    (packet and dispersion both separate by axis): the first step consumes
+    psi_imag at t_{1/2}.  Non-finite planes raise ConfigurationError."""
     spec.validate(grid)
-    if stagger_dt is not None and physics is None:
-        raise ConfigurationError("stagger_dt needs physics")
+    if stagger_dt is not None and (physics is None or stagger_order is None):
+        raise ConfigurationError("stagger_dt needs physics and stagger_order")
     axes = list(zip(grid.shape, (spec.center_j, spec.center_k), grid.spacing))
     xs = np.ix_(*((np.arange(1, n + 1) - c) * h for n, c, h in axes))
     # each plane built in place: at most three exist at once, no temporaries;
@@ -131,16 +125,15 @@ def gaussian_packet(spec, grid, physics=None, stagger_dt=None, stagger_order=Non
         phase /= spec.wavelength
         real = np.cos(phase)
         real *= envelope
-        np.sin(phase, out=phase)
-        phase *= envelope
-    del envelope   # before the half step's and normalisation's planes
-    if stagger_dt is not None and stagger_order is not None:
-        phase = _half_step_imag_discrete(real + 1j * phase, grid, physics, stagger_order,
-                                         stagger_dt)
-    elif stagger_dt is not None:   # the free Gaussian is a product of per-axis factors
-        phase = math.prod(np.ix_(*(free_packet_1d(GridSpec(1, n, h), physics, spec.sigma,
-                                                  spec.wavelength, c, 0.5 * stagger_dt)
-                                   for n, c, h in axes))).imag
+        if stagger_dt is None:
+            np.sin(phase, out=phase)
+            phase *= envelope
+            del envelope   # before normalisation's planes
+        else:   # one complex plane, the per-axis factors' outer product
+            del envelope, phase   # before the factors' FFTs, whose buffers come on top
+            phase = math.prod(np.ix_(*(_staggered_axis(x.ravel(), h, spec, physics,
+                                                       stagger_order, stagger_dt)
+                                       for x, h in zip(xs, grid.spacing)))).imag
     if not (np.isfinite(real).all() and np.isfinite(phase).all()):
         raise ConfigurationError(f"packet is not finite: sigma {spec.sigma!r}, "
                                  f"wavelength {spec.wavelength!r}")
@@ -164,6 +157,7 @@ def potential_bounds(spec, grid):
     (0, 0) for spec None, free space."""
     if spec is None:
         return 0.0, 0.0
+    spec.validate(grid)
     covers_grid = all(i == 1 for i, _ in zip((spec.j_min, spec.k_min), grid.shape))
     return (spec.height if covers_grid else 0.0), spec.height
 

@@ -27,6 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError
+from .scheme import MAX_TRUNCATION_INDEX
 from .stencils import axis_symbol
 
 DEFAULT_THRESHOLD = 0.99
@@ -41,8 +42,11 @@ def truncated_sine(x, N):
     exactly, so S(-x) == -S(x) holds bit for bit.  Scalar and array
     inputs follow the same operations and give identical values.  The
     accumulator is updated in place, so an array input costs two
-    temporaries of its size.
+    temporaries of its size.  N is an integer in [0, MAX_TRUNCATION_INDEX].
     """
+    if not isinstance(N, (int, np.integer)) or not 0 <= N <= MAX_TRUNCATION_INDEX:
+        raise ConfigurationError(
+            f"truncation index must be an integer in [0, {MAX_TRUNCATION_INDEX}], got {N!r}")
     x = np.asarray(x, dtype=float)
     x2 = x * x
     acc = np.full(x.shape, (-1.0) ** N / math.factorial(2 * N + 1))

@@ -182,17 +182,16 @@ def test_criterion_7_1d_analytic_convergence():
     pot = PotentialField.zeros(grid)
     mu0, steps0 = 0.25, 136
 
-    def evolve(mu, steps, discrete_stagger):
+    def evolve(mu, steps):
         cfg = SchemeConfig.from_mu(2, StencilOrder.FOURTH_ORDER, mu, PHYSICS, grid)
         spec = GaussianPacketSpec(sigma=sigma, wavelength=lam, center_j=center,
                                   normalize=False)
-        order = StencilOrder.FOURTH_ORDER if discrete_stagger else None
-        wf = gaussian_packet(spec, grid, PHYSICS, stagger_dt=cfg.dt, stagger_order=order)
+        wf = gaussian_packet(spec, grid, PHYSICS, stagger_dt=cfg.dt, stagger_order=cfg.order)
         for _ in range(steps):
             wf = step(wf, pot, grid, cfg)
         return wf, cfg
 
-    wf, cfg = evolve(mu0, steps0, discrete_stagger=False)
+    wf, cfg = evolve(mu0, steps0)
     t_end = steps0 * cfg.dt
     width_ratio = np.sqrt(1 + (PHYSICS.hbar * t_end / (PHYSICS.mass * sigma ** 2)) ** 2)
     assert width_ratio >= 1.2
@@ -204,15 +203,14 @@ def test_criterion_7_1d_analytic_convergence():
                      / (psi_n.real ** 2 + psi_half.imag ** 2).sum())
     assert l2_err < 1e-3
 
-    # time-error isolation: the half-step correction uses the stencil's
-    # own dispersion so the initialization carries no spatial-mismatch
-    # term, and the spatial error cancels in differences against a
-    # fine-dt reference on the same grid (Richardson-style subtraction)
-    wf1, _ = evolve(mu0, steps0, discrete_stagger=True)
-    wf2, _ = evolve(mu0 / 2, 2 * steps0, discrete_stagger=True)
-    ref, _ = evolve(mu0 / 8, 8 * steps0, discrete_stagger=True)
+    # time-error isolation: the half-step start uses the stencil's own
+    # dispersion so the initialization carries no spatial-mismatch term,
+    # and the spatial error cancels in differences against a fine-dt
+    # reference on the same grid (Richardson-style subtraction)
+    wf2, _ = evolve(mu0 / 2, 2 * steps0)
+    ref, _ = evolve(mu0 / 8, 8 * steps0)
     denom = np.linalg.norm(ref.real_part)
-    e1 = np.linalg.norm(wf1.real_part - ref.real_part) / denom
+    e1 = np.linalg.norm(wf.real_part - ref.real_part) / denom
     e2 = np.linalg.norm(wf2.real_part - ref.real_part) / denom
     assert e1 / e2 >= 4.0
     print(f"\nPASS criterion 7: width x{width_ratio:.3f}, L2 err {l2_err:.2e} "

@@ -17,6 +17,8 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                                           ("stability_regimes.py", [])])
 def test_demo_runs(tmp_path, script, args):
     # from tmp_path, so a plot written where matplotlib is installed lands there
-    result = subprocess.run([sys.executable, os.path.join(DEMOS, script), *args],
+    # as run_cli does: a leaked RuntimeWarning fails the demo
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                             os.path.join(DEMOS, script), *args],
                             capture_output=True, text=True, cwd=tmp_path, env=child_env())
     assert result.returncode == 0, result.stderr

@@ -14,8 +14,8 @@ import gfdtd
 from gfdtd import (BarrierSpec, ConfigurationError, DegenerateFieldError, GaussianPacketSpec,
                    GridSpec, PhysicalParams, PotentialField, Propagator, RunIOError,
                    SchemeConfig, StencilOrder, WaveField, apply_b, apply_laplacian, errors,
-                   free_packet_1d, gaussian_packet, normalize, parse_config, read_field_dump,
-                   run, write_field_dump)
+                   free_packet_1d, gaussian_packet, normalize, parse_config, potential_bounds,
+                   read_field_dump, run, truncated_sine, write_field_dump)
 
 MODULES = sorted(Path(gfdtd.__file__).parent.glob("*.py"))
 GRID_1D = GridSpec(dims=1, nx=6, dx=1.0)
@@ -80,10 +80,31 @@ RAISE_SITES = [
      ConfigurationError, "sigma and wavelength must be positive"),
     ("barrier-height", lambda tmp: BarrierSpec(1, 1, -1.0).validate(GRID_2D),
      ConfigurationError, "barrier height must be nonnegative"),
-    # the half step evolves under physics' hbar and mass
+    # the half step evolves under physics' hbar and mass and the stencil's dispersion
     ("packet-stagger-without-physics",
-     lambda tmp: gaussian_packet(GaussianPacketSpec(1.0, 1.0, 3), GRID_1D, stagger_dt=0.1),
-     ConfigurationError, "stagger_dt needs physics"),
+     lambda tmp: gaussian_packet(GaussianPacketSpec(1.0, 1.0, 3), GRID_1D, stagger_dt=0.1,
+                                 stagger_order=StencilOrder.SECOND_ORDER),
+     ConfigurationError, "stagger_dt needs physics and stagger_order"),
+    ("packet-stagger-without-order",
+     lambda tmp: gaussian_packet(GaussianPacketSpec(1.0, 1.0, 3), GRID_1D, PhysicalParams(),
+                                 stagger_dt=0.1),
+     ConfigurationError, "stagger_dt needs physics and stagger_order"),
+    # the bounds of a potential barrier_potential would refuse to build
+    ("potential-bounds-outside-grid", lambda tmp: potential_bounds(BarrierSpec(99, 99, 1.0),
+                                                                   GRID_2D),
+     ConfigurationError, "j_min 99 outside grid"),
+    ("potential-bounds-negative-height", lambda tmp: potential_bounds(BarrierSpec(1, 1, -1.0),
+                                                                      GRID_2D),
+     ConfigurationError, "barrier height must be nonnegative"),
+    # a bare ValueError, TypeError and OverflowError (from factorial) before
+    ("truncated-sine-negative-N", lambda tmp: truncated_sine(1.0, -1),
+     ConfigurationError, r"truncation index must be an integer in \[0, 8\], got -1"),
+    ("truncated-sine-fractional-N", lambda tmp: truncated_sine(1.0, 1.5),
+     ConfigurationError, r"truncation index must be an integer in \[0, 8\], got 1\.5"),
+    ("truncated-sine-large-N", lambda tmp: truncated_sine(1.0, 100),
+     ConfigurationError, r"truncation index must be an integer in \[0, 8\], got 100"),
+    ("truncated-sine-numpy-large-N", lambda tmp: truncated_sine(1.0, np.int64(9)),
+     ConfigurationError, r"truncation index must be an integer in \[0, 8\], got np\.int64\(9\)"),
     # x 2 pi / wavelength overflows off the centre: cos(inf) is NaN
     ("packet-phase-overflow", lambda tmp: gaussian_packet(GaussianPacketSpec(1.0, 1e-310, 3),
                                                           GRID_1D),

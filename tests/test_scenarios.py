@@ -1,5 +1,6 @@
 import sys
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -145,48 +146,79 @@ def test_packet_1d_matches_the_closed_form_at_t0(physics):
     assert np.abs(wf.real_part + 1j * wf.imag_part - psi).max() <= 1e-15 * np.abs(psi).max()
 
 
-def _discrete_half_step_1d(psi0, n, h, order, physics, dt):
-    """One axis's complex factor advanced by dt/2 under the stencil's dispersion."""
+def _plane_fft_stagger(wf, grid, physics, order, dt):
+    """Reference stagger: the unstaggered complex plane advanced by dt/2 through
+    one fftn over the whole plane, omega the sum of the axes' stencil symbols."""
     from gfdtd.stencils import axis_symbol
 
-    omega = physics.hbar * axis_symbol(order, np.sin(np.pi * np.fft.fftfreq(n)) ** 2) / (
-        2.0 * physics.mass * h ** 2)
-    return np.fft.ifft(np.fft.fft(psi0) * np.exp(-0.5j * omega * dt))
+    k = sum(np.ix_(*(axis_symbol(order, np.sin(np.pi * np.fft.fftfreq(n)) ** 2) / h ** 2
+                     for n, h in zip(grid.shape, grid.spacing))))
+    omega = physics.hbar * k / (2.0 * physics.mass)
+    return np.fft.ifftn(np.fft.fftn(wf.real_part + 1j * wf.imag_part)
+                        * np.exp(-0.5j * dt * omega)).imag
 
 
-@pytest.mark.parametrize("order", [None, StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER],
-                         ids=["closed-form", "discrete-2nd", "discrete-4th"])
-def test_packet_2d_stagger_is_the_product_of_per_axis_factors(physics, order):
+@pytest.mark.parametrize("order", list(StencilOrder), ids=["2nd", "4th"])
+@pytest.mark.parametrize("grid, center", [
+    (GridSpec(dims=2, nx=64, dx=0.1 * ANGSTROM, ny=48, dy=0.13 * ANGSTROM), (30, 20)),
+    (GridSpec(dims=1, nx=300, dx=0.07 * ANGSTROM), (113, None)),
+], ids=["2-d-dx-ne-dy", "1-d"])
+def test_packet_2d_stagger_is_the_product_of_per_axis_factors(physics, grid, center, order):
     # the free Gaussian separates by axis, and so does the discrete dispersion
-    # (omega is a sum over axes): the 2-D staggered imaginary part is the
-    # imaginary part of the product of the two 1-D complex factors
-    grid = GridSpec(dims=2, nx=64, dx=0.1 * ANGSTROM, ny=48, dy=0.13 * ANGSTROM)
+    # (omega is a sum over axes): the per-axis factors' product the builder
+    # forms agrees with one FFT over the whole plane, and the real part is
+    # the unstaggered one, bit for bit
     spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=2.0 * ANGSTROM,
-                              center_j=30, center_k=20, normalize=False)
+                              center_j=center[0], center_k=center[1], normalize=False)
     dt = SchemeConfig.from_mu(2, StencilOrder.FOURTH_ORDER, 0.25, physics, grid).dt
     wf = gaussian_packet(spec, grid, physics, stagger_dt=dt, stagger_order=order)
-    factors = []
-    for n, c, h in zip(grid.shape, (spec.center_j, spec.center_k), grid.spacing):
-        axis = GridSpec(dims=1, nx=n, dx=h)
-        if order is None:
-            factors.append(free_packet_1d(axis, physics, spec.sigma, spec.wavelength, c,
-                                          t=0.5 * dt))
-        else:
-            psi0 = free_packet_1d(axis, physics, spec.sigma, spec.wavelength, c)
-            factors.append(_discrete_half_step_1d(psi0, n, h, order, physics, dt))
-    product = factors[0][:, None] * factors[1][None, :]
-    assert np.abs(wf.imag_part - product.imag).max() <= 1e-14
-    assert not np.array_equal(wf.imag_part, gaussian_packet(spec, grid).imag_part)
+    plain = gaussian_packet(spec, grid)
+    reference = _plane_fft_stagger(plain, grid, physics, order, dt)
+    assert np.abs(wf.imag_part - reference).max() <= 1e-14
+    assert np.array_equal(wf.real_part, plain.real_part)
+    assert not np.array_equal(wf.imag_part, plain.imag_part)
 
 
-def test_packet_2d_peaks_at_its_planes_and_normalisation(reduced_grid, reduced_packet):
+@pytest.mark.parametrize("staggered, planes", [(False, 4), (True, 5)],
+                         ids=["unstaggered", "staggered"])
+def test_packet_2d_peaks_at_its_planes_and_normalisation(reduced_grid, reduced_packet, physics,
+                                                         staggered, planes):
     # the two output planes, built in place, and the two that normalize()
     # adds (the norm's density plane and square term, then the scaled
-    # copies): no other plane-sized temporary
-    gaussian_packet(reduced_packet, reduced_grid)   # warm-up before tracing
+    # copies): no other plane-sized temporary.  A staggered imaginary part
+    # is a view of the per-axis factors' complex product, one plane more
+    dt = SchemeConfig.from_mu(2, StencilOrder.FOURTH_ORDER, 0.25, physics, reduced_grid).dt
+    kwargs = dict(stagger_dt=dt, stagger_order=StencilOrder.FOURTH_ORDER) if staggered else {}
+    gaussian_packet(reduced_packet, reduced_grid, physics, **kwargs)   # warm-up before tracing
     plane = 8 * reduced_grid.nx * reduced_grid.ny
-    peak = traced_peak(lambda: gaussian_packet(reduced_packet, reduced_grid))
-    assert peak <= 2 * plane + 2 * plane + plane // 5
+    peak = traced_peak(lambda: gaussian_packet(reduced_packet, reduced_grid, physics, **kwargs))
+    assert peak <= planes * plane + plane // 5
+
+
+@pytest.mark.parametrize("init", [{"sigma": 1e300}, {"sigma": 1e-160}, {"sigma": 1e-300},
+                                  {"wavelength": 1e-300}],
+                         ids=["sigma-huge", "sigma-tiny", "sigma-denormal", "lambda-denormal"])
+@pytest.mark.parametrize("order", [None, *StencilOrder], ids=["unstaggered", "2nd", "4th"])
+@pytest.mark.parametrize("dims", [1, 2])
+def test_packet_extremes_end_in_a_unit_packet_or_configuration_error(physics, dims, order,
+                                                                    init):
+    # the CLI test's extreme inits, in-process and staggered too: no warning
+    # escapes the builder, whose FFTs run inside its errstate
+    dx = 0.1 * ANGSTROM
+    grid = GridSpec(dims=2, nx=40, dx=dx, ny=40, dy=dx) if dims == 2 else GridSpec(1, 40, dx)
+    lengths = {"sigma": ANGSTROM, "wavelength": ANGSTROM}
+    lengths.update({key: value * ANGSTROM for key, value in init.items()})
+    spec = GaussianPacketSpec(**lengths, center_j=20, center_k=20 if dims == 2 else None)
+    dt = SchemeConfig.from_mu(0, StencilOrder.SECOND_ORDER, 0.2, physics, grid).dt
+    kwargs = dict(stagger_dt=dt, stagger_order=order) if order else {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            wf = gaussian_packet(spec, grid, physics, **kwargs)
+        except ConfigurationError:
+            return
+    assert np.isfinite(wf.real_part).all() and np.isfinite(wf.imag_part).all()
+    assert norm(wf, grid) == pytest.approx(1.0, rel=1e-12)
 
 
 # --- barrier ----------------------------------------------------------------
@@ -471,31 +503,3 @@ def test_free_packet_1d_spreading(physics):
     # |psi|^2 of a width-s Gaussian has variance s^2/2
     expected = sigma ** 2 * (1 + (physics.hbar * t / (physics.mass * sigma ** 2)) ** 2) / 2
     assert var == pytest.approx(expected, rel=1e-6)
-
-
-def test_gfdtd_tracks_analytic_free_packet(physics):
-    # N=2, fourth-order, half-step phase correction: relative L2 error
-    # below 1e-3 after the packet width has grown by >= 20%
-    grid = GridSpec(dims=1, nx=2048, dx=0.1 * ANGSTROM)
-    sigma, lam, center = 1.0 * ANGSTROM, 2.2 * ANGSTROM, 400
-    cfg = SchemeConfig.from_mu(2, StencilOrder.FOURTH_ORDER, 0.25, physics, grid)
-    steps = 136
-    t_end = steps * cfg.dt
-    width_ratio = np.sqrt(1 + (physics.hbar * t_end / (physics.mass * sigma ** 2)) ** 2)
-    assert width_ratio >= 1.2
-
-    spec = GaussianPacketSpec(sigma=sigma, wavelength=lam, center_j=center,
-                              normalize=False)
-    wf = gaussian_packet(spec, grid, physics, stagger_dt=cfg.dt)
-    pot = PotentialField.zeros(grid)
-    from gfdtd import step
-    for _ in range(steps):
-        wf = step(wf, pot, grid, cfg)
-
-    psi_n = free_packet_1d(grid, physics, sigma, lam, center, t=t_end)
-    psi_half = free_packet_1d(grid, physics, sigma, lam, center,
-                              t=t_end + 0.5 * cfg.dt)
-    err = np.sqrt(((wf.real_part - psi_n.real) ** 2
-                   + (wf.imag_part - psi_half.imag) ** 2).sum()
-                  / (psi_n.real ** 2 + psi_half.imag ** 2).sum())
-    assert err < 1e-3
