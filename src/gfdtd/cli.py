@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 divergence detected (run log still written),
 """
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -24,7 +25,11 @@ from .scenarios import PotentialField, barrier_potential, gaussian_packet, poten
     run as run_simulation
 from .scheme import SchemeConfig
 from .snapshots import write_diagonal_snapshot, write_field_dump, write_runlog
-from .stability import wavenumber_scan
+from .stability import wavenumber_scan, wavenumber_scans
+
+# mu rows per wavenumber_scans call in sweep: numpy's per-call cost is paid per
+# chunk, and a chunk's configs and reports are all the rows sweep holds at once
+SWEEP_CHUNK_ROWS = 64
 
 
 def _load_config(path):
@@ -111,17 +116,27 @@ def cmd_sweep(args):
     v_min, v_max = potential_bounds(cfg.barrier, grid)
     first_over_c = first_over_one = None
     print("mu,endpoint_value,scan_max,verdict")
-    for mu in (mu_from + i * mu_step for i in range(rows)):
-        if mu > limit:
-            break
-        scheme = SchemeConfig.from_mu(base.N, base.order, mu, base.physics, grid)
-        report = wavenumber_scan(scheme, grid, v_max=v_max, c=cfg.c, v_min=v_min)
-        print(f"{mu:.{digits}g},{report.endpoint_value:.6g},{report.scan_max:.6g},"
-              f"{report.verdict.value}")
-        if first_over_c is None and report.scan_max > cfg.c:
-            first_over_c = mu
-        if first_over_one is None and report.scan_max > 1.0:
-            first_over_one = mu
+    # mu rises with i, so the rows end at the first mu past the limit
+    mus = itertools.takewhile(lambda mu: mu <= limit,
+                              (mu_from + i * mu_step for i in range(rows)))
+    while chunk := list(itertools.islice(mus, SWEEP_CHUNK_ROWS)):
+        schemes = []
+        for mu in chunk:
+            try:
+                schemes.append(SchemeConfig.from_mu(base.N, base.order, mu, base.physics, grid))
+            except ConfigurationError:   # dt leaves the float range: print the rows before it
+                break
+        # the reports live only in the loop, so no two chunks' reports are held at once
+        for mu, report in zip(chunk, wavenumber_scans(schemes, grid, v_max, cfg.c, v_min=v_min)
+                              if schemes else ()):
+            print(f"{mu:.{digits}g},{report.endpoint_value:.6g},{report.scan_max:.6g},"
+                  f"{report.verdict.value}")
+            if first_over_c is None and report.scan_max > cfg.c:
+                first_over_c = mu
+            if first_over_one is None and report.scan_max > 1.0:
+                first_over_one = mu
+        if len(schemes) < len(chunk):   # then raise that mu's error
+            SchemeConfig.from_mu(base.N, base.order, chunk[len(schemes)], base.physics, grid)
     if first_over_c is not None:
         print(f"first mu with scan max > c={cfg.c:.4g}: {first_over_c:.{digits}g}")
     if first_over_one is not None:

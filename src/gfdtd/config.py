@@ -176,7 +176,10 @@ def parse_config(text):
         raise ConfigurationError("config document must be a JSON object")
     v = _apply_schema(doc)
     dims, dx = v["grid.dims"], _metres(v, "grid.dx_angstrom")
-    grid = GridSpec(dims, v["grid.nx"], dx, v["grid.ny"], dx if dims == 2 else None)
+    try:
+        grid = GridSpec(dims, v["grid.nx"], dx, v["grid.ny"], dx if dims == 2 else None)
+    except ConfigurationError as exc:   # only 1/dx^2 can fail once the schema passed
+        raise ConfigurationError(f"grid.dx_angstrom: {exc}") from exc
     try:
         physics = PhysicalParams(v["physics.mass_kg"], v["physics.hbar"])
     except ConfigurationError as exc:   # only 1/hbar can fail once the schema passed

@@ -55,6 +55,12 @@ class GridSpec:
                 raise ConfigurationError("dy must be positive in 2-D")
         elif self.ny is not None or self.dy is not None:
             raise ConfigurationError("ny/dy are not allowed in 1-D")
+        for name, h in zip(("dx", "dy"), self.spacing):
+            try:
+                float(h) ** -2   # B's centre weight; where it is finite, h * h is no 0 either
+            except OverflowError:
+                raise ConfigurationError(
+                    f"{name} {h!r} is too small: 1/{name}^2 overflows") from None
 
     @property
     def shape(self):

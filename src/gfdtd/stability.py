@@ -17,6 +17,11 @@ published stability theorems do; that silently assumes S is monotone, which
 fails for N >= 1 once x_max passes S's first local maximum.  wavenumber_scan
 takes the exact maximum over the interval and is the authoritative verdict;
 when the two disagree the report says so instead of picking a side.
+
+wavenumber_scans runs that arithmetic over an array of time steps, one row
+per config, each row through the same IEEE operations as a scalar: gfdtd
+sweep hands it its mu rows a chunk at a time, and wavenumber_scan and
+endpoint_condition are its one-row case.
 """
 
 import functools
@@ -73,28 +78,24 @@ class StabilityReport:
     endpoint_x: float = float("nan")
 
 
-def _symbol_value(s, grid, cfg, v):
-    """x at sin^2(beta h/2) = s on every axis and potential level v."""
-    hbar = cfg.physics.hbar
-    k = sum(cfg.dt / (h * h) * axis_symbol(cfg.order, s) for h in grid.spacing)
-    return hbar / (4.0 * cfg.physics.mass) * k + v * cfg.dt / (2.0 * hbar)
+def _symbol_value(s, grid, order, physics, dt, v):
+    """x at sin^2(beta h/2) = s on every axis and potential level v, for a time
+    step dt or an array of them, one x per time step."""
+    hbar = physics.hbar
+    k = sum(dt / (h * h) * axis_symbol(order, s) for h in grid.spacing)
+    return hbar / (4.0 * physics.mass) * k + v * dt / (2.0 * hbar)
 
 
 def endpoint_x(grid, cfg, v_max=0.0):
     """Largest symbol argument, reached at the per-axis Nyquist wavenumber."""
-    return float(_symbol_value(1.0, grid, cfg, v_max))
-
-
-def _endpoint(x, N, c):
-    if not 0.0 < c < 1.0:
-        raise ConfigurationError(f"threshold c must lie in (0, 1), got {c}")
-    value = abs(truncated_sine(x, N))
-    return value, value <= c
+    return float(_symbol_value(1.0, grid, cfg.order, cfg.physics, cfg.dt, v_max))
 
 
 def endpoint_condition(cfg, grid, v_max=0.0, c=DEFAULT_THRESHOLD):
     """(|S(x_max)|, satisfied) for the Nyquist-endpoint stability condition."""
-    return _endpoint(endpoint_x(grid, cfg, v_max), cfg.N, c)
+    # the verdict's own value, under its errstate; the endpoint reads no lower level
+    value = wavenumber_scan(cfg, grid, v_max, c, v_min=v_max).endpoint_value
+    return value, value <= c
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,9 +108,40 @@ def _turning_points(N):   # real roots +-sqrt(y) of S_N' = sum_p (-1)^p y^p/(2p)
 def interval_max_abs(lo, hi, N):
     """Exact max |S_N(x)| over lo <= x <= hi, NaN for a NaN end: at an end or a
     turning point of S_N, as one outside the interval clips to an end.  An
-    error in a root moves |S| only to second order, since S' vanishes there."""
-    xs = np.clip(np.concatenate(([lo, hi], _turning_points(N))), lo, hi)
-    return float(np.abs(truncated_sine(xs, N)).max())
+    error in a root moves |S| only to second order, since S' vanishes there.
+    Array ends give one maximum per pair of ends; scalar ends give a float."""
+    lo, hi = (np.asarray(end, dtype=float)[..., None] for end in np.broadcast_arrays(lo, hi))
+    xs = np.concatenate((lo, hi, np.clip(_turning_points(N), lo, hi)), axis=-1)
+    peak = np.abs(truncated_sine(xs, N)).max(axis=-1)
+    return float(peak) if peak.ndim == 0 else peak
+
+
+def wavenumber_scans(cfgs, grid, v_max, c, *, v_min):
+    """wavenumber_scan's report for each of cfgs, which share N, order and
+    physics, judged as one array of their time steps."""
+    if v_min > v_max:
+        raise ConfigurationError(f"v_min {v_min} exceeds v_max {v_max}")
+    if not 0.0 < c < 1.0:
+        raise ConfigurationError(f"threshold c must lie in (0, 1), got {c}")
+    N, order, physics = shared = cfgs[0].N, cfgs[0].order, cfgs[0].physics
+    if any((cfg.N, cfg.order, cfg.physics) != shared for cfg in cfgs):
+        raise ConfigurationError("wavenumber_scans needs configs that share N, order and physics")
+    dt = np.array([cfg.dt for cfg in cfgs])
+    with np.errstate(over="ignore", invalid="ignore"):   # an inf or NaN x reads unstable
+        ep_x = _symbol_value(1.0, grid, order, physics, dt, v_max)
+        ep_value = np.abs(truncated_sine(ep_x, N))
+        lo = _symbol_value(0.0, grid, order, physics, dt, v_min)
+        scan_max = np.broadcast_to(interval_max_abs(lo, ep_x, N), dt.shape)
+        margin = c - scan_max
+    # a NaN maximum fails both conditions, so it reads UNSTABLE, not a disagreement
+    verdicts = np.select([scan_max <= c, (ep_value <= c) & (scan_max > c)],
+                         [Verdict.STABLE_BY_SCAN, Verdict.ENDPOINT_SCAN_DISAGREE],
+                         Verdict.UNSTABLE)
+    return [StabilityReport(endpoint_value=value, scan_max=peak, threshold_c=c, verdict=verdict,
+                            margin=room, endpoint_x=x)
+            for value, peak, verdict, room, x in zip(ep_value.tolist(), scan_max.tolist(),
+                                                      verdicts.tolist(), margin.tolist(),
+                                                      ep_x.tolist())]
 
 
 def wavenumber_scan(cfg, grid, v_max=0.0, c=DEFAULT_THRESHOLD, *, v_min=0.0):
@@ -117,21 +149,7 @@ def wavenumber_scan(cfg, grid, v_max=0.0, c=DEFAULT_THRESHOLD, *, v_min=0.0):
     potential level in [v_min, v_max] (v_min = 0: the barrier's background).
     Passing it yields STABLE_BY_SCAN, an endpoint pass alone ENDPOINT_SCAN_DISAGREE,
     a NaN maximum UNSTABLE."""
-    if v_min > v_max:
-        raise ConfigurationError(f"v_min {v_min} exceeds v_max {v_max}")
-    with np.errstate(over="ignore", invalid="ignore"):   # an inf or NaN x reads unstable
-        ep_x = endpoint_x(grid, cfg, v_max)
-        ep_value, endpoint_ok = _endpoint(ep_x, cfg.N, c)
-        scan_max = interval_max_abs(_symbol_value(0.0, grid, cfg, v_min), ep_x, cfg.N)
-    if scan_max <= c:
-        verdict = Verdict.STABLE_BY_SCAN
-    elif endpoint_ok and scan_max > c:   # false for a NaN maximum
-        verdict = Verdict.ENDPOINT_SCAN_DISAGREE
-    else:
-        verdict = Verdict.UNSTABLE
-    return StabilityReport(endpoint_value=ep_value, scan_max=scan_max,
-                           threshold_c=c, verdict=verdict,
-                           margin=c - scan_max, endpoint_x=ep_x)
+    return wavenumber_scans([cfg], grid, v_max, c, v_min=v_min)[0]
 
 
 def amplification_roots(alpha):

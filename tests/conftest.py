@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gfdtd import GridSpec, PhysicalParams, PotentialField, stencils
+from gfdtd import GridSpec, PhysicalParams, PotentialField, Verdict, stencils, truncated_sine
+from gfdtd.stability import _turning_points
 
 
 @pytest.fixture
@@ -96,6 +97,30 @@ def quadrant_barrier(grid, height=0.8):
     corner = (grid.nx // 2, (grid.ny or 0) // 3)[:grid.dims]
     values[tuple(slice(i, None) for i in corner)] = height
     return PotentialField(values)
+
+
+def reference_scan(cfg, grid, v_max, c, v_min):
+    """The scalar verdict arithmetic, one config at a time: (endpoint value,
+    scan max, verdict, margin, endpoint x), the reference for wavenumber_scans."""
+    hbar, mass, dt, N = cfg.physics.hbar, cfg.physics.mass, cfg.dt, cfg.N
+
+    def x_at(s, v):
+        k = sum(dt / (h * h) * stencils.axis_symbol(cfg.order, s) for h in grid.spacing)
+        return hbar / (4.0 * mass) * k + v * dt / (2.0 * hbar)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        ep_x = x_at(1.0, v_max)
+        ep_value = abs(truncated_sine(ep_x, N))
+        lo = x_at(0.0, v_min)
+        xs = np.clip(np.concatenate(([lo, ep_x], _turning_points(N))), lo, ep_x)
+        scan_max = float(np.abs(truncated_sine(xs, N)).max())
+    if scan_max <= c:
+        verdict = Verdict.STABLE_BY_SCAN
+    elif ep_value <= c and scan_max > c:
+        verdict = Verdict.ENDPOINT_SCAN_DISAGREE
+    else:
+        verdict = Verdict.UNSTABLE
+    return ep_value, scan_max, verdict, c - scan_max, ep_x
 
 
 def traced_peak(fn):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfdtd import (ANGSTROM, EV, ConfigurationError, GridSpec, RunIOError, RunLog,
-                   RunRecord, WaveField, parse_config, read_diagonal_snapshot,
-                   read_field_dump, write_diagonal_snapshot, write_field_dump, write_runlog)
+                   RunRecord, SchemeConfig, WaveField, parse_config, potential_bounds,
+                   read_diagonal_snapshot, read_field_dump, write_diagonal_snapshot,
+                   write_field_dump, write_runlog)
 from gfdtd.snapshots import read_field_meta
 
-from conftest import lopsided_bind_b, traced_peak
+from conftest import lopsided_bind_b, reference_scan, traced_peak
 
 
 def paper_scale_document():
@@ -599,17 +601,30 @@ def test_cli_malformed_number_exit_two(tmp_path, command, section, key, literal)
     assert names in result.stderr
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("physics", "mass_kg", 1e250),     # (dt/2)^3 overflows the series coefficients
-    ("potential", "height_ev", 1e300),  # V/hbar overflows in B
-    ("scheme", "mu", 1e300),            # (dt/2)^3 overflows the series coefficients
-], ids=["mass", "height", "mu"])
-@pytest.mark.parametrize("command", ["stability", "run"])
+EXTREME_FINITE_VALUES = [
+    ("physics", "mass_kg", 1e250, "mass"),       # (dt/2)^3 overflows the series coefficients
+    ("potential", "height_ev", 1e300, "height"),  # V/hbar overflows in B
+    ("scheme", "mu", 1e300, "mu"),                # (dt/2)^3 overflows the series coefficients
+]
+
+
+# sweep judges its own mu range, which the config's mu does not reach
+@pytest.mark.parametrize("command, section, key, value", [
+    pytest.param(command, section, key, value, id=f"{command}-{name}")
+    for command in ("stability", "run", "sweep")
+    for section, key, value, name in EXTREME_FINITE_VALUES
+    if (command, key) != ("sweep", "mu")])
 def test_cli_extreme_finite_values_report_cleanly(tmp_path, command, section, key, value):
     doc = reduced_document(scheme={"N": 2}, run={"out_dir": str(tmp_path / "out")})
     doc.setdefault(section, {})[key] = value
-    result = run_cli([command, "--config", write_config(tmp_path, doc)], str(tmp_path))
+    args = [command, "--config", write_config(tmp_path, doc)]
+    result = run_cli(args + SWEEP_ARGS if command == "sweep" else args, str(tmp_path))
     assert "Warning" not in result.stderr and "Traceback" not in result.stderr, result.stderr
+    if command == "sweep":
+        assert result.returncode == 0
+        rows = [line for line in result.stdout.splitlines()[1:] if line[:1].isdigit()]
+        assert rows and all(row.endswith(",unstable") for row in rows), result.stdout
+        return
     assert verdict_of(result.stdout) == "unstable"
     if command == "stability":
         assert result.returncode == 0
@@ -809,3 +824,102 @@ def test_cli_sweep_rows_tell_fine_mu_steps_apart(tmp_path, mu_from, mu_to, mu_st
         assert abs(float(text) - (mu_from + i * mu_step)) <= mu_step / 2
     firsts = [line.rsplit(": ", 1)[1] for line in lines if line.startswith("first")]
     assert firsts and set(firsts) <= set(mus)
+
+
+def sweep_flags(rows, mu_from=0.2001, mu_step=0.0005):
+    """--mu-* flags for a sweep of the given number of rows."""
+    return ["--mu-from", repr(mu_from), "--mu-to", repr(mu_from + (rows - 1.0 / 3) * mu_step),
+            "--mu-step", repr(mu_step)]
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("potential", [None, {"height_ev": 100.0}, {"height_ev": 100.0,
+                                                                     "mass_kg": 1e250}],
+                         ids=["free", "barrier", "overflowing"])
+def test_cli_sweep_rows_equal_the_scalar_reference(tmp_path, capsys, dims, order, potential):
+    # the rows are judged 64 to a call: each row, across the chunk edges too,
+    # reads what the scalar verdict reads for its own mu
+    from gfdtd import cli
+
+    doc = reduced_document(grid={"nx": 40, "ny": 40}, init={"center_j": 10, "center_k": 10},
+                           potential={"j_min": 21, "k_min": 21})
+    if potential is None:
+        del doc["potential"]
+    else:
+        doc["potential"]["height_ev"] = potential["height_ev"]
+        if "mass_kg" in potential:
+            doc["physics"] = {"mass_kg": potential["mass_kg"]}
+    if dims == 1:
+        doc["grid"] = {"dims": 1, "nx": 40, "dx_angstrom": 0.1}
+        del doc["init"]["center_k"]
+        doc.get("potential", {}).pop("k_min", None)
+    for N in range(5):
+        doc["scheme"].update(N=N, stencil_order=order)
+        path = write_config(tmp_path, doc)
+        cfg = parse_config(json.dumps(doc))
+        v_min, v_max = potential_bounds(cfg.barrier, cfg.grid)
+        for rows in (63, 64, 65, 600):
+            flags = sweep_flags(rows)
+            assert cli.main(["sweep", "--config", path, *flags]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            table = [line.split(",") for line in lines[1:rows + 1]]
+            assert len(table) == rows and not lines[rows + 1][:1].isdigit()
+            for i, (mu_text, value, peak, verdict) in enumerate(table):
+                mu = float(flags[1]) + i * float(flags[5])
+                assert float(mu_text) == pytest.approx(mu, rel=1e-6)
+                scheme = SchemeConfig.from_mu(N, cfg.scheme.order, mu, cfg.scheme.physics,
+                                              cfg.grid)
+                ref_value, ref_peak, ref_verdict, _, _ = reference_scan(scheme, cfg.grid, v_max,
+                                                                        cfg.c, v_min)
+                assert [value, peak, verdict] == [f"{ref_value:.6g}", f"{ref_peak:.6g}",
+                                                  ref_verdict.value]
+
+
+def test_cli_sweep_prints_the_rows_before_a_dt_that_overflows(tmp_path, capsys):
+    # dt = mu 2 m dx^2 / hbar passes the float range at mu ~ 5e45, in the
+    # sweep's second chunk: the rows before it print, then the error
+    from gfdtd import cli
+
+    doc = one_d_document(physics={"mass_kg": 1e250})
+    argv = ["sweep", "--config", write_config(tmp_path, doc),
+            "--mu-from", "1e40", "--mu-to", "1e50", "--mu-step", "1e44"]
+    cfg = parse_config(json.dumps(doc))
+    scheme, grid = cfg.scheme, cfg.grid
+    finite = 0
+    with contextlib.suppress(ConfigurationError):
+        while True:
+            SchemeConfig.from_mu(scheme.N, scheme.order, 1e40 + finite * 1e44, scheme.physics, grid)
+            finite += 1
+    assert 64 < finite < 128
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 + finite
+    assert err.startswith("configuration error: dt must be positive and finite, got inf")
+
+
+def test_cli_sweep_peak_memory_does_not_grow_with_rows(tmp_path):
+    # rows are judged a chunk at a time, so ten times the rows hold no more memory
+    from gfdtd import cli
+
+    path = write_config(tmp_path, reduced_document(scheme={"N": 2, "stencil_order": 4}))
+
+    def sweep(rows):
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert cli.main(["sweep", "--config", path, *sweep_flags(rows, 0.2, 5e-5)]) == 0
+
+    sweep(600)   # warm-up before tracing
+    assert traced_peak(lambda: sweep(6000)) <= 1.5 * traced_peak(lambda: sweep(600))
+
+
+@pytest.mark.parametrize("command", ["stability", "run"])
+def test_cli_spacing_whose_inverse_square_overflows_names_key(tmp_path, command):
+    # with a heavy particle dt stays in range at dx = 1e-160 m, but 1/dx^2
+    # overflows: run used to end in an OverflowError traceback from bind_b
+    doc = reduced_document(grid={"dx_angstrom": 1e-150}, physics={"mass_kg": 1e30},
+                           run={"out_dir": str(tmp_path / "out")})
+    result = run_cli([command, "--config", write_config(tmp_path, doc)], str(tmp_path))
+    assert result.returncode == 2
+    assert result.stderr.startswith("configuration error: grid.dx_angstrom: dx 1e-160 is too "
+                                    "small"), result.stderr
+    assert "Traceback" not in result.stderr

@@ -46,6 +46,11 @@ RAISE_SITES = [
      ConfigurationError, "dx must be positive"),
     ("grid-ny-2d", lambda tmp: GridSpec(dims=2, nx=6, dx=1.0, ny=4, dy=1.0),
      ConfigurationError, r"ny must be >= 5 in 2-D"),
+    # 1/dy^2 overflows: the verdict divided by 0.0 (dy * dy), bind_b raised an OverflowError
+    ("grid-dy-1e-200", lambda tmp: GridSpec(dims=2, nx=16, dx=1e-10, ny=16, dy=1e-200),
+     ConfigurationError, r"dy 1e-200 is too small: 1/dy\^2 overflows"),
+    ("grid-dy-1e-160", lambda tmp: GridSpec(dims=2, nx=16, dx=1e-10, ny=16, dy=1e-160),
+     ConfigurationError, r"dy 1e-160 is too small: 1/dy\^2 overflows"),
     ("physics-mass", lambda tmp: PhysicalParams(mass=0.0),
      ConfigurationError, "mass must be positive"),
     ("physics-hbar", lambda tmp: PhysicalParams(hbar=-1.0),

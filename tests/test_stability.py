@@ -3,12 +3,15 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gfdtd import (ConfigurationError, GaussianPacketSpec, GridSpec, PhysicalParams,
                    PotentialField, SchemeConfig, StencilOrder, Verdict, WaveField,
                    amplification_roots, endpoint_condition, endpoint_x,
                    gaussian_packet, run, truncated_sine, wavenumber_scan)
-from gfdtd.stability import _symbol_value, interval_max_abs
+from gfdtd.stability import _symbol_value, interval_max_abs, wavenumber_scans
+
+from conftest import dense_b_matrix, reference_scan
 
 
 @pytest.fixture
@@ -66,7 +69,7 @@ def test_truncated_sine_vectorized():
 
 def lower_x(grid, cfg, v_min=0.0):
     """The interval's lower end: x at zero wavenumber and level v_min."""
-    return _symbol_value(0.0, grid, cfg, v_min)
+    return _symbol_value(0.0, grid, cfg.order, cfg.physics, cfg.dt, v_min)
 
 
 def test_symbol_zero_wavenumber(grid_2d, physics):
@@ -141,6 +144,17 @@ def test_endpoint_mu_035_n2(grid_2d, physics):
     value, ok = endpoint_condition(cfg, grid_2d, v_max=0.0, c=0.99)
     assert value == pytest.approx(0.98749, abs=1e-5)
     assert ok
+
+
+def test_endpoint_overflow_is_unsatisfied_without_warnings():
+    # x_max overflows; the endpoint used to square it outside the verdict's errstate
+    grid = GridSpec(dims=1, nx=16, dx=1.0)
+    cfg = cfg_for(grid, PhysicalParams(mass=1.0, hbar=1.0), 2, 1e100, StencilOrder.FOURTH_ORDER)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, ok = endpoint_condition(cfg, grid)
+    assert not np.isfinite(value)
+    assert ok is False
 
 
 def test_endpoint_rejects_bad_threshold(grid_2d, physics):
@@ -255,6 +269,75 @@ def test_scan_overflowing_symbol_is_unstable_without_warnings():
     assert report.verdict is Verdict.UNSTABLE
 
 
+@pytest.mark.parametrize("grid, physics", [
+    (GridSpec(dims=1, nx=32, dx=1.0e-11), PhysicalParams()),
+    (GridSpec(dims=2, nx=32, dx=1.0e-11, ny=24, dy=2.7e-11), PhysicalParams()),
+    # dt/dx^2 is inf at the top of the mu range: 0 * inf = NaN at zero wavenumber
+    (GridSpec(dims=1, nx=16, dx=1.0e-5), PhysicalParams(mass=1.0, hbar=1.0e-10))],
+    ids=["1d", "2d-dx!=dy", "1d-symbol-overflow"])
+@pytest.mark.parametrize("order", list(StencilOrder), ids=["2nd", "4th"])
+@pytest.mark.parametrize("v_min, v_max", [(0.0, 0.0), (0.0, 5.0e-17), (-3.0e-17, 0.0),
+                                          (0.0, 1.0e300)],
+                         ids=["free", "barrier", "well", "v-dt-overflow"])
+def test_scans_equal_the_scalar_reference(grid, physics, order, v_min, v_max):
+    # every row goes through the scalar's IEEE operations, so the values are equal
+    mus = [*np.linspace(0.01, 2.0, 70).tolist(), 1e100, 1e300]
+    for N in range(5):
+        cfgs = [SchemeConfig.from_mu(N, order, mu, physics, grid) for mu in mus]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = wavenumber_scans(cfgs, grid, v_max, 0.97, v_min=v_min)
+        assert len(reports) == len(cfgs)
+        for cfg, report in zip(cfgs, reports):
+            value, peak, verdict, margin, x = reference_scan(cfg, grid, v_max, 0.97, v_min)
+            assert report.verdict is verdict and report.threshold_c == 0.97
+            assert np.array_equal([report.endpoint_value, report.scan_max, report.margin,
+                                   report.endpoint_x], [value, peak, margin, x], equal_nan=True)
+
+
+def test_scans_reject_configs_that_differ_in_n_order_or_physics(grid_2d, physics):
+    base = cfg_for(grid_2d, physics, 2, 0.2)
+    for other in (cfg_for(grid_2d, physics, 3, 0.3),
+                  cfg_for(grid_2d, physics, 2, 0.3, StencilOrder.FOURTH_ORDER),
+                  cfg_for(grid_2d, PhysicalParams(mass=2 * physics.mass), 2, 0.3)):
+        with pytest.raises(ConfigurationError, match="share N, order and physics"):
+            wavenumber_scans([base, other], grid_2d, 0.0, 0.99, v_min=0.0)
+
+
+UNIT = PhysicalParams(mass=1.0, hbar=1.0)
+
+
+@st.composite
+def small_grids(draw):
+    """A 1-D grid of 5-24 cells or a 2-D one of 5-8 per axis, dy = dx or 1.5 dx."""
+    if draw(st.booleans()):
+        return GridSpec(dims=1, nx=draw(st.integers(5, 24)), dx=1.0)
+    return GridSpec(dims=2, nx=draw(st.integers(5, 8)), dx=1.0, ny=draw(st.integers(5, 8)),
+                    dy=draw(st.sampled_from((1.0, 1.5))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=small_grids(), order=st.sampled_from(list(StencilOrder)), N=st.integers(0, 4),
+       mu=st.floats(0.01, 0.6), data=st.data())
+def test_verdict_interval_holds_the_spectrum(grid, order, N, mu, data):
+    # the truncated Laplacian's eigenvalues lie inside its symbol's range and,
+    # by Weyl's inequality, diag(V) keeps every x = -lambda dt/2 of B inside
+    # [V_min dt/2hbar, endpoint_x(V_max)]; so max |S_N| over the spectrum is at
+    # most the scan's maximum over that interval
+    cfg = SchemeConfig.from_mu(N, order, mu, UNIT, grid)
+    v_terms = data.draw(arrays(float, grid.shape, elements=st.floats(-1.0, 1.0)))
+    potential = PotentialField(v_terms * 2.0 * UNIT.hbar / cfg.dt)
+    v_min, v_max = potential.bounds()
+    xs = -np.linalg.eigvalsh(dense_b_matrix(grid, potential, UNIT, order)) * cfg.dt / 2
+    lo = _symbol_value(0.0, grid, order, UNIT, cfg.dt, v_min)
+    hi = endpoint_x(grid, cfg, v_max)
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))   # eigvalsh's rounding
+    assert lo - tol <= xs.min() and xs.max() <= hi + tol
+    report = wavenumber_scan(cfg, grid, v_max=v_max, v_min=v_min)
+    # |x| < 4.3 here (kinetic part <= 16 mu/3, |V| term <= 1), where |S_N'| < 10 for N <= 4
+    assert np.abs(truncated_sine(xs, N)).max() <= report.scan_max + 10 * tol
+
+
 # --- exact interval maximum ---------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -267,6 +350,7 @@ def test_interval_max_matches_dense_oracle(N, ends):
     lo, hi = ends
     dense = np.abs(truncated_sine(np.linspace(lo, hi, 2_000_001), N)).max()
     exact = interval_max_abs(lo, hi, N)
+    assert isinstance(exact, float)
     assert exact == pytest.approx(dense, abs=1e-9)
     assert exact >= dense - 1e-12
 
@@ -278,7 +362,6 @@ def test_interval_max_nan_end_gives_nan():
 
 # --- verdict over a potential's range --------------------------------------------
 
-UNIT = PhysicalParams(mass=1.0, hbar=1.0)
 GRID_1D = GridSpec(dims=1, nx=400, dx=1.0)
 
 
