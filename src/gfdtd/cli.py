@@ -83,9 +83,10 @@ def cmd_run(args):
                                  "run writes diagonal snapshots")
     potential = (PotentialField.zeros(grid) if cfg.barrier is None
                  else barrier_potential(cfg.barrier, grid))
-    # the packet is built in the call and named nowhere here, so run() can
-    # free it after step 1; _snapshot_writer, evaluated next, makes out_dir
-    _, log = run_simulation(gaussian_packet(cfg.packet, grid), potential, grid, scheme, cfg.steps,
+    # the packet (imaginary part at +dt/2) is built in the call and named nowhere here,
+    # so run() can free it after step 1; _snapshot_writer, evaluated next, makes out_dir
+    _, log = run_simulation(gaussian_packet(cfg.packet, grid, scheme.physics, scheme.dt,
+                                            scheme.order), potential, grid, scheme, cfg.steps,
                             snapshot_every=cfg.snapshot_every,
                             on_snapshot=_snapshot_writer(cfg), threshold_c=cfg.c)
     _print_report(log.stability_report, scheme, potential.bounds())

@@ -6,14 +6,13 @@ the upper-right quadrant.  Grid indices in the specs below are 1-based
 (j = 1..nx), matching the mesh-point numbering used throughout.
 """
 
-import math
 import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import ConfigurationError, NonHermitianError
-from .fields import PotentialField, WaveField, density, norm, normalize
+from .errors import ConfigurationError, DegenerateFieldError, NonHermitianError
+from .fields import PotentialField, WaveField, density, norm
 from .scheme import Propagator
 from .stability import DEFAULT_THRESHOLD, wavenumber_scan
 from .stencils import StencilOrder, _checked, axis_symbol, bind_b
@@ -92,53 +91,51 @@ def free_packet_1d(grid, physics, sigma, wavelength, center_j, t=0.0):
     return psi
 
 
-def _staggered_axis(x, h, spec, physics, order, dt):
-    """exp(-x^2 / (2 sigma^2) + 2 pi i x / wavelength) times exp(-i omega dt/2) per
-    Fourier mode, omega = hbar K / 2m for this axis's stencil symbol K: the stencil's
-    own half step, valid for a packet far from the walls (the FFT is periodic)."""
+def _axis_factor(x, h, spec, physics, order, dt):
+    """The factor exp(-x^2 / (2 sigma^2) + 2 pi i x / wavelength) on one axis, and it advanced
+    by exp(-i omega dt/2) per Fourier mode, omega = hbar K / 2m for the axis's stencil symbol K
+    (the periodic FFT needs the packet far from the walls); without dt, the factor twice."""
+    psi = np.exp(-0.5 * (x / spec.sigma) ** 2 + 1j * (x * 2.0 * np.pi / spec.wavelength))
+    if dt is None:
+        return psi, psi
     s = np.sin(np.pi * np.fft.fftfreq(x.size)) ** 2   # sin^2(beta h/2)
     omega = physics.hbar * axis_symbol(order, s) / (2.0 * physics.mass * h ** 2)
-    psi = np.exp(-0.5 * (x / spec.sigma) ** 2 + 1j * (x * 2.0 * np.pi / spec.wavelength))
-    return np.fft.ifft(np.fft.fft(psi) * np.exp(-0.5j * dt * omega))
+    return psi, np.fft.ifft(np.fft.fft(psi) * np.exp(-0.5j * dt * omega))
 
 
 def gaussian_packet(spec, grid, physics=None, stagger_dt=None, stagger_order=None):
-    """Initial split wavefunction, 1-D or 2-D: cos phase in the real part, sin
-    in the imaginary part, both under the same Gaussian envelope; the exponent
-    and the phase 2 pi (x + y) / wavelength sum one term per axis.  With
-    stagger_dt, physics and stagger_order the imaginary part is instead that of
-    the outer product of one complex 1-D factor per axis advanced to t = +dt/2
-    (packet and dispersion both separate by axis): the first step consumes
-    psi_imag at t_{1/2}.  Non-finite planes raise ConfigurationError."""
+    """Initial split wavefunction, 1-D or 2-D: the parts of the outer product of one complex
+    factor per axis, as the Gaussian envelope and the plane wave exp(2 pi i (x + y) / wavelength)
+    separate by axis.  With stagger_dt, physics and stagger_order the imaginary part is that of
+    the factors advanced to t = +dt/2 (the dispersion separates too), the psi_imag the first
+    step consumes.  Normalising scales both planes in place.  Peaks at three planes; a
+    non-finite factor raises ConfigurationError."""
     spec.validate(grid)
     if stagger_dt is not None and (physics is None or stagger_order is None):
         raise ConfigurationError("stagger_dt needs physics and stagger_order")
-    axes = list(zip(grid.shape, (spec.center_j, spec.center_k), grid.spacing))
-    xs = np.ix_(*((np.arange(1, n + 1) - c) * h for n, c, h in axes))
-    # each plane built in place: at most three exist at once, no temporaries;
-    # 0 + (-a) + (-b) is -a - b, and 0 + x + y is x + y, bit for bit
+    axes = zip(grid.shape, (spec.center_j, spec.center_k), grid.spacing)
     with np.errstate(over="ignore", invalid="ignore"):   # exp(-inf) = 0 is the limit
-        envelope = sum(-0.5 * (x / spec.sigma) ** 2 for x in xs)
-        np.exp(envelope, out=envelope)
-        phase = sum(xs)
-        phase *= 2.0 * np.pi
-        phase /= spec.wavelength
-        real = np.cos(phase)
-        real *= envelope
-        if stagger_dt is None:
-            np.sin(phase, out=phase)
-            phase *= envelope
-            del envelope   # before normalisation's planes
-        else:   # one complex plane, the per-axis factors' outer product
-            del envelope, phase   # before the factors' FFTs, whose buffers come on top
-            phase = math.prod(np.ix_(*(_staggered_axis(x.ravel(), h, spec, physics,
-                                                       stagger_order, stagger_dt)
-                                       for x, h in zip(xs, grid.spacing)))).imag
-    if not (np.isfinite(real).all() and np.isfinite(phase).all()):
+        plain, advanced = zip(*(_axis_factor((np.arange(1, n + 1) - c) * h, h, spec, physics,
+                                             stagger_order, stagger_dt) for n, c, h in axes))
+    if not all(np.isfinite(f).all() for f in plain + advanced):   # |factor| <= n: planes too
         raise ConfigurationError(f"packet is not finite: sigma {spec.sigma!r}, "
                                  f"wavelength {spec.wavelength!r}")
-    wf = WaveField(real, phase)
-    return normalize(wf, grid) if spec.normalize else wf
+    if grid.dims == 1:
+        real, imag = np.array(plain[0].real), np.array(advanced[0].imag)
+    else:   # Re(ab) = ar br - ai bi, Im(ab) = ar bi + ai br, each product rounded (k = 1 @, no
+        # broadcast buffer) before the sum: a packet symmetric in j <-> k is so bit for bit
+        (a, b), (c, d) = plain, advanced
+        real = a.real[:, None] @ b.real[None, :]
+        real -= a.imag[:, None] @ b.imag[None, :]
+        imag = c.real[:, None] @ d.imag[None, :]
+        imag += c.imag[:, None] @ d.real[None, :]
+    if spec.normalize:   # mixed time levels when staggered
+        n = float(np.vdot(real, real) + np.vdot(imag, imag)) * grid.cell_volume
+        if not 0.0 < n < np.inf:
+            raise DegenerateFieldError(f"cannot normalize a field of norm {n}")
+        real *= 1.0 / np.sqrt(n)
+        imag *= 1.0 / np.sqrt(n)
+    return WaveField(real, imag)
 
 
 gaussian_packet_1d = gaussian_packet_2d = gaussian_packet   # older names, for perfbench

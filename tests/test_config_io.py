@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfdtd import (ANGSTROM, EV, ConfigurationError, GridSpec, RunIOError, RunLog,
-                   RunRecord, SchemeConfig, WaveField, parse_config, potential_bounds,
-                   read_diagonal_snapshot, read_field_dump, write_diagonal_snapshot,
-                   write_field_dump, write_runlog)
+from gfdtd import (ANGSTROM, EV, ConfigurationError, GridSpec, PotentialField, RunIOError,
+                   RunLog, RunRecord, SchemeConfig, WaveField, free_packet_1d, parse_config,
+                   potential_bounds, read_diagonal_snapshot, read_field_dump,
+                   write_diagonal_snapshot, write_field_dump, write_runlog)
 from gfdtd.snapshots import read_field_meta
 
-from conftest import lopsided_bind_b, reference_scan, traced_peak
+from conftest import dense_b_matrix, lopsided_bind_b, reference_scan, traced_peak
 
 
 def paper_scale_document():
@@ -318,6 +318,23 @@ def test_diagonal_snapshot_round_trip_exact(rng, tmp_path):
     assert np.array_equal(density, diag_r ** 2 + diag_i ** 2)
 
 
+def test_diagonal_snapshot_bytes_equal_per_row_formatting(rng, tmp_path):
+    # the writer formats the whole file with one %; each row must read as if
+    # formatted on its own, non-finite, signed-zero and subnormal values too
+    grid = GridSpec(dims=2, nx=9, dx=1.0, ny=9, dy=1.0)
+    real, imag = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 1e150, 0.0, 0.1]
+    np.fill_diagonal(real, special)
+    np.fill_diagonal(imag, special[::-1])
+    path = write_diagonal_snapshot(WaveField(real, imag), grid, 3, 0.0, str(tmp_path))
+    r, i = np.diagonal(real), np.diagonal(imag)
+    rows = zip(range(1, 10), r.tolist(), i.tolist(), (r * r + i * i).tolist())
+    expected = "k,psi_real,psi_imag,density\n" + "".join(
+        "%d,%.17g,%.17g,%.17g\n" % row for row in rows)
+    with open(path, "rb") as fh:
+        assert fh.read() == expected.encode()
+
+
 def test_diagonal_snapshot_nonsquare_rejected(tmp_path):
     grid = GridSpec(dims=2, nx=6, dx=1.0, ny=8, dy=1.0)
     with pytest.raises(ConfigurationError):
@@ -550,6 +567,43 @@ def test_cli_run_stable_exit_zero(tmp_path):
         assert (out / f"field_{step}.meta").exists()
     header = (out / "runlog.csv").read_text().splitlines()[0]
     assert header == "step,time_s,norm,max_density,energy_ev"
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_cli_run_starts_staggered_so_its_order_is_the_schemes(tmp_path, N):
+    # R at T and I at T + dt/2 of gfdtd run against the exact semi-discrete
+    # e^{iBt} psi0 (eigh of the dense B), at mu and mu/2 to one final time.
+    # An unstaggered start, whose imaginary part is half a step behind, reads
+    # order 1; the staggered one reads the scheme's 2N + 2
+    errors = []
+    for mu, steps in ((0.6, 20), (0.3, 40)):
+        out = tmp_path / f"mu{mu}"
+        doc = {"grid": {"dims": 1, "nx": 300, "dx_angstrom": 0.1},
+               "scheme": {"N": N, "stencil_order": 2, "mu": mu},
+               "init": {"sigma_angstrom": 1.0, "lambda_angstrom": 0.5, "center_j": 150},
+               "run": {"steps": steps, "snapshot_every": 0, "out_dir": str(out),
+                       "full_field_dumps": True}}
+        result = run_cli(["run", "--config", write_config(tmp_path, doc)], str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        cfg = parse_config(json.dumps(doc))
+        grid, scheme, packet = cfg.grid, cfg.scheme, cfg.packet
+        lam, vec = np.linalg.eigh(dense_b_matrix(grid, PotentialField.zeros(grid),
+                                                 scheme.physics, scheme.order))
+        start, _ = read_field_dump(str(out / "field_0.f64"), str(out / "field_0.meta"))
+        # the t = 0 state, under the scale the run's normalisation chose
+        psi0 = start.real_part[packet.center_j - 1] * free_packet_1d(
+            grid, scheme.physics, packet.sigma, packet.wavelength, packet.center_j)
+        coeffs = vec.T @ psi0
+        t = steps * scheme.dt
+        exact_r = (vec @ (np.exp(1j * lam * t) * coeffs)).real
+        exact_i = (vec @ (np.exp(1j * lam * (t + 0.5 * scheme.dt)) * coeffs)).imag
+        final, _ = read_field_dump(str(out / f"field_{steps}.f64"),
+                                   str(out / f"field_{steps}.meta"))
+        errors.append(np.hypot(np.linalg.norm(final.real_part - exact_r),
+                               np.linalg.norm(final.imag_part - exact_i))
+                      / np.hypot(np.linalg.norm(exact_r), np.linalg.norm(exact_i)))
+    assert errors[1] > 1e-11   # above round-off, so the ratio measures the scheme
+    assert np.log2(errors[0] / errors[1]) >= 2 * N + 1, errors
 
 
 def test_cli_run_divergent_exit_one(tmp_path):

@@ -366,7 +366,7 @@ GRID_1D = GridSpec(dims=1, nx=400, dx=1.0)
 
 
 @pytest.mark.parametrize("mu,v_term,j_min,diverges_at", [
-    (0.8, 2.0, 301, 301),    # barrier V dt/2hbar = 2 on j >= 301, zero elsewhere
+    (0.8, 2.0, 301, 299),    # barrier V dt/2hbar = 2 on j >= 301, zero elsewhere
     (0.5, -2.0, 1, 197),     # well V dt/2hbar = -2 everywhere
 ])
 def test_run_verdict_covers_every_potential_level(mu, v_term, j_min, diverges_at):
