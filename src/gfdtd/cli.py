@@ -18,6 +18,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .config import parse_config
 from .errors import ConfigurationError, GfdtdError, RunIOError
 from .fields import EV
@@ -25,20 +27,19 @@ from .scenarios import PotentialField, barrier_potential, gaussian_packet, poten
     run as run_simulation
 from .scheme import SchemeConfig
 from .snapshots import write_diagonal_snapshot, write_field_dump, write_runlog
-from .stability import wavenumber_scan, wavenumber_scans
+from .stability import Verdict, scan_time_steps, wavenumber_scan
 
-# mu rows per wavenumber_scans call in sweep: numpy's per-call cost is paid per
-# chunk, and a chunk's configs and reports are all the rows sweep holds at once
+# mu rows per scan_time_steps call in sweep: numpy's per-call cost is paid per
+# chunk, and a chunk's mu, dt and verdict arrays are all the rows sweep holds at once
 SWEEP_CHUNK_ROWS = 64
 
 
 def _load_config(path):
     try:
         with open(path) as fh:
-            text = fh.read()
+            return parse_config(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
 
 
 def _print_report(report, scheme, bounds):
@@ -113,35 +114,32 @@ def cmd_sweep(args):
     limit = mu_to + 1e-12 * mu_step
     rows = math.floor((limit - mu_from) / mu_step) + 2
     digits = min(17, max(6, 2 + math.ceil(math.log10(mu_to / mu_step))))   # rows stay distinct
-    grid, base = cfg.grid, cfg.scheme
+    row_format = f"%.{digits}g,%.6g,%.6g,%s\n"
+    labels = np.array([verdict.value for verdict in Verdict])   # by verdict code
+    grid, base, c = cfg.grid, cfg.scheme, cfg.c
     v_min, v_max = potential_bounds(cfg.barrier, grid)
-    first_over_c = first_over_one = None
+    firsts = {}   # by bar, c or 1.0, the first mu whose scan max passes it
     print("mu,endpoint_value,scan_max,verdict")
-    # mu rises with i, so the rows end at the first mu past the limit
-    mus = itertools.takewhile(lambda mu: mu <= limit,
-                              (mu_from + i * mu_step for i in range(rows)))
-    while chunk := list(itertools.islice(mus, SWEEP_CHUNK_ROWS)):
-        schemes = []
-        for mu in chunk:
-            try:
-                schemes.append(SchemeConfig.from_mu(base.N, base.order, mu, base.physics, grid))
-            except ConfigurationError:   # dt leaves the float range: print the rows before it
-                break
-        # the reports live only in the loop, so no two chunks' reports are held at once
-        for mu, report in zip(chunk, wavenumber_scans(schemes, grid, v_max, cfg.c, v_min=v_min)
-                              if schemes else ()):
-            print(f"{mu:.{digits}g},{report.endpoint_value:.6g},{report.scan_max:.6g},"
-                  f"{report.verdict.value}")
-            if first_over_c is None and report.scan_max > cfg.c:
-                first_over_c = mu
-            if first_over_one is None and report.scan_max > 1.0:
-                first_over_one = mu
-        if len(schemes) < len(chunk):   # then raise that mu's error
-            SchemeConfig.from_mu(base.N, base.order, chunk[len(schemes)], base.physics, grid)
-    if first_over_c is not None:
-        print(f"first mu with scan max > c={cfg.c:.4g}: {first_over_c:.{digits}g}")
-    if first_over_one is not None:
-        print(f"first mu with scan max > 1 (amplifying): {first_over_one:.{digits}g}")
+    for start in range(0, rows, SWEEP_CHUNK_ROWS):
+        with np.errstate(over="ignore", invalid="ignore"):   # as in float arithmetic: no warning
+            mu = mu_from + np.arange(start, min(start + SWEEP_CHUNK_ROWS, rows)) * mu_step
+            mu = mu[mu <= limit]   # a prefix, as mu rises with i: the rows end past the limit
+            dt = SchemeConfig.dt_from_mu(mu, base.physics, grid)
+        finite = (dt > 0) & (dt < math.inf)   # the rows also end at a dt past the float range
+        n = len(mu) if finite.all() else int(finite.argmin())
+        value, peak, _, codes, _ = scan_time_steps(dt[:n], grid, base.N, base.order,
+                                                   base.physics, v_max, c, v_min=v_min)
+        columns = mu[:n].tolist(), value.tolist(), peak.tolist(), labels[codes].tolist()
+        sys.stdout.write(row_format * n % tuple(itertools.chain.from_iterable(zip(*columns))))
+        for bar in (c, 1.0):   # a bar's first mu is in the first chunk that passes it
+            if bar not in firsts and (peak > bar).any():
+                firsts[bar] = float(mu[(peak > bar).argmax()])
+        if n < len(mu):   # raise that mu's error, as its config does
+            SchemeConfig.from_mu(base.N, base.order, float(mu[n]), base.physics, grid)
+    if c in firsts:
+        print(f"first mu with scan max > c={c:.4g}: {firsts[c]:.{digits}g}")
+    if 1.0 in firsts:
+        print(f"first mu with scan max > 1 (amplifying): {firsts[1.0]:.{digits}g}")
     else:
         print("no amplifying mu in the sweep range")
     return 0

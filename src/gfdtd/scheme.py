@@ -52,10 +52,13 @@ class SchemeConfig:
         if not 0 < self.dt < math.inf:
             raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
 
+    @staticmethod
+    def dt_from_mu(mu, physics, grid):   # a mu or, element by element, an array of them
+        return mu * 2.0 * physics.mass * (grid.dx * grid.dx) / physics.hbar
+
     @classmethod
     def from_mu(cls, N, order, mu, physics, grid):
-        dt = mu * 2.0 * physics.mass * (grid.dx * grid.dx) / physics.hbar
-        return cls(N=N, order=order, mu=mu, dt=dt, physics=physics)
+        return cls(N=N, order=order, mu=mu, dt=cls.dt_from_mu(mu, physics, grid), physics=physics)
 
     def horner_ratios(self):
         """The nested-sine form's r_p = (dt/2)^2 / ((2p+2)(2p+3)), p < N; inf past

@@ -18,10 +18,9 @@ fails for N >= 1 once x_max passes S's first local maximum.  wavenumber_scan
 takes the exact maximum over the interval and is the authoritative verdict;
 when the two disagree the report says so instead of picking a side.
 
-wavenumber_scans runs that arithmetic over an array of time steps, one row
-per config, each row through the same IEEE operations as a scalar: gfdtd
-sweep hands it its mu rows a chunk at a time, and wavenumber_scan and
-endpoint_condition are its one-row case.
+scan_time_steps runs that arithmetic over an array of time steps, each row
+through a scalar's IEEE operations: gfdtd sweep judges its mu rows with it a
+chunk at a time; wavenumber_scans, wavenumber_scan and endpoint_condition wrap it.
 """
 
 import functools
@@ -116,32 +115,32 @@ def interval_max_abs(lo, hi, N):
     return float(peak) if peak.ndim == 0 else peak
 
 
-def wavenumber_scans(cfgs, grid, v_max, c, *, v_min):
-    """wavenumber_scan's report for each of cfgs, which share N, order and
-    physics, judged as one array of their time steps."""
+def scan_time_steps(dt, grid, N, order, physics, v_max, c, *, v_min):
+    """Endpoint value, scan max, margin, verdict code (the index of its Verdict member)
+    and endpoint x, as arrays, for an array of time steps dt, each row as a scalar's."""
     if v_min > v_max:
         raise ConfigurationError(f"v_min {v_min} exceeds v_max {v_max}")
     if not 0.0 < c < 1.0:
         raise ConfigurationError(f"threshold c must lie in (0, 1), got {c}")
-    N, order, physics = shared = cfgs[0].N, cfgs[0].order, cfgs[0].physics
-    if any((cfg.N, cfg.order, cfg.physics) != shared for cfg in cfgs):
-        raise ConfigurationError("wavenumber_scans needs configs that share N, order and physics")
-    dt = np.array([cfg.dt for cfg in cfgs])
     with np.errstate(over="ignore", invalid="ignore"):   # an inf or NaN x reads unstable
         ep_x = _symbol_value(1.0, grid, order, physics, dt, v_max)
         ep_value = np.abs(truncated_sine(ep_x, N))
         lo = _symbol_value(0.0, grid, order, physics, dt, v_min)
         scan_max = np.broadcast_to(interval_max_abs(lo, ep_x, N), dt.shape)
-        margin = c - scan_max
     # a NaN maximum fails both conditions, so it reads UNSTABLE, not a disagreement
-    verdicts = np.select([scan_max <= c, (ep_value <= c) & (scan_max > c)],
-                         [Verdict.STABLE_BY_SCAN, Verdict.ENDPOINT_SCAN_DISAGREE],
-                         Verdict.UNSTABLE)
-    return [StabilityReport(endpoint_value=value, scan_max=peak, threshold_c=c, verdict=verdict,
-                            margin=room, endpoint_x=x)
-            for value, peak, verdict, room, x in zip(ep_value.tolist(), scan_max.tolist(),
-                                                      verdicts.tolist(), margin.tolist(),
-                                                      ep_x.tolist())]
+    codes = np.select([scan_max <= c, (ep_value <= c) & (scan_max > c)], [0, 2], 1)
+    return ep_value, scan_max, c - scan_max, codes, ep_x
+
+
+def wavenumber_scans(cfgs, grid, v_max, c, *, v_min):
+    """wavenumber_scan's report for each of cfgs, which share N, order and physics."""
+    shared = cfgs[0].N, cfgs[0].order, cfgs[0].physics
+    if any((cfg.N, cfg.order, cfg.physics) != shared for cfg in cfgs):
+        raise ConfigurationError("wavenumber_scans needs configs that share N, order and physics")
+    columns = scan_time_steps(np.array([cfg.dt for cfg in cfgs]), grid, *shared, v_max, c,
+                              v_min=v_min)
+    return [StabilityReport(value, peak, c, list(Verdict)[code], room, x)
+            for value, peak, room, code, x in zip(*(column.tolist() for column in columns))]
 
 
 def wavenumber_scan(cfg, grid, v_max=0.0, c=DEFAULT_THRESHOLD, *, v_min=0.0):

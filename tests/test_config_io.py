@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from gfdtd import (ANGSTROM, EV, ConfigurationError, GridSpec, PotentialField, RunIOError,
                    RunLog, RunRecord, SchemeConfig, WaveField, free_packet_1d, parse_config,
                    potential_bounds, read_diagonal_snapshot, read_field_dump,
-                   write_diagonal_snapshot, write_field_dump, write_runlog)
+                   wavenumber_scan, write_diagonal_snapshot, write_field_dump, write_runlog)
 from gfdtd.snapshots import read_field_meta
 
 from conftest import dense_b_matrix, lopsided_bind_b, reference_scan, traced_peak
@@ -868,9 +869,11 @@ def test_cli_sweep_reports_threshold(tmp_path):
 def test_cli_sweep_rows_tell_fine_mu_steps_apart(tmp_path, mu_from, mu_to, mu_step):
     # at 6 significant digits every row of these sweeps used to read the same mu
     cfg_path = write_config(tmp_path, reduced_document())
-    result = run_cli(["sweep", "--config", cfg_path, "--mu-from", repr(mu_from),
-                      "--mu-to", repr(mu_to), "--mu-step", repr(mu_step)], str(tmp_path))
+    flags = ["--mu-from", repr(mu_from), "--mu-to", repr(mu_to), "--mu-step", repr(mu_step)]
+    result = run_cli(["sweep", "--config", cfg_path, *flags], str(tmp_path))
     assert result.returncode == 0, result.stderr
+    assert (result.stdout, None) == reference_sweep(parse_config(json.dumps(reduced_document())),
+                                                    flags)
     lines = result.stdout.splitlines()
     mus = [line.split(",")[0] for line in lines[1:] if not line.startswith(("first", "no "))]
     assert len(mus) == 11 and len(set(mus)) == 11
@@ -886,14 +889,48 @@ def sweep_flags(rows, mu_from=0.2001, mu_step=0.0005):
             "--mu-step", repr(mu_step)]
 
 
+def reference_sweep(cfg, flags):
+    """gfdtd sweep's stdout built one row at a time, each from its own
+    SchemeConfig.from_mu and wavenumber_scan, in the row-by-row f-strings;
+    with the error from_mu raises for a dt past the float range, else None."""
+    mu_from, mu_to, mu_step = (float(value) for value in flags[1::2])
+    limit = mu_to + 1e-12 * mu_step
+    digits = min(17, max(6, 2 + math.ceil(math.log10(mu_to / mu_step))))
+    base, grid, c = cfg.scheme, cfg.grid, cfg.c
+    v_min, v_max = potential_bounds(cfg.barrier, grid)
+    lines, firsts, error = ["mu,endpoint_value,scan_max,verdict"], {}, None
+    for i in range(math.floor((limit - mu_from) / mu_step) + 2):
+        mu = mu_from + i * mu_step
+        if mu > limit:
+            break
+        try:
+            scheme = SchemeConfig.from_mu(base.N, base.order, mu, base.physics, grid)
+        except ConfigurationError as exc:
+            error = str(exc)
+            break
+        report = wavenumber_scan(scheme, grid, v_max, c, v_min=v_min)
+        lines.append(f"{mu:.{digits}g},{report.endpoint_value:.6g},{report.scan_max:.6g},"
+                     f"{report.verdict.value}")
+        for bar in (c, 1.0):
+            if report.scan_max > bar:
+                firsts.setdefault(bar, mu)
+    if error is None:
+        if c in firsts:
+            lines.append(f"first mu with scan max > c={c:.4g}: {firsts[c]:.{digits}g}")
+        lines.append(f"first mu with scan max > 1 (amplifying): {firsts[1.0]:.{digits}g}"
+                     if 1.0 in firsts else "no amplifying mu in the sweep range")
+    return "".join(line + "\n" for line in lines), error
+
+
 @pytest.mark.parametrize("dims", [1, 2])
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("potential", [None, {"height_ev": 100.0}, {"height_ev": 100.0,
                                                                      "mass_kg": 1e250}],
                          ids=["free", "barrier", "overflowing"])
 def test_cli_sweep_rows_equal_the_scalar_reference(tmp_path, capsys, dims, order, potential):
-    # the rows are judged 64 to a call: each row, across the chunk edges too,
-    # reads what the scalar verdict reads for its own mu
+    # the rows are judged 64 to an array: the whole stdout, across the chunk
+    # edges too, reads what one scalar verdict per mu prints, and each row's
+    # numbers are those of the scalar arithmetic in conftest
     from gfdtd import cli
 
     doc = reduced_document(grid={"nx": 40, "ny": 40}, init={"center_j": 10, "center_k": 10},
@@ -916,12 +953,12 @@ def test_cli_sweep_rows_equal_the_scalar_reference(tmp_path, capsys, dims, order
         for rows in (63, 64, 65, 600):
             flags = sweep_flags(rows)
             assert cli.main(["sweep", "--config", path, *flags]) == 0
-            lines = capsys.readouterr().out.splitlines()
-            table = [line.split(",") for line in lines[1:rows + 1]]
-            assert len(table) == rows and not lines[rows + 1][:1].isdigit()
-            for i, (mu_text, value, peak, verdict) in enumerate(table):
+            out = capsys.readouterr().out
+            assert (out, None) == reference_sweep(cfg, flags)
+            table = [line.split(",") for line in out.splitlines()[1:rows + 1]]
+            assert len(table) == rows
+            for i, (_, value, peak, verdict) in enumerate(table):
                 mu = float(flags[1]) + i * float(flags[5])
-                assert float(mu_text) == pytest.approx(mu, rel=1e-6)
                 scheme = SchemeConfig.from_mu(N, cfg.scheme.order, mu, cfg.scheme.physics,
                                               cfg.grid)
                 ref_value, ref_peak, ref_verdict, _, _ = reference_scan(scheme, cfg.grid, v_max,
@@ -930,26 +967,45 @@ def test_cli_sweep_rows_equal_the_scalar_reference(tmp_path, capsys, dims, order
                                                   ref_verdict.value]
 
 
-def test_cli_sweep_prints_the_rows_before_a_dt_that_overflows(tmp_path, capsys):
-    # dt = mu 2 m dx^2 / hbar passes the float range at mu ~ 5e45, in the
-    # sweep's second chunk: the rows before it print, then the error
+def overflowing_sweep(tmp_path, capsys, mu_from):
+    """(stdout lines, stderr) of an exit-2 sweep from mu_from to 1e50 in steps
+    of 1e44 on a config whose dt passes the float range at mu ~ 5e45; stdout
+    must equal the scalar reference's and stderr its error."""
     from gfdtd import cli
 
     doc = one_d_document(physics={"mass_kg": 1e250})
-    argv = ["sweep", "--config", write_config(tmp_path, doc),
-            "--mu-from", "1e40", "--mu-to", "1e50", "--mu-step", "1e44"]
-    cfg = parse_config(json.dumps(doc))
-    scheme, grid = cfg.scheme, cfg.grid
-    finite = 0
-    with contextlib.suppress(ConfigurationError):
-        while True:
-            SchemeConfig.from_mu(scheme.N, scheme.order, 1e40 + finite * 1e44, scheme.physics, grid)
-            finite += 1
-    assert 64 < finite < 128
-    assert cli.main(argv) == 2
+    flags = ["--mu-from", repr(mu_from), "--mu-to", "1e50", "--mu-step", "1e44"]
+    expected, error = reference_sweep(parse_config(json.dumps(doc)), flags)
+    assert cli.main(["sweep", "--config", write_config(tmp_path, doc), *flags]) == 2
     out, err = capsys.readouterr()
-    assert len(out.splitlines()) == 1 + finite
-    assert err.startswith("configuration error: dt must be positive and finite, got inf")
+    assert out == expected and err == f"configuration error: {error}\n"
+    return out.splitlines(), err
+
+
+def test_cli_sweep_prints_the_rows_before_a_dt_that_overflows(tmp_path, capsys):
+    # in the sweep's second chunk: the rows before it print, then the error
+    lines, err = overflowing_sweep(tmp_path, capsys, 1e40)
+    assert 64 < len(lines) - 1 < 128
+    assert err == "configuration error: dt must be positive and finite, got inf\n"
+
+
+def test_cli_sweep_whose_first_dt_overflows_prints_the_header_only(tmp_path, capsys):
+    lines, err = overflowing_sweep(tmp_path, capsys, 1e47)
+    assert lines == ["mu,endpoint_value,scan_max,verdict"]
+    assert err == "configuration error: dt must be positive and finite, got inf\n"
+
+
+def test_cli_sweep_whose_next_mu_overflows_ends_without_a_warning(tmp_path, capsys):
+    # mu_from + 1 mu_step passes the float range: that row is past the limit,
+    # as in float arithmetic, and computing it warns of nothing
+    from gfdtd import cli
+
+    doc = reduced_document()
+    flags = ["--mu-from", "1e307", "--mu-to", "1e307", "--mu-step", "1.7e308"]
+    assert cli.main(["sweep", "--config", write_config(tmp_path, doc), *flags]) == 0
+    out = capsys.readouterr().out
+    assert (out, None) == reference_sweep(parse_config(json.dumps(doc)), flags)
+    assert len(out.splitlines()) == 3   # the header, one row and the closing line
 
 
 def test_cli_sweep_peak_memory_does_not_grow_with_rows(tmp_path):
