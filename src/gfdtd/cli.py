@@ -27,10 +27,10 @@ from .scenarios import PotentialField, barrier_potential, gaussian_packet, poten
     run as run_simulation
 from .scheme import SchemeConfig
 from .snapshots import write_diagonal_snapshot, write_field_dump, write_runlog
-from .stability import Verdict, scan_time_steps, wavenumber_scan
+from .stability import scan_time_steps, wavenumber_scan
 
 # mu rows per scan_time_steps call in sweep: numpy's per-call cost is paid per
-# chunk, and a chunk's mu, dt and verdict arrays are all the rows sweep holds at once
+# chunk, and a chunk's mu, dt and scan_time_steps arrays are all the rows sweep holds
 SWEEP_CHUNK_ROWS = 64
 
 
@@ -115,7 +115,6 @@ def cmd_sweep(args):
     rows = math.floor((limit - mu_from) / mu_step) + 2
     digits = min(17, max(6, 2 + math.ceil(math.log10(mu_to / mu_step))))   # rows stay distinct
     row_format = f"%.{digits}g,%.6g,%.6g,%s\n"
-    labels = np.array([verdict.value for verdict in Verdict])   # by verdict code
     grid, base, c = cfg.grid, cfg.scheme, cfg.c
     v_min, v_max = potential_bounds(cfg.barrier, grid)
     firsts = {}   # by bar, c or 1.0, the first mu whose scan max passes it
@@ -127,13 +126,14 @@ def cmd_sweep(args):
             dt = SchemeConfig.dt_from_mu(mu, base.physics, grid)
         finite = (dt > 0) & (dt < math.inf)   # the rows also end at a dt past the float range
         n = len(mu) if finite.all() else int(finite.argmin())
-        value, peak, _, codes, _ = scan_time_steps(dt[:n], grid, base.N, base.order,
-                                                   base.physics, v_max, c, v_min=v_min)
-        columns = mu[:n].tolist(), value.tolist(), peak.tolist(), labels[codes].tolist()
+        value, peak, _, labels, _ = scan_time_steps(dt[:n], grid, base.N, base.order,
+                                                    base.physics, v_max, c, v_min=v_min)
+        columns = mu[:n].tolist(), value.tolist(), peak.tolist(), labels.tolist()
         sys.stdout.write(row_format * n % tuple(itertools.chain.from_iterable(zip(*columns))))
         for bar in (c, 1.0):   # a bar's first mu is in the first chunk that passes it
-            if bar not in firsts and (peak > bar).any():
-                firsts[bar] = float(mu[(peak > bar).argmax()])
+            past = ~(peak <= bar)   # the verdict's comparison: a NaN maximum reads unstable
+            if bar not in firsts and past.any():
+                firsts[bar] = float(mu[past.argmax()])
         if n < len(mu):   # raise that mu's error, as its config does
             SchemeConfig.from_mu(base.N, base.order, float(mu[n]), base.physics, grid)
     if c in firsts:

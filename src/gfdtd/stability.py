@@ -18,9 +18,9 @@ fails for N >= 1 once x_max passes S's first local maximum.  wavenumber_scan
 takes the exact maximum over the interval and is the authoritative verdict;
 when the two disagree the report says so instead of picking a side.
 
-scan_time_steps runs that arithmetic over an array of time steps, each row
-through a scalar's IEEE operations: gfdtd sweep judges its mu rows with it a
-chunk at a time; wavenumber_scans, wavenumber_scan and endpoint_condition wrap it.
+scan_time_steps runs that arithmetic over an array of time steps, each row through
+a scalar's IEEE operations, and labels each row with its Verdict's value: gfdtd
+sweep judges mu rows with it a chunk at a time; wavenumber_scan is its one-row case.
 """
 
 import functools
@@ -67,6 +67,12 @@ class Verdict(Enum):
     ENDPOINT_SCAN_DISAGREE = "endpoint_scan_disagree"
 
 
+# scan_time_steps' labels in the order it selects them: the scan passes, the endpoint
+# alone passes, neither; objects, so every row's label is its member's own str
+_LABELS = np.array([Verdict.STABLE_BY_SCAN.value, Verdict.ENDPOINT_SCAN_DISAGREE.value,
+                    Verdict.UNSTABLE.value], dtype=object)
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     endpoint_value: float
@@ -74,7 +80,7 @@ class StabilityReport:
     threshold_c: float
     verdict: Verdict
     margin: float
-    endpoint_x: float = float("nan")
+    endpoint_x: float
 
 
 def _symbol_value(s, grid, order, physics, dt, v):
@@ -116,8 +122,8 @@ def interval_max_abs(lo, hi, N):
 
 
 def scan_time_steps(dt, grid, N, order, physics, v_max, c, *, v_min):
-    """Endpoint value, scan max, margin, verdict code (the index of its Verdict member)
-    and endpoint x, as arrays, for an array of time steps dt, each row as a scalar's."""
+    """Endpoint value, scan max, margin, verdict label (its Verdict's value) and
+    endpoint x for an array of time steps dt, as arrays, each row as a scalar's."""
     if v_min > v_max:
         raise ConfigurationError(f"v_min {v_min} exceeds v_max {v_max}")
     if not 0.0 < c < 1.0:
@@ -128,19 +134,8 @@ def scan_time_steps(dt, grid, N, order, physics, v_max, c, *, v_min):
         lo = _symbol_value(0.0, grid, order, physics, dt, v_min)
         scan_max = np.broadcast_to(interval_max_abs(lo, ep_x, N), dt.shape)
     # a NaN maximum fails both conditions, so it reads UNSTABLE, not a disagreement
-    codes = np.select([scan_max <= c, (ep_value <= c) & (scan_max > c)], [0, 2], 1)
-    return ep_value, scan_max, c - scan_max, codes, ep_x
-
-
-def wavenumber_scans(cfgs, grid, v_max, c, *, v_min):
-    """wavenumber_scan's report for each of cfgs, which share N, order and physics."""
-    shared = cfgs[0].N, cfgs[0].order, cfgs[0].physics
-    if any((cfg.N, cfg.order, cfg.physics) != shared for cfg in cfgs):
-        raise ConfigurationError("wavenumber_scans needs configs that share N, order and physics")
-    columns = scan_time_steps(np.array([cfg.dt for cfg in cfgs]), grid, *shared, v_max, c,
-                              v_min=v_min)
-    return [StabilityReport(value, peak, c, list(Verdict)[code], room, x)
-            for value, peak, room, code, x in zip(*(column.tolist() for column in columns))]
+    labels = _LABELS[np.select([scan_max <= c, (ep_value <= c) & (scan_max > c)], [0, 1], 2)]
+    return ep_value, scan_max, c - scan_max, labels, ep_x
 
 
 def wavenumber_scan(cfg, grid, v_max=0.0, c=DEFAULT_THRESHOLD, *, v_min=0.0):
@@ -148,7 +143,9 @@ def wavenumber_scan(cfg, grid, v_max=0.0, c=DEFAULT_THRESHOLD, *, v_min=0.0):
     potential level in [v_min, v_max] (v_min = 0: the barrier's background).
     Passing it yields STABLE_BY_SCAN, an endpoint pass alone ENDPOINT_SCAN_DISAGREE,
     a NaN maximum UNSTABLE."""
-    return wavenumber_scans([cfg], grid, v_max, c, v_min=v_min)[0]
+    value, peak, margin, label, x = scan_time_steps(np.array(cfg.dt), grid, cfg.N, cfg.order,
+                                                    cfg.physics, v_max, c, v_min=v_min)
+    return StabilityReport(value.item(), peak.item(), c, Verdict(label), margin.item(), x.item())
 
 
 def amplification_roots(alpha):

@@ -101,7 +101,8 @@ def quadrant_barrier(grid, height=0.8):
 
 def reference_scan(cfg, grid, v_max, c, v_min):
     """The scalar verdict arithmetic, one config at a time: (endpoint value,
-    scan max, verdict, margin, endpoint x), the reference for wavenumber_scans."""
+    scan max, verdict, margin, endpoint x), the reference for every row of
+    stability.scan_time_steps and so of gfdtd sweep."""
     hbar, mass, dt, N = cfg.physics.hbar, cfg.physics.mass, cfg.dt, cfg.N
 
     def x_at(s, v):

@@ -9,7 +9,7 @@ from gfdtd import (ConfigurationError, GaussianPacketSpec, GridSpec, PhysicalPar
                    PotentialField, SchemeConfig, StencilOrder, Verdict, WaveField,
                    amplification_roots, endpoint_condition, endpoint_x,
                    gaussian_packet, run, truncated_sine, wavenumber_scan)
-from gfdtd.stability import _symbol_value, interval_max_abs, wavenumber_scans
+from gfdtd.stability import _symbol_value, interval_max_abs, scan_time_steps
 
 from conftest import dense_b_matrix, reference_scan
 
@@ -280,28 +280,23 @@ def test_scan_overflowing_symbol_is_unstable_without_warnings():
                                           (0.0, 1.0e300)],
                          ids=["free", "barrier", "well", "v-dt-overflow"])
 def test_scans_equal_the_scalar_reference(grid, physics, order, v_min, v_max):
-    # every row goes through the scalar's IEEE operations, so the values are equal
+    # one call judges every mu's dt, each row through the scalar's IEEE operations,
+    # so every value, NaN and inf too, has the scalar's bits
     mus = [*np.linspace(0.01, 2.0, 70).tolist(), 1e100, 1e300]
     for N in range(5):
         cfgs = [SchemeConfig.from_mu(N, order, mu, physics, grid) for mu in mus]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reports = wavenumber_scans(cfgs, grid, v_max, 0.97, v_min=v_min)
-        assert len(reports) == len(cfgs)
-        for cfg, report in zip(cfgs, reports):
-            value, peak, verdict, margin, x = reference_scan(cfg, grid, v_max, 0.97, v_min)
-            assert report.verdict is verdict and report.threshold_c == 0.97
-            assert np.array_equal([report.endpoint_value, report.scan_max, report.margin,
-                                   report.endpoint_x], [value, peak, margin, x], equal_nan=True)
-
-
-def test_scans_reject_configs_that_differ_in_n_order_or_physics(grid_2d, physics):
-    base = cfg_for(grid_2d, physics, 2, 0.2)
-    for other in (cfg_for(grid_2d, physics, 3, 0.3),
-                  cfg_for(grid_2d, physics, 2, 0.3, StencilOrder.FOURTH_ORDER),
-                  cfg_for(grid_2d, PhysicalParams(mass=2 * physics.mass), 2, 0.3)):
-        with pytest.raises(ConfigurationError, match="share N, order and physics"):
-            wavenumber_scans([base, other], grid_2d, 0.0, 0.99, v_min=0.0)
+            value, peak, margin, labels, x = scan_time_steps(
+                np.array([cfg.dt for cfg in cfgs]), grid, N, order, physics, v_max, 0.97,
+                v_min=v_min)
+        assert labels.shape == (len(cfgs),)
+        for i, cfg in enumerate(cfgs):
+            ref_value, ref_peak, verdict, ref_margin, ref_x = reference_scan(cfg, grid, v_max,
+                                                                             0.97, v_min)
+            assert labels[i] == verdict.value
+            assert (np.array([value[i], peak[i], margin[i], x[i]]).tobytes()
+                    == np.array([ref_value, ref_peak, ref_margin, ref_x]).tobytes())
 
 
 UNIT = PhysicalParams(mass=1.0, hbar=1.0)

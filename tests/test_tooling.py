@@ -1,10 +1,13 @@
-"""The tier-1 command's own pytest configuration (pyproject.toml)."""
+"""The tier-1 command's own pytest configuration (pyproject.toml), and the
+package's own hygiene."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE = PYPROJECT.parent / "src" / "gfdtd"
 
 FAILING_GIVEN = """
 from hypothesis import given, strategies as st
@@ -27,3 +30,18 @@ def test_failing_hypothesis_test_fails_without_internal_error(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert result.returncode == 1, result.stdout[-2000:] + result.stderr[-2000:]
     assert "INTERNALERROR" not in result.stdout + result.stderr
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # a name whose last use was deleted stays importable and passes every other
+    # test; __init__.py is skipped, as it imports names to re-export them
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{node.lineno}: {name}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+                   if (name := (alias.asname or alias.name).split(".")[0]) not in used]
+    assert unused == []
