@@ -18,9 +18,10 @@ fails for N >= 1 once x_max passes S's first local maximum.  wavenumber_scan
 takes the exact maximum over the interval and is the authoritative verdict;
 when the two disagree the report says so instead of picking a side.
 
-scan_time_steps runs that arithmetic over an array of time steps, each row through
-a scalar's IEEE operations, and labels each row with its Verdict's value: gfdtd
-sweep judges mu rows with it a chunk at a time; wavenumber_scan is its one-row case.
+scan_time_steps runs that arithmetic over an array of time steps, each row through a
+scalar's IEEE operations and one S_N pass that reads its endpoint value and scan max,
+and labels it with its Verdict's value: gfdtd sweep judges mu rows with it a chunk at
+a time; wavenumber_scan is its one-row case.
 """
 
 import functools
@@ -40,12 +41,11 @@ DEFAULT_THRESHOLD = 0.99
 def truncated_sine(x, N):
     """Degree-(2N+1) Taylor truncation of sin(x).
 
-    S is evaluated as x * P(x^2), with P(y) = sum_p (-1)^p y^p / (2p+1)!
-    in Horner form.  Only IEEE multiplies and adds are used: x^2 does not
-    depend on the sign of x and the final multiply by x flips the sign
-    exactly, so S(-x) == -S(x) holds bit for bit.  Scalar and array
-    inputs follow the same operations and give identical values.  The
-    accumulator is updated in place, so an array input costs two
+    S is evaluated as x * P(x^2), with P(y) = sum_p (-1)^p y^p / (2p+1)! in Horner
+    form.  Only IEEE multiplies and adds are used: x^2 does not depend on the sign of
+    x and the final multiply by x flips the sign exactly, so S(-x) == -S(x) holds bit
+    for bit.  Scalar and array inputs follow the same operations and give identical
+    values.  The accumulator is updated in place, so an array input costs two
     temporaries of its size.  N is an integer in [0, MAX_TRUNCATION_INDEX].
     """
     if not isinstance(N, (int, np.integer)) or not 0 <= N <= MAX_TRUNCATION_INDEX:
@@ -67,10 +67,9 @@ class Verdict(Enum):
     ENDPOINT_SCAN_DISAGREE = "endpoint_scan_disagree"
 
 
-# scan_time_steps' labels in the order it selects them: the scan passes, the endpoint
-# alone passes, neither; objects, so every row's label is its member's own str
-_LABELS = np.array([Verdict.STABLE_BY_SCAN.value, Verdict.ENDPOINT_SCAN_DISAGREE.value,
-                    Verdict.UNSTABLE.value], dtype=object)
+# labels at index 2 * (scan passes) + (endpoint alone passes); objects: members' own strs
+_LABELS = np.array([Verdict.UNSTABLE.value, Verdict.ENDPOINT_SCAN_DISAGREE.value,
+                    Verdict.STABLE_BY_SCAN.value], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -86,9 +85,8 @@ class StabilityReport:
 def _symbol_value(s, grid, order, physics, dt, v):
     """x at sin^2(beta h/2) = s on every axis and potential level v, for a time
     step dt or an array of them, one x per time step."""
-    hbar = physics.hbar
     k = sum(dt / (h * h) * axis_symbol(order, s) for h in grid.spacing)
-    return hbar / (4.0 * physics.mass) * k + v * dt / (2.0 * hbar)
+    return physics.hbar / (4.0 * physics.mass) * k + v * dt / (2.0 * physics.hbar)
 
 
 def endpoint_x(grid, cfg, v_max=0.0):
@@ -110,14 +108,20 @@ def _turning_points(N):   # real roots +-sqrt(y) of S_N' = sum_p (-1)^p y^p/(2p)
     return (*-roots, *roots)   # a tuple: the cache hands the same one to every caller
 
 
+def _abs_sine_at_candidates(lo, hi, N):
+    """|S_N| at equal-shape ends lo and hi (columns 0 and 1) and at S_N's turning points
+    clipped to [lo, hi], one row per pair of ends: its max is interval_max_abs's."""
+    lo, hi = lo[..., None], hi[..., None]
+    s = truncated_sine(np.concatenate((lo, hi, np.clip(_turning_points(N), lo, hi)), axis=-1), N)
+    return np.abs(s, out=s)
+
+
 def interval_max_abs(lo, hi, N):
     """Exact max |S_N(x)| over lo <= x <= hi, NaN for a NaN end: at an end or a
     turning point of S_N, as one outside the interval clips to an end.  An
     error in a root moves |S| only to second order, since S' vanishes there.
     Array ends give one maximum per pair of ends; scalar ends give a float."""
-    lo, hi = (np.asarray(end, dtype=float)[..., None] for end in np.broadcast_arrays(lo, hi))
-    xs = np.concatenate((lo, hi, np.clip(_turning_points(N), lo, hi)), axis=-1)
-    peak = np.abs(truncated_sine(xs, N)).max(axis=-1)
+    peak = _abs_sine_at_candidates(*np.broadcast_arrays(lo, hi), N).max(axis=-1)
     return float(peak) if peak.ndim == 0 else peak
 
 
@@ -130,30 +134,26 @@ def scan_time_steps(dt, grid, N, order, physics, v_max, c, *, v_min):
         raise ConfigurationError(f"threshold c must lie in (0, 1), got {c}")
     with np.errstate(over="ignore", invalid="ignore"):   # an inf or NaN x reads unstable
         ep_x = _symbol_value(1.0, grid, order, physics, dt, v_max)
-        ep_value = np.abs(truncated_sine(ep_x, N))
         lo = _symbol_value(0.0, grid, order, physics, dt, v_min)
-        scan_max = np.broadcast_to(interval_max_abs(lo, ep_x, N), dt.shape)
+        abs_s = _abs_sine_at_candidates(lo, ep_x, N)   # one S_N pass: the endpoint is a column
+        ep_value, scan_max = abs_s[..., 1], abs_s.max(axis=-1)
     # a NaN maximum fails both conditions, so it reads UNSTABLE, not a disagreement
-    labels = _LABELS[np.select([scan_max <= c, (ep_value <= c) & (scan_max > c)], [0, 1], 2)]
+    labels = _LABELS[(scan_max <= c) * 2 + ((ep_value <= c) & (scan_max > c))]
     return ep_value, scan_max, c - scan_max, labels, ep_x
 
 
 def wavenumber_scan(cfg, grid, v_max=0.0, c=DEFAULT_THRESHOLD, *, v_min=0.0):
     """Verdict from the exact max of |S(x)| over every wavenumber and every
-    potential level in [v_min, v_max] (v_min = 0: the barrier's background).
-    Passing it yields STABLE_BY_SCAN, an endpoint pass alone ENDPOINT_SCAN_DISAGREE,
-    a NaN maximum UNSTABLE."""
+    potential level in [v_min, v_max] (v_min = 0: the barrier's background), labelled
+    as scan_time_steps labels its rows."""
     value, peak, margin, label, x = scan_time_steps(np.array(cfg.dt), grid, cfg.N, cfg.order,
                                                     cfg.physics, v_max, c, v_min=v_min)
     return StabilityReport(value.item(), peak.item(), c, Verdict(label), margin.item(), x.item())
 
 
 def amplification_roots(alpha):
-    """Roots of lambda^2 - (2 - alpha^2) lambda + 1 = 0 and the larger modulus.
-
-    The constant term forces lambda1 * lambda2 = 1, so both roots sit on
-    the unit circle exactly when |alpha| <= 2.
-    """
+    """Roots of lambda^2 - (2 - alpha^2) lambda + 1 = 0 and the larger modulus.  The
+    constant term forces lambda1 lambda2 = 1: both sit on the unit circle iff |alpha| <= 2."""
     b = 2.0 - alpha * alpha
     sq = np.sqrt(complex(b * b - 4.0))
     lambda1, lambda2 = (b + sq) / 2.0, (b - sq) / 2.0

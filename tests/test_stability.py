@@ -250,10 +250,12 @@ def test_scan_reads_dt_not_mu(physics, grid, v_min, v_max):
 
 def test_scan_nan_maximum_is_unstable(grid_2d, physics, monkeypatch):
     # N=0, mu=0.2 passes the endpoint test; a NaN maximum must not read as
-    # an endpoint/scan disagreement, let alone stable
+    # an endpoint/scan disagreement, let alone stable; a NaN turning point clips to
+    # NaN, so the one S_N pass gives a NaN maximum beside a finite endpoint value
     from gfdtd import stability
-    monkeypatch.setattr(stability, "interval_max_abs", lambda lo, hi, N: float("nan"))
+    monkeypatch.setattr(stability, "_turning_points", lambda N: (float("nan"),))
     report = wavenumber_scan(cfg_for(grid_2d, physics, 0, 0.2), grid_2d)
+    assert report.endpoint_value <= 0.99 and np.isnan(report.scan_max)
     assert report.verdict is Verdict.UNSTABLE
 
 
@@ -276,12 +278,13 @@ def test_scan_overflowing_symbol_is_unstable_without_warnings():
     (GridSpec(dims=1, nx=16, dx=1.0e-5), PhysicalParams(mass=1.0, hbar=1.0e-10))],
     ids=["1d", "2d-dx!=dy", "1d-symbol-overflow"])
 @pytest.mark.parametrize("order", list(StencilOrder), ids=["2nd", "4th"])
-@pytest.mark.parametrize("v_min, v_max", [(0.0, 0.0), (0.0, 5.0e-17), (-3.0e-17, 0.0),
-                                          (0.0, 1.0e300)],
-                         ids=["free", "barrier", "well", "v-dt-overflow"])
+@pytest.mark.parametrize("v_min, v_max", [(0.0, 0.0), (0.0, 5.0e-17), (5.0e-17, 5.0e-17),
+                                          (-3.0e-17, 0.0), (0.0, 1.0e300)],
+                         ids=["free", "barrier", "whole-grid-barrier", "well", "v-dt-overflow"])
 def test_scans_equal_the_scalar_reference(grid, physics, order, v_min, v_max):
     # one call judges every mu's dt, each row through the scalar's IEEE operations,
-    # so every value, NaN and inf too, has the scalar's bits
+    # so every value, NaN and inf too, has the scalar's bits; wavenumber_scan judges
+    # one 0-d dt, whose report holds its row's bits as Python floats
     mus = [*np.linspace(0.01, 2.0, 70).tolist(), 1e100, 1e300]
     for N in range(5):
         cfgs = [SchemeConfig.from_mu(N, order, mu, physics, grid) for mu in mus]
@@ -290,13 +293,17 @@ def test_scans_equal_the_scalar_reference(grid, physics, order, v_min, v_max):
             value, peak, margin, labels, x = scan_time_steps(
                 np.array([cfg.dt for cfg in cfgs]), grid, N, order, physics, v_max, 0.97,
                 v_min=v_min)
+            reports = [wavenumber_scan(cfg, grid, v_max, 0.97, v_min=v_min) for cfg in cfgs]
         assert labels.shape == (len(cfgs),)
-        for i, cfg in enumerate(cfgs):
+        for i, (cfg, report) in enumerate(zip(cfgs, reports)):
             ref_value, ref_peak, verdict, ref_margin, ref_x = reference_scan(cfg, grid, v_max,
                                                                              0.97, v_min)
-            assert labels[i] == verdict.value
-            assert (np.array([value[i], peak[i], margin[i], x[i]]).tobytes()
-                    == np.array([ref_value, ref_peak, ref_margin, ref_x]).tobytes())
+            assert labels[i] == verdict.value == report.verdict.value
+            row = np.array([value[i], peak[i], margin[i], x[i]]).tobytes()
+            assert row == np.array([ref_value, ref_peak, ref_margin, ref_x]).tobytes()
+            fields = report.endpoint_value, report.scan_max, report.margin, report.endpoint_x
+            assert all(type(field) is float for field in fields)
+            assert np.array(fields).tobytes() == row
 
 
 UNIT = PhysicalParams(mass=1.0, hbar=1.0)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 PACKAGE = PYPROJECT.parent / "src" / "gfdtd"
+TESTS = PYPROJECT.parent / "tests"
 
 FAILING_GIVEN = """
 from hypothesis import given, strategies as st
@@ -45,3 +46,29 @@ def test_no_module_imports_a_name_it_does_not_use():
                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
                    if (name := (alias.asname or alias.name).split(".")[0]) not in used]
     assert unused == []
+
+
+def test_monkeypatched_names_are_still_called():
+    # a test that patches a name the package no longer reads still passes, but
+    # checks nothing: monkeypatch.setattr(<gfdtd module>, "<name>", ...), or
+    # hypothesis's mp.setattr, needs <name> read in that module outside its own def
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    patches = [(f"{path.name}:{node.lineno}", node.args[0].id, node.args[1].value)
+               for path in sorted(TESTS.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "setattr" and isinstance(node.func.value, ast.Name)
+               and node.func.value.id in ("monkeypatch", "mp") and len(node.args) > 1
+               and isinstance(node.args[0], ast.Name) and node.args[0].id in modules
+               and isinstance(node.args[1], ast.Constant)]
+    assert patches
+    stale = []
+    for where, module, name in patches:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        own = {id(node) for definition in ast.walk(tree)
+               if isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+               and definition.name == name for node in ast.walk(definition)}
+        if not any(isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                   and node.id == name and id(node) not in own for node in ast.walk(tree)):
+            stale.append(f"{where}: {module}.{name}")
+    assert stale == []
