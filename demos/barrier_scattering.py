@@ -16,8 +16,6 @@ barrier_scattering.png.
 
 import argparse
 
-import numpy as np
-
 from gfdtd import (ANGSTROM, EV, BarrierSpec, GaussianPacketSpec, GridSpec,
                    PhysicalParams, SchemeConfig, StencilOrder,
                    barrier_potential, energy_expectation, gaussian_packet,

@@ -11,7 +11,7 @@ at the same instant.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,18 +159,26 @@ def density(wf):
     return d
 
 
-def norm(wf, grid, density_plane=None):
-    """Total probability: the sum of density(wf), or of ``density_plane`` when
-    the caller has built it already, times cell volume."""
+def norm(wf, grid):
+    """Total probability: the sum of density(wf), taken as two dot products that build
+    no plane, times cell volume."""
     _check_shape(wf.real_part, grid, "field")
-    d = density(wf) if density_plane is None else density_plane
-    return float(d.sum()) * grid.cell_volume
+    r, i = wf.real_part, wf.imag_part
+    return float(np.vdot(r, r) + np.vdot(i, i)) * grid.cell_volume
 
 
-def normalize(wf, grid):
-    """Scale both components by the same factor so the norm becomes 1."""
+def _scale_to_unit_norm(wf, grid):
+    """normalize(wf, grid) done on wf's own planes, in place; returns wf."""
     n = norm(wf, grid)
     if not 0.0 < n < math.inf:   # NaN fails both
         raise DegenerateFieldError(f"cannot normalize a field of norm {n}")
-    scale = 1.0 / np.sqrt(n)
-    return replace(wf, real_part=wf.real_part * scale, imag_part=wf.imag_part * scale)
+    for plane in (wf.real_part, wf.imag_part):
+        plane *= 1.0 / np.sqrt(n)
+    return wf
+
+
+def normalize(wf, grid):
+    """A copy of wf with both components scaled by one factor so the norm becomes 1;
+    a norm of 0, NaN or inf raises DegenerateFieldError."""
+    return _scale_to_unit_norm(WaveField(wf.real_part.astype(float),
+                                         wf.imag_part.astype(float)), grid)

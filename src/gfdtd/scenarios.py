@@ -11,8 +11,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateFieldError, NonHermitianError
-from .fields import PotentialField, WaveField, density, norm
+from .errors import ConfigurationError, NonHermitianError
+from .fields import PotentialField, WaveField, _scale_to_unit_norm, density, norm
 from .scheme import Propagator
 from .stability import DEFAULT_THRESHOLD, wavenumber_scan
 from .stencils import StencilOrder, _checked, axis_symbol, bind_b
@@ -25,6 +25,8 @@ def _check_indices(grid, **indices):
     for (name, i), n in zip(indices.items(), grid.shape):   # 1-based, one per axis
         if i is None or not 1 <= i <= n:
             raise ConfigurationError(f"{name} {i} outside grid")
+        if not isinstance(i, (int, np.integer)):   # a slice bound, numpy's too
+            raise ConfigurationError(f"{name} {i!r} is not an integer grid index")
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,9 @@ class BarrierSpec:
     height: float
 
     def validate(self, grid):
-        if self.height < 0:
-            raise ConfigurationError("barrier height must be nonnegative")
+        if not 0 <= self.height < np.inf:   # NaN fails both; PotentialField refuses NaN and inf too
+            raise ConfigurationError(
+                f"barrier height must be nonnegative and finite, got {self.height!r}")
         _check_indices(grid, j_min=self.j_min, k_min=self.k_min)
 
 
@@ -108,8 +111,8 @@ def gaussian_packet(spec, grid, physics=None, stagger_dt=None, stagger_order=Non
     factor per axis, as the Gaussian envelope and the plane wave exp(2 pi i (x + y) / wavelength)
     separate by axis.  With stagger_dt, physics and stagger_order the imaginary part is that of
     the factors advanced to t = +dt/2 (the dispersion separates too), the psi_imag the first
-    step consumes.  Normalising scales both planes in place.  Peaks at three planes; a
-    non-finite factor raises ConfigurationError."""
+    step consumes.  Normalising scales both planes in place, by the helper normalize runs
+    on a copy.  Peaks at three planes; a non-finite factor raises ConfigurationError."""
     spec.validate(grid)
     if stagger_dt is not None and (physics is None or stagger_order is None):
         raise ConfigurationError("stagger_dt needs physics and stagger_order")
@@ -129,13 +132,8 @@ def gaussian_packet(spec, grid, physics=None, stagger_dt=None, stagger_order=Non
         real -= a.imag[:, None] @ b.imag[None, :]
         imag = c.real[:, None] @ d.imag[None, :]
         imag += c.imag[:, None] @ d.real[None, :]
-    if spec.normalize:   # mixed time levels when staggered
-        n = float(np.vdot(real, real) + np.vdot(imag, imag)) * grid.cell_volume
-        if not 0.0 < n < np.inf:
-            raise DegenerateFieldError(f"cannot normalize a field of norm {n}")
-        real *= 1.0 / np.sqrt(n)
-        imag *= 1.0 / np.sqrt(n)
-    return WaveField(real, imag)
+    wf = WaveField(real, imag)   # its norm mixes time levels when staggered
+    return _scale_to_unit_norm(wf, grid) if spec.normalize else wf
 
 
 gaussian_packet_1d = gaussian_packet_2d = gaussian_packet   # older names, for perfbench
@@ -239,9 +237,8 @@ def run(wf, potential, grid, cfg, steps, snapshot_every=0, on_snapshot=None,
                 t = clock()   # energy first: its planes are freed before density's is built
                 energy_j = energy_expectation(wf, potential, grid, cfg.physics, cfg.order,
                                               propagator.b)
-                d = density(wf)
-                record = RunRecord(n, n * cfg.dt, norm(wf, grid, d), float(d.max()), energy_j)
-                del d   # no plane is kept between steps
+                record = RunRecord(n, n * cfg.dt, norm(wf, grid), float(density(wf).max()),
+                                   energy_j)   # no plane is kept between steps
                 log.records.append(record)
                 phase["observe"] += clock() - t
                 if on_snapshot is not None:

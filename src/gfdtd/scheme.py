@@ -27,9 +27,16 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fields import PhysicalParams, WaveField, _check_shape
-from .stencils import StencilOrder, bind_b
+from .stencils import StencilOrder, _weights, bind_b
 
 MAX_TRUNCATION_INDEX = 8  # keeps (2N+1)! exactly representable
+
+
+def _check_truncation_index(N):
+    """ConfigurationError unless N is an integer, numpy's too, in [0, MAX_TRUNCATION_INDEX]."""
+    if not isinstance(N, (int, np.integer)) or not 0 <= N <= MAX_TRUNCATION_INDEX:
+        raise ConfigurationError(
+            f"truncation index must be an integer in [0, {MAX_TRUNCATION_INDEX}], got {N!r}")
 
 
 @dataclass(frozen=True)
@@ -44,9 +51,8 @@ class SchemeConfig:
     physics: PhysicalParams
 
     def __post_init__(self):
-        if self.N < 0 or self.N > MAX_TRUNCATION_INDEX:
-            raise ConfigurationError(
-                f"truncation index must be in [0, {MAX_TRUNCATION_INDEX}], got {self.N}")
+        _check_truncation_index(self.N)
+        _weights(self.order)   # a StencilOrder, else ConfigurationError
         if not self.mu > 0:
             raise ConfigurationError("mu must be positive")
         if not 0 < self.dt < math.inf:

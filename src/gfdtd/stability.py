@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError
-from .scheme import MAX_TRUNCATION_INDEX
+from .scheme import _check_truncation_index
 from .stencils import axis_symbol
 
 DEFAULT_THRESHOLD = 0.99
@@ -48,9 +48,7 @@ def truncated_sine(x, N):
     values.  The accumulator is updated in place, so an array input costs two
     temporaries of its size.  N is an integer in [0, MAX_TRUNCATION_INDEX].
     """
-    if not isinstance(N, (int, np.integer)) or not 0 <= N <= MAX_TRUNCATION_INDEX:
-        raise ConfigurationError(
-            f"truncation index must be an integer in [0, {MAX_TRUNCATION_INDEX}], got {N!r}")
+    _check_truncation_index(N)
     x = np.asarray(x, dtype=float)
     x2 = x * x
     acc = np.full(x.shape, (-1.0) ** N / math.factorial(2 * N + 1))
@@ -109,25 +107,20 @@ def _turning_points(N):   # real roots +-sqrt(y) of S_N' = sum_p (-1)^p y^p/(2p)
 
 
 def _abs_sine_at_candidates(lo, hi, N):
-    """|S_N| at equal-shape ends lo and hi (columns 0 and 1) and at S_N's turning points
-    clipped to [lo, hi], one row per pair of ends: its max is interval_max_abs's."""
+    """|S_N| at equal-shape array ends lo and hi (columns 0 and 1) and at S_N's turning
+    points clipped to [lo, hi], one row per pair of ends.  A row's max is the exact max
+    |S_N(x)| over lo <= x <= hi, NaN for a NaN end: it lies at an end or a turning point,
+    as one outside the interval clips to an end.  An error in a root moves |S| only to
+    second order, since S' vanishes there."""
     lo, hi = lo[..., None], hi[..., None]
     s = truncated_sine(np.concatenate((lo, hi, np.clip(_turning_points(N), lo, hi)), axis=-1), N)
     return np.abs(s, out=s)
 
 
-def interval_max_abs(lo, hi, N):
-    """Exact max |S_N(x)| over lo <= x <= hi, NaN for a NaN end: at an end or a
-    turning point of S_N, as one outside the interval clips to an end.  An
-    error in a root moves |S| only to second order, since S' vanishes there.
-    Array ends give one maximum per pair of ends; scalar ends give a float."""
-    peak = _abs_sine_at_candidates(*np.broadcast_arrays(lo, hi), N).max(axis=-1)
-    return float(peak) if peak.ndim == 0 else peak
-
-
 def scan_time_steps(dt, grid, N, order, physics, v_max, c, *, v_min):
     """Endpoint value, scan max, margin, verdict label (its Verdict's value) and
     endpoint x for an array of time steps dt, as arrays, each row as a scalar's."""
+    _check_truncation_index(N)   # before _turning_points(N) reads it
     if v_min > v_max:
         raise ConfigurationError(f"v_min {v_min} exceeds v_max {v_max}")
     if not 0.0 < c < 1.0:

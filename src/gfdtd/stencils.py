@@ -51,16 +51,20 @@ _WEIGHTS = {StencilOrder.SECOND_ORDER: (-2.0, 1.0),
             StencilOrder.FOURTH_ORDER: (-30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)}
 
 
+def _weights(order):
+    """_WEIGHTS[order]; an order that is no StencilOrder raises ConfigurationError."""
+    if not isinstance(order, StencilOrder):
+        raise ConfigurationError(f"stencil order must be a StencilOrder, got {order!r}")
+    return _WEIGHTS[order]
+
+
 def axis_symbol(order, s):
     """One axis's symbol K h^2 at s = sin^2(beta h/2): 4 sum_d w_d a_d over the pairs
     of _WEIGHTS, a_d = sin^2(d beta h/2) = a_{d-1} (2 - 4 s) + 2 s - a_{d-2}, a_1 = s."""
-    weights = _WEIGHTS[order]
-    k, prev, a = 4.0 * weights[1] * s, 0.0, s
-    if len(weights) > 2:   # a_d is needed only while a weight follows a_1
-        m, t = 2.0 - 4.0 * s, 2.0 * s
-        for w in weights[2:]:
-            prev, a = a, a * m + t - prev
-            k = k + 4.0 * w * a
+    weights = _weights(order)
+    k = 4.0 * weights[1] * s
+    if len(weights) > 2:   # fourth order: a_2, from a_1 = s and a_0 = 0
+        k = k + 4.0 * weights[2] * (s * (2.0 - 4.0 * s) + 2.0 * s)
     return k
 
 
@@ -69,7 +73,7 @@ def _groups(grid, order, kinetic):
     pair sums share it: x and y where dx = dy, else one axis each."""
     groups = {}
     for axis, h in enumerate(grid.spacing):
-        for d, w in enumerate(_WEIGHTS[order][1:], 1):
+        for d, w in enumerate(_weights(order)[1:], 1):
             groups.setdefault((d, kinetic * w / h ** 2), []).append(axis)
     return groups
 
@@ -80,7 +84,7 @@ def _bind(v, grid, order, kinetic, hbar):
     it uses is made here, once per slab of leading-axis rows."""
     n, width = (*grid.shape, 1)[:2]   # rows, row length
     rows = min(n, max(1, _SLAB_BYTES // (8 * width)))
-    centre = kinetic * _WEIGHTS[order][0] * sum(h ** -2 for h in grid.spacing)
+    centre = kinetic * _weights(order)[0] * sum(h ** -2 for h in grid.spacing)
     grouping = _groups(grid, order, kinetic)
     scratch = np.empty((len(grid.shape), rows * width))   # pair sums; one slab in 1-D
     neg_inv_hbar = -1.0 / hbar   # finite: PhysicalParams rejects a smaller hbar

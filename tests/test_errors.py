@@ -13,9 +13,11 @@ import pytest
 import gfdtd
 from gfdtd import (BarrierSpec, ConfigurationError, DegenerateFieldError, GaussianPacketSpec,
                    GridSpec, PhysicalParams, PotentialField, Propagator, RunIOError,
-                   SchemeConfig, StencilOrder, WaveField, apply_b, apply_laplacian, errors,
-                   free_packet_1d, gaussian_packet, normalize, parse_config, potential_bounds,
-                   read_field_dump, run, truncated_sine, write_field_dump)
+                   SchemeConfig, StencilOrder, WaveField, apply_b, apply_laplacian,
+                   barrier_potential, energy_expectation, errors, free_packet_1d,
+                   gaussian_packet, normalize, parse_config, potential_bounds, read_field_dump,
+                   run, truncated_sine, write_field_dump)
+from gfdtd.stability import scan_time_steps
 
 MODULES = sorted(Path(gfdtd.__file__).parent.glob("*.py"))
 GRID_1D = GridSpec(dims=1, nx=6, dx=1.0)
@@ -101,6 +103,48 @@ RAISE_SITES = [
     ("potential-bounds-negative-height", lambda tmp: potential_bounds(BarrierSpec(1, 1, -1.0),
                                                                       GRID_2D),
      ConfigurationError, "barrier height must be nonnegative"),
+    # potential_bounds returned (0, nan), (0, inf) and (0, 1) for these
+    ("potential-bounds-nan-height", lambda tmp: potential_bounds(BarrierSpec(3, 3, np.nan),
+                                                                 GRID_2D),
+     ConfigurationError, "barrier height must be nonnegative and finite, got nan"),
+    ("potential-bounds-inf-height", lambda tmp: potential_bounds(BarrierSpec(3, 3, np.inf),
+                                                                 GRID_2D),
+     ConfigurationError, "barrier height must be nonnegative and finite, got inf"),
+    ("potential-bounds-fractional-index",
+     lambda tmp: potential_bounds(BarrierSpec(5.5, 3, 1.0), GRID_2D),
+     ConfigurationError, "j_min 5.5 is not an integer grid index"),
+    # a float slice bound: a bare TypeError before
+    ("barrier-fractional-index", lambda tmp: barrier_potential(BarrierSpec(3, 5.5, 1.0), GRID_2D),
+     ConfigurationError, "k_min 5.5 is not an integer grid index"),
+    ("packet-fractional-center", lambda tmp: gaussian_packet(GaussianPacketSpec(1.0, 1.0, 3.5),
+                                                             GRID_1D),
+     ConfigurationError, "center_j 3.5 is not an integer grid index"),
+    # a fractional N failed in range() at the first step, an int order as a KeyError
+    ("scheme-fractional-N", lambda tmp: SchemeConfig.from_mu(
+        1.5, StencilOrder.FOURTH_ORDER, 0.1, PhysicalParams(), GRID_1D),
+     ConfigurationError, r"truncation index must be an integer in \[0, 8\], got 1\.5"),
+    ("scheme-int-order", lambda tmp: SchemeConfig.from_mu(1, 4, 0.1, PhysicalParams(), GRID_1D),
+     ConfigurationError, "stencil order must be a StencilOrder, got 4"),
+    ("scan-time-steps-fractional-N", lambda tmp: scan_time_steps(
+        np.array(0.1), GRID_1D, 1.5, StencilOrder.FOURTH_ORDER, PhysicalParams(), 0.0, 0.5,
+        v_min=0.0),
+     ConfigurationError, r"truncation index must be an integer in \[0, 8\], got 1\.5"),
+    ("scan-time-steps-int-order", lambda tmp: scan_time_steps(
+        np.array(0.1), GRID_1D, 1, 4, PhysicalParams(), 0.0, 0.5, v_min=0.0),
+     ConfigurationError, "stencil order must be a StencilOrder, got 4"),
+    ("apply-b-int-order", lambda tmp: apply_b(np.ones(6), GRID_1D, PotentialField.zeros(GRID_1D),
+                                              PhysicalParams(), order=4),
+     ConfigurationError, "stencil order must be a StencilOrder, got 4"),
+    ("laplacian-int-order", lambda tmp: apply_laplacian(np.ones(6), GRID_1D, order=2),
+     ConfigurationError, "stencil order must be a StencilOrder, got 2"),
+    ("energy-int-order", lambda tmp: energy_expectation(
+        WaveField.zeros(GRID_1D), PotentialField.zeros(GRID_1D), GRID_1D, PhysicalParams(),
+        order=2),
+     ConfigurationError, "stencil order must be a StencilOrder, got 2"),
+    ("packet-int-stagger-order",
+     lambda tmp: gaussian_packet(GaussianPacketSpec(1.0, 1.0, 3), GRID_1D, PhysicalParams(),
+                                 stagger_dt=0.1, stagger_order=2),
+     ConfigurationError, "stencil order must be a StencilOrder, got 2"),
     # a bare ValueError, TypeError and OverflowError (from factorial) before
     ("truncated-sine-negative-N", lambda tmp: truncated_sine(1.0, -1),
      ConfigurationError, r"truncation index must be an integer in \[0, 8\], got -1"),

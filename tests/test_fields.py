@@ -7,6 +7,8 @@ from gfdtd import (ANGSTROM, ConfigurationError, DegenerateFieldError,
                    GaussianPacketSpec, GridSpec, PhysicalParams, PotentialField, WaveField,
                    gaussian_packet, norm, normalize)
 
+from conftest import traced_peak
+
 
 def test_grid_invariants():
     with pytest.raises(ConfigurationError):
@@ -75,6 +77,9 @@ def test_normalize_scaling(small_grid_2d):
     scaled = normalize(wf, small_grid_2d)
     assert np.allclose(scaled.real_part, real / np.sqrt(n))
     assert norm(scaled, small_grid_2d) == pytest.approx(1.0, rel=1e-12)
+    # the scaling is in place on a copy: the input's planes keep their values
+    assert (wf.real_part == 0.25).all() and (wf.imag_part == 0.0).all()
+    assert not np.shares_memory(scaled.real_part, real)
 
 
 def test_normalize_idempotent(rng, small_grid_2d):
@@ -109,6 +114,13 @@ def test_norm_quadratic_scaling(rng, small_grid_2d):
     for c in (0.5, 2.0, 7.25):
         scaled = WaveField(c * wf.real_part, c * wf.imag_part)
         assert norm(scaled, small_grid_2d) == pytest.approx(c * c * base, rel=1e-12)
+
+
+def test_norm_builds_no_plane(rng):
+    # two dot products: a density plane would cost a whole plane of 512 KiB
+    grid = GridSpec(dims=2, nx=256, dx=1.0, ny=256, dy=1.0)
+    wf = WaveField(rng.normal(size=grid.shape), rng.normal(size=grid.shape))
+    assert traced_peak(lambda: norm(wf, grid)) < wf.real_part.nbytes
 
 
 @pytest.mark.parametrize("nan_plane", ["real_part", "imag_part"])

@@ -9,7 +9,7 @@ from gfdtd import (ConfigurationError, GaussianPacketSpec, GridSpec, PhysicalPar
                    PotentialField, SchemeConfig, StencilOrder, Verdict, WaveField,
                    amplification_roots, endpoint_condition, endpoint_x,
                    gaussian_packet, run, truncated_sine, wavenumber_scan)
-from gfdtd.stability import _symbol_value, interval_max_abs, scan_time_steps
+from gfdtd.stability import _abs_sine_at_candidates, _symbol_value, scan_time_steps
 
 from conftest import dense_b_matrix, reference_scan
 
@@ -349,17 +349,17 @@ def test_interval_max_matches_dense_oracle(N, ends):
     # on |x| <= 5 the 2e6-point oracle misses an interior peak of S_8 by
     # at most |S''| h^2 / 8 < 3e-10; evaluating the same S at the same
     # points keeps rounding out of the one-sided check
-    lo, hi = ends
+    lo, hi = np.array(ends)
     dense = np.abs(truncated_sine(np.linspace(lo, hi, 2_000_001), N)).max()
-    exact = interval_max_abs(lo, hi, N)
-    assert isinstance(exact, float)
+    exact = _abs_sine_at_candidates(lo, hi, N).max(-1)
     assert exact == pytest.approx(dense, abs=1e-9)
     assert exact >= dense - 1e-12
 
 
 def test_interval_max_nan_end_gives_nan():
-    assert np.isnan(interval_max_abs(float("nan"), 1.0, 2))
-    assert np.isnan(interval_max_abs(0.0, float("nan"), 2))
+    nan, one, zero = np.array([np.nan, 1.0, 0.0])
+    assert np.isnan(_abs_sine_at_candidates(nan, one, 2).max(-1))
+    assert np.isnan(_abs_sine_at_candidates(zero, nan, 2).max(-1))
 
 
 # --- verdict over a potential's range --------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 PACKAGE = PYPROJECT.parent / "src" / "gfdtd"
 TESTS = PYPROJECT.parent / "tests"
+DEMOS = PYPROJECT.parent / "demos"
 
 FAILING_GIVEN = """
 from hypothesis import given, strategies as st
@@ -35,14 +36,16 @@ def test_failing_hypothesis_test_fails_without_internal_error(tmp_path):
 
 def test_no_module_imports_a_name_it_does_not_use():
     # a name whose last use was deleted stays importable and passes every other
-    # test; __init__.py is skipped, as it imports names to re-export them
+    # test, in the package, its tests and its demos alike; the package's
+    # __init__.py is skipped, as it imports names to re-export them
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *DEMOS.glob("*.py")]):
+        if path == PACKAGE / "__init__.py":
             continue
         tree = ast.parse(path.read_text(), str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{node.lineno}: {name}" for node in ast.walk(tree)
+        unused += [f"{path.parent.name}/{path.name}:{node.lineno}: {name}"
+                   for node in ast.walk(tree)
                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
                    if (name := (alias.asname or alias.name).split(".")[0]) not in used]
     assert unused == []
