@@ -44,12 +44,15 @@ class GridSpec:
     def __post_init__(self):
         if self.dims not in (1, 2):
             raise ConfigurationError(f"dims must be 1 or 2, got {self.dims}")
+        for name, count in zip(("nx", "ny"), self.shape):   # numpy's integers too
+            if not isinstance(count, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {count!r}")
         if self.nx < 5:
             raise ConfigurationError("nx must be >= 5 (fourth-order stencil halo)")
         if not self.dx > 0:
             raise ConfigurationError("dx must be positive")
         if self.dims == 2:
-            if self.ny is None or self.ny < 5:
+            if self.ny < 5:
                 raise ConfigurationError("ny must be >= 5 in 2-D")
             if self.dy is None or not self.dy > 0:
                 raise ConfigurationError("dy must be positive in 2-D")

@@ -211,10 +211,11 @@ def run(wf, potential, grid, cfg, steps, snapshot_every=0, on_snapshot=None,
     instead of raising.  log.phase_s holds each phase's wall seconds.
     Returns (final_field, RunLog), final_field being the last one under the limit.
     ``wf``'s planes are never written, nor referenced once step 1 is accepted.
-    A negative ``steps`` or ``snapshot_every`` raises ConfigurationError.
+    A negative or non-integer ``steps`` or ``snapshot_every`` raises ConfigurationError.
     """
-    if steps < 0 or snapshot_every < 0:
-        raise ConfigurationError(f"steps {steps} and snapshot_every {snapshot_every} must be >= 0")
+    if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in (steps, snapshot_every)):
+        raise ConfigurationError(f"steps {steps!r} and snapshot_every {snapshot_every!r} "
+                                 "must be >= 0 and integral")
     # a with block, not a decorator, whose wrapper would hold wf for the whole run
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite plane is a divergence
         clock, log = time.perf_counter, RunLog()

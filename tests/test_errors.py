@@ -13,10 +13,10 @@ import pytest
 import gfdtd
 from gfdtd import (BarrierSpec, ConfigurationError, DegenerateFieldError, GaussianPacketSpec,
                    GridSpec, PhysicalParams, PotentialField, Propagator, RunIOError,
-                   SchemeConfig, StencilOrder, WaveField, apply_b, apply_laplacian,
-                   barrier_potential, energy_expectation, errors, free_packet_1d,
-                   gaussian_packet, normalize, parse_config, potential_bounds, read_field_dump,
-                   run, truncated_sine, write_field_dump)
+                   SchemeConfig, StencilOrder, WaveField, apply_b, apply_b_power,
+                   apply_laplacian, barrier_potential, energy_expectation, errors,
+                   free_packet_1d, gaussian_packet, normalize, parse_config, potential_bounds,
+                   read_field_dump, run, truncated_sine, write_field_dump)
 from gfdtd.stability import scan_time_steps
 
 MODULES = sorted(Path(gfdtd.__file__).parent.glob("*.py"))
@@ -48,6 +48,11 @@ RAISE_SITES = [
      ConfigurationError, "dx must be positive"),
     ("grid-ny-2d", lambda tmp: GridSpec(dims=2, nx=6, dx=1.0, ny=4, dy=1.0),
      ConfigurationError, r"ny must be >= 5 in 2-D"),
+    # a fractional count built, then np.zeros(grid.shape) raised a bare TypeError
+    ("grid-fractional-nx", lambda tmp: GridSpec(dims=1, nx=6.5, dx=1.0),
+     ConfigurationError, r"nx must be an integer, got 6\.5"),
+    ("grid-fractional-ny", lambda tmp: GridSpec(dims=2, nx=6, dx=1.0, ny=7.5, dy=1.0),
+     ConfigurationError, r"ny must be an integer, got 7\.5"),
     # 1/dy^2 overflows: the verdict divided by 0.0 (dy * dy), bind_b raised an OverflowError
     ("grid-dy-1e-200", lambda tmp: GridSpec(dims=2, nx=16, dx=1e-10, ny=16, dy=1e-200),
      ConfigurationError, r"dy 1e-200 is too small: 1/dy\^2 overflows"),
@@ -74,6 +79,14 @@ RAISE_SITES = [
      ConfigurationError, "steps -3 and snapshot_every 0 must be >= 0"),
     ("run-negative-snapshot-every", lambda tmp: _run(5, -1),
      ConfigurationError, "steps 5 and snapshot_every -1 must be >= 0"),
+    # range() raised a bare TypeError for a fractional steps; snapshot_every 1.5 passed
+    ("run-fractional-steps", lambda tmp: _run(2.5, 0),
+     ConfigurationError, r"steps 2\.5 and snapshot_every 0 must be >= 0 and integral"),
+    ("run-fractional-snapshot-every", lambda tmp: _run(3, 1.5),
+     ConfigurationError, r"steps 3 and snapshot_every 1\.5 must be >= 0 and integral"),
+    ("apply-b-power-fractional", lambda tmp: apply_b_power(
+        np.ones(6), 3.0, GRID_1D, PotentialField.zeros(GRID_1D), PhysicalParams()),
+     ConfigurationError, r"power must be an odd positive integer, got 3\.0"),
     ("potential-nan", lambda tmp: PotentialField(np.array([0.0, np.nan])),
      ConfigurationError, "potential contains non-finite values"),
     ("potential-inf", lambda tmp: PotentialField(np.array([np.inf, 0.0])),
@@ -183,6 +196,18 @@ RAISE_SITES = [
 def test_validation_site_raises_typed_error(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)
+
+
+def test_numpy_integer_counts_are_accepted():
+    grid = GridSpec(dims=2, nx=np.int64(6), dx=1.0, ny=np.int32(7), dy=1.0)
+    assert WaveField.zeros(grid).real_part.shape == (6, 7)
+    _, log = _run(np.int64(4), np.int64(2))
+    assert [r.step for r in log.records] == [0, 2, 4]
+    f = np.arange(6.0)
+    assert np.array_equal(apply_b_power(f, np.int64(3), GRID_1D, PotentialField.zeros(GRID_1D),
+                                        PhysicalParams()),
+                          apply_b_power(f, 3, GRID_1D, PotentialField.zeros(GRID_1D),
+                                        PhysicalParams()))
 
 
 @pytest.mark.parametrize("bind", [

@@ -453,3 +453,68 @@ def test_bound_b_matches_dense_oracle_and_adds_source_bit_for_bit(shape, dy, ord
     assert np.abs(plain - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.abs(scaled - scale * expected).max() <= 1e-12 * np.abs(scale * expected).max()
     assert np.array_equal(bound(f, np.empty(grid.shape), scale, src), scaled + src)
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+@pytest.mark.parametrize("count, cells", [(1, 1), (1, 7), (2, 8), (2, 9), (2, 1001)])
+def test_aligned_rows_start_on_cache_lines(count, cells):
+    rows = stencils._aligned_rows(count, cells)
+    assert rows.shape == (count, cells) and rows.dtype == float and rows.flags.writeable
+    assert all(_address(r) % 64 == 0 and r.flags.c_contiguous for r in rows)
+    assert rows.strides[0] % 64 == 0 and rows.strides[0] - 64 < 8 * cells <= rows.strides[0]
+
+
+def _slab_buffers(call):
+    """The p and s scratch views of each slab a bound B's loop holds."""
+    slabs = dict(zip(call.__code__.co_freevars, (c.cell_contents for c in call.__closure__)))
+    return [buf for slab in slabs["slabs"] for buf in slab[4:6]]
+
+
+@pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 3 * 9 * 8, 1])
+@pytest.mark.parametrize("grid", [GridSpec(dims=1, nx=23, dx=0.7),
+                                  GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=0.7),
+                                  GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=1.1)],
+                         ids=["1d", "2d-dx-eq-dy", "2d-dx-ne-dy"])
+def test_bound_b_scratch_starts_on_cache_lines(monkeypatch, grid, slab_bytes, unit_physics):
+    # 9-cell rows: one- and three-row slabs hold 9 and 27 cells, no multiple of 8,
+    # and 23 rows leave a shorter last slab
+    monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
+    bound = stencils.bind_b(grid, PotentialField.zeros(grid), unit_physics,
+                            StencilOrder.FOURTH_ORDER)
+    buffers = _slab_buffers(bound)
+    assert len(buffers) == 2 * -(-grid.nx // max(1, slab_bytes // (8 * (grid.ny or 1))))
+    assert all(_address(b) % 64 == 0 for b in buffers)
+
+
+def _placed(values, offset):
+    """A copy of values whose first cell sits offset bytes past a 64-byte line."""
+    raw = np.empty(values.size + 16)   # up to 7 cells to a line, then 4 more
+    first = (-_address(raw) % 64 + offset) // 8
+    out = raw[first:first + values.size].reshape(values.shape)
+    out[...] = values
+    return out
+
+
+@pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 1])
+@pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
+@pytest.mark.parametrize("grid", [GridSpec(dims=1, nx=37, dx=0.7),
+                                  GridSpec(dims=2, nx=23, dx=0.7, ny=19, dy=0.7),
+                                  GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=1.1)])
+def test_results_do_not_depend_on_plane_placement(rng, monkeypatch, grid, order, slab_bytes,
+                                                  unit_physics):
+    # numpy's loops peel a misaligned head off their vector body: every cell
+    # must still come out with the same bits, under apply_b and a bound call alike
+    monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
+    potential = quadrant_barrier(grid)
+    f, src = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
+    bound = stencils.bind_b(grid, potential, unit_physics, order)
+    results = []
+    for offset in (0, 8, 16, 32):
+        f_at, src_at, out = (_placed(a, offset) for a in (f, src, np.zeros(grid.shape)))
+        b = apply_b(f_at, grid, potential, unit_physics, order, out=_placed(f, offset))
+        results.append((b, bound(f_at, out, -0.37, src_at)))
+    for b, fused in results[1:]:
+        assert np.array_equal(b, results[0][0]) and np.array_equal(fused, results[0][1])
