@@ -8,7 +8,7 @@ from gfdtd import (ConfigurationError, GridSpec, PhysicalParams, PotentialField,
                    StencilOrder, apply_b, apply_b_power, apply_laplacian, stencils)
 from gfdtd.stencils import axis_symbol
 
-from conftest import dense_b_matrix, dense_laplacian_matrix, quadrant_barrier
+from conftest import dense_b_matrix, dense_laplacian_matrix, quadrant_barrier, traced_peak
 
 
 def plane_wave(grid, beta_x, beta_y=None):
@@ -248,17 +248,96 @@ def test_out_overlapping_or_misshapen_rejected(rng, small_grid_2d, constant_pote
             apply_laplacian(f, small_grid_2d, out=out)
 
 
+def packet(grid, rng):
+    """A packet about the grid's centre whose magnitude falls, cell by cell in
+    order of distance, from O(1) through the subnormals to exact zeros, each
+    value of random sign: its zero-filled and edge cells show a zero of the
+    wrong sign, a subnormal flushed or a cell skipped."""
+    r2 = sum((i - (m - 1) / 2) ** 2 for i, m in zip(np.indices(grid.shape), grid.shape))
+    rank = np.argsort(np.argsort(r2, axis=None, kind="stable")).reshape(grid.shape)
+    exponent = np.interp(rank / (rank.size - 1), [0.0, 0.5, 0.75, 1.0], [0, 1000, 1076, 1100])
+    magnitude = np.ldexp(rng.uniform(1.0, 2.0, size=grid.shape), -exponent.astype(int))
+    return rng.choice([-1.0, 1.0], size=grid.shape) * magnitude
+
+
+FIELDS = {"normal": lambda grid, rng: rng.normal(size=grid.shape), "packet": packet}
+
+
+def same_bits(a, b):
+    """Equal cell for cell, the sign of each zero included."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_packet_runs_from_order_one_through_subnormals_to_signed_zeros(rng):
+    for shape in [(5, 5), (5, 7), (12, 9), (23,)]:
+        grid = GridSpec(dims=len(shape), nx=shape[0], dx=0.7, **(
+            {"ny": shape[1], "dy": 0.7} if len(shape) == 2 else {}))
+        f = np.abs(packet(grid, rng)).ravel()
+        tiny = np.finfo(float).tiny
+        assert f.max() >= 1.0 and ((f > 0) & (f < tiny)).any() and (f == 0).any()
+    f = packet(GridSpec(dims=2, nx=12, dx=0.7, ny=9, dy=0.7), rng)
+    assert (np.signbit(f) & (f == 0)).any() and (~np.signbit(f) & (f == 0)).any()
+
+
+def symmetric_quadrant(grid):
+    """V = V.T on a square grid: a barrier on the upper half of both axes."""
+    values = np.zeros(grid.shape)
+    values[grid.nx // 2:, grid.nx // 2:] = 0.8
+    return PotentialField(values)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("potential", ["random", "quadrant"])
+@pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 1])
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
-def test_b_exactly_transpose_symmetric(rng, order, unit_physics):
-    # square grid, V = V.T: every operation of the kernel treats x and y
-    # alike, so transposing the input transposes the output bit for bit
-    grid = GridSpec(dims=2, nx=11, dx=0.7, ny=11, dy=0.7)
+@pytest.mark.parametrize("n", [5, 11])
+def test_b_exactly_transpose_symmetric(rng, monkeypatch, n, order, slab_bytes, potential,
+                                       field, unit_physics):
+    # square grid, V = V.T: every add of the kernel pairs one x neighbour with
+    # one y neighbour, so transposing the input transposes the output bit for
+    # bit, in one-row slabs too; at 5x5 every cell is a corner or edge cell
+    monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
+    grid = GridSpec(dims=2, nx=n, dx=0.7, ny=n, dy=0.7)
     v = rng.uniform(0.0, 1.0, size=grid.shape)
-    potential = PotentialField(v + v.T)
-    f = rng.normal(size=grid.shape)
-    out = apply_b(f, grid, potential, unit_physics, order)
-    assert np.array_equal(apply_b(f.T, grid, potential, unit_physics, order), out.T)
-    assert np.array_equal(apply_laplacian(f.T, grid, order), apply_laplacian(f, grid, order).T)
+    potential = PotentialField(v + v.T) if potential == "random" else symmetric_quadrant(grid)
+    f = FIELDS[field](grid, rng)
+    assert same_bits(apply_b(f.T, grid, potential, unit_physics, order),
+                     apply_b(f, grid, potential, unit_physics, order).T)
+    assert same_bits(apply_laplacian(f.T, grid, order), apply_laplacian(f, grid, order).T)
+
+
+def dropped_neighbour_signs(f, order, shared):
+    """Which cells of the Laplacian of a 2-D field of signed zeros come out -0.0
+    when each neighbour past an edge is dropped: those where every term is -0.0.
+    A sum of zeros is -0.0 only if each of its terms is, in any order; each
+    offset scales the sum of all four neighbours where x and y share a weight,
+    else each axis's pair on its own."""
+    negative = np.signbit(f)
+    expected = ~negative   # the centre weight is negative
+    for d, w in enumerate(stencils._WEIGHTS[order][1:], 1):
+        padded = np.pad(negative, d, constant_values=True)   # -0.0 adds nothing
+        y, x = ([padded[d + i:d + i + f.shape[0], d + j:d + j + f.shape[1]] for i, j in pair]
+                for pair in ([(-d, 0), (d, 0)], [(0, -d), (0, d)]))
+        for group in ([y + x] if shared else [y, x]):
+            expected &= np.logical_and.reduce(group) == (w > 0)
+    return expected
+
+
+@pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 1])
+@pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
+@pytest.mark.parametrize("shape", [(5, 5), (5, 7), (12, 9)])
+def test_dropped_neighbours_keep_the_sign_of_a_zero(rng, monkeypatch, shape, order,
+                                                    slab_bytes):
+    # where dx = dy a neighbour past the edge is a -0.0 in the shared sum, the
+    # one zero that adds nothing: a +0.0 there would turn a -0.0 cell to +0.0
+    monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
+    for dy in (0.7, 1.1):
+        grid = GridSpec(dims=2, nx=shape[0], dx=0.7, ny=shape[1], dy=dy)
+        for _ in range(20):
+            f = rng.choice([-0.0, 0.0], size=shape)
+            lap = apply_laplacian(f, grid, order)
+            assert not lap.any()
+            assert np.array_equal(np.signbit(lap), dropped_neighbour_signs(f, order, dy == 0.7))
 
 
 def row_step(grid):
@@ -284,12 +363,20 @@ ROW_SLAB_POTENTIALS = {
 }
 
 
+# dx = dy at 5x5, 5x7 and 12x9: every cell, or every row end, is an edge cell
+BIT_GRIDS = [GridSpec(dims=1, nx=23, dx=0.7),
+             GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=1.1),
+             GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=0.7),
+             GridSpec(dims=2, nx=5, dx=0.7, ny=5, dy=0.7),
+             GridSpec(dims=2, nx=5, dx=0.7, ny=7, dy=0.7),
+             GridSpec(dims=2, nx=12, dx=0.7, ny=9, dy=0.7)]
+
+
+@pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("potential", ROW_SLAB_POTENTIALS)
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
-@pytest.mark.parametrize("grid", [GridSpec(dims=1, nx=23, dx=0.7),
-                                  GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=1.1),
-                                  GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=0.7)])
-def test_row_slabs_do_not_change_a_bit(rng, monkeypatch, grid, order, potential):
+@pytest.mark.parametrize("grid", BIT_GRIDS)
+def test_row_slabs_do_not_change_a_bit(rng, monkeypatch, grid, order, potential, field):
     # whole plane in one slab versus the thinnest slabs, the last of which
     # overlaps its neighbour.  A slab where V holds one level takes the scalar
     # diagonal, any other the general one, so one-row slabs (one cell in 1-D)
@@ -301,15 +388,15 @@ def test_row_slabs_do_not_change_a_bit(rng, monkeypatch, grid, order, potential)
     potential = ROW_SLAB_POTENTIALS[potential](grid, rng)
     mixed = potential.values.copy()
     mixed.reshape(-1)[-1] = 2.5
-    f = rng.normal(size=grid.shape)
+    f = FIELDS[field](grid, rng)
     whole_b = apply_b(f, grid, potential, physics, order)
     general_b = apply_b(f, grid, PotentialField(mixed), physics, order).reshape(-1)[:-1]
     whole_lap = apply_laplacian(f, grid, order)
     monkeypatch.setattr(stencils, "_SLAB_BYTES", 1)
     thin_b = apply_b(f, grid, potential, physics, order)
-    assert np.array_equal(thin_b, whole_b)
-    assert np.array_equal(thin_b.reshape(-1)[:-1], general_b)
-    assert np.array_equal(apply_laplacian(f, grid, order), whole_lap)
+    assert same_bits(thin_b, whole_b)
+    assert same_bits(thin_b.reshape(-1)[:-1], general_b)
+    assert same_bits(apply_laplacian(f, grid, order), whole_lap)
 
 
 # (grid, whether x and y share one pair sum per offset).  The first has
@@ -406,26 +493,25 @@ def test_apply_b_with_strided_potential_view(rng, order, unit_physics):
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+@pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("scale", [-0.37, 1.0])
 @pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 1])
 @pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
-@pytest.mark.parametrize("grid", [GridSpec(dims=1, nx=23, dx=0.7),
-                                  GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=1.1),
-                                  GridSpec(dims=2, nx=23, dx=0.7, ny=9, dy=0.7)])
+@pytest.mark.parametrize("grid", BIT_GRIDS)
 def test_source_adds_at_unit_weight_bit_for_bit(rng, monkeypatch, grid, order, slab_bytes,
-                                                scale, unit_physics):
+                                                scale, field, unit_physics):
     # call(f, out, s, src) is call(f, out, s) + src, and scale 1.0 is apply_b
     monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
     potential = PotentialField(rng.uniform(0.0, 1.0, size=grid.shape))
-    f, src = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
+    f, src = FIELDS[field](grid, rng), FIELDS[field](grid, rng)
     bound = stencils.bind_b(grid, potential, unit_physics, order)
     scaled = bound(f, np.empty(grid.shape), scale)
-    assert np.array_equal(bound(f, np.empty(grid.shape), scale, src), scaled + src)
-    assert np.array_equal(bound(f, np.empty(grid.shape), 1.0),
-                          apply_b(f, grid, potential, unit_physics, order))
+    assert same_bits(bound(f, np.empty(grid.shape), scale, src), scaled + src)
+    assert same_bits(bound(f, np.empty(grid.shape), 1.0),
+                     apply_b(f, grid, potential, unit_physics, order))
     # the source may be the input itself, and in any memory layout
     fused = bound(f, np.empty(grid.shape), scale, np.asfortranarray(f))
-    assert np.array_equal(fused, scaled + f)
+    assert same_bits(fused, scaled + f)
 
 
 @settings(max_examples=60, deadline=None)
@@ -468,9 +554,11 @@ def test_aligned_rows_start_on_cache_lines(count, cells):
 
 
 def _slab_buffers(call):
-    """The p and s scratch views of each slab a bound B's loop holds."""
+    """The scratch each slab of a bound B's loop starts from: p, and the shared
+    sum a of each group whose axes share one weight."""
     slabs = dict(zip(call.__code__.co_freevars, (c.cell_contents for c in call.__closure__)))
-    return [buf for slab in slabs["slabs"] for buf in slab[4:6]]
+    return [buf for slab in slabs["slabs"]
+            for buf in (slab[4], *(group[-1][1] for group in slab[3] if group[-1]))]
 
 
 @pytest.mark.parametrize("slab_bytes", [stencils._SLAB_BYTES, 3 * 9 * 8, 1])
@@ -480,13 +568,27 @@ def _slab_buffers(call):
                          ids=["1d", "2d-dx-eq-dy", "2d-dx-ne-dy"])
 def test_bound_b_scratch_starts_on_cache_lines(monkeypatch, grid, slab_bytes, unit_physics):
     # 9-cell rows: one- and three-row slabs hold 9 and 27 cells, no multiple of 8,
-    # and 23 rows leave a shorter last slab
+    # and 23 rows leave a shorter last slab.  Where dx = dy the shared sums run
+    # two rows past their slab, and the slab gives up those two rows
     monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
     bound = stencils.bind_b(grid, PotentialField.zeros(grid), unit_physics,
                             StencilOrder.FOURTH_ORDER)
     buffers = _slab_buffers(bound)
-    assert len(buffers) == 2 * -(-grid.nx // max(1, slab_bytes // (8 * (grid.ny or 1))))
+    shared = grid.dims == 2 and grid.dx == grid.dy
+    rows = max(1, slab_bytes // (8 * (grid.ny or 1)) - 2 * shared)
+    assert len(buffers) == (1 + 2 * shared) * -(-grid.nx // rows)
     assert all(_address(b) % 64 == 0 for b in buffers)
+
+
+def test_bound_b_scratch_stays_two_slabs(unit_physics):
+    # the shared sums' rows past the slab come out of the slab's own rows, and
+    # every full slab shares its views of the scratch: a paper-scale bind holds
+    # two slabs of scratch and not much more
+    grid = GridSpec(dims=2, nx=800, dx=1.0, ny=800, dy=1.0)
+    potential = quadrant_barrier(grid)
+    peak = traced_peak(lambda: stencils.bind_b(grid, potential, unit_physics,
+                                               StencilOrder.FOURTH_ORDER))
+    assert peak <= 2 * stencils._SLAB_BYTES + (64 << 10)
 
 
 def _placed(values, offset):
