@@ -12,10 +12,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ConfigurationError, NonHermitianError
-from .fields import PotentialField, WaveField, _scale_to_unit_norm, density, norm
+from .fields import PotentialField, WaveField, _dot, _scale_to_unit_norm, density, norm
 from .scheme import Propagator
 from .stability import DEFAULT_THRESHOLD, wavenumber_scan
-from .stencils import StencilOrder, _checked, axis_symbol, bind_b
+from .stencils import FLOOR, StencilOrder, _checked, axis_symbol, bind_b
 
 # |value| exceeding this multiple of the initial max stops the run
 DIVERGENCE_FACTOR = 1.0e10
@@ -127,13 +127,19 @@ def gaussian_packet(spec, grid, physics=None, stagger_dt=None, stagger_order=Non
         real, imag = np.array(plain[0].real), np.array(advanced[0].imag)
     else:   # Re(ab) = ar br - ai bi, Im(ab) = ar bi + ai br, each product rounded (k = 1 @, no
         # broadcast buffer) before the sum: a packet symmetric in j <-> k is so bit for bit
+        for parts in (f.view(float) for f in plain + advanced):   # no product is subnormal
+            parts[np.abs(parts) < FLOOR ** 0.5] = 0.0
         (a, b), (c, d) = plain, advanced
         real = a.real[:, None] @ b.real[None, :]
         real -= a.imag[:, None] @ b.imag[None, :]
         imag = c.real[:, None] @ d.imag[None, :]
         imag += c.imag[:, None] @ d.real[None, :]
     wf = WaveField(real, imag)   # its norm mixes time levels when staggered
-    return _scale_to_unit_norm(wf, grid) if spec.normalize else wf
+    if spec.normalize:
+        _scale_to_unit_norm(wf, grid)
+    for plane in (real, imag):   # a 1-D tail, a difference or the scale below FLOOR
+        plane[(plane < FLOOR) & (plane > -FLOOR)] = 0.0
+    return wf
 
 
 gaussian_packet_1d = gaussian_packet_2d = gaussian_packet   # older names, for perfbench
@@ -167,9 +173,9 @@ def energy_expectation(wf, potential, grid, physics, order=StencilOrder.FOURTH_O
     real, imag = wf.real_part, wf.imag_part
     bound = bound or bind_b(grid, potential, physics, order)
     b = _checked(bound, real, grid, None)
-    r_br, i_br = np.vdot(real, b), np.vdot(imag, b)
+    r_br, i_br = _dot(real, b), _dot(imag, b)
     _checked(bound, imag, grid, b)
-    r_bi, i_bi = np.vdot(real, b), np.vdot(imag, b)
+    r_bi, i_bi = _dot(real, b), _dot(imag, b)
     scale = -physics.hbar * grid.cell_volume
     real_part = float(r_br + i_bi) * scale
     imag_part = float(r_bi - i_br) * scale

@@ -18,6 +18,8 @@ weights and adds its f term, or at last the old plane, inside B's slab loop,
 so no pass scales or adds a whole plane; at N = 0 a step allocates only the
 new field's two planes, as one (2, *shape) block.  A Propagator binds B once
 and checks each step's field; step() is one step through a Propagator of its own.
+Its last call per half step zeroes the new plane's cells below stencils.FLOOR until
+a plane holds none, 0 included: zeros past a packet's tails keep making them.
 """
 
 import math
@@ -80,11 +82,11 @@ class Propagator:
     bound, so the potential must not change while the Propagator steps.  A
     misshapen potential or field raises ConfigurationError."""
 
-    __slots__ = ("_grid", "b", "_dt", "_ratios")
+    __slots__ = ("_grid", "b", "_dt", "_ratios", "_flushing")
 
     def __init__(self, grid, potential, cfg):
         self._grid, self.b = grid, bind_b(grid, potential, cfg.physics, cfg.order)
-        self._dt, self._ratios = cfg.dt, cfg.horner_ratios()
+        self._dt, self._ratios, self._flushing = cfg.dt, cfg.horner_ratios(), True
 
     def _half(self, source, old, dt, u, new):
         """new = old + dt * B(f - r_0 B^2(f - ...)) for f = source."""
@@ -92,6 +94,9 @@ class Propagator:
         for r in reversed(self._ratios):
             b(g, new)
             g = b(new, u, -r, source)
+        if self._flushing:   # the switch is the Propagator's: step one field's sequence
+            self._flushing = b(g, new, dt, old, floor=True)
+            return new
         return b(g, new, dt, old)
 
     def step(self, field):

@@ -29,6 +29,12 @@ apply_laplacian validate, bind and call; the stepper binds B once (bind_b).
 Each scratch buffer starts on a 64-byte cache line (_aligned_rows): off one,
 as np.empty may leave it, B's AVX-512 passes took 15-30 % longer at
 400^2-800^2.
+
+call(..., floor=True), the stepper's last call per half step, zeroes out's cells
+below FLOOR = 2^-500 per slab: a subnormal operand costs x86 a microcode assist
+(Dooley & Kale, 2006; paper2d's B ran 18-26 % slower), and numpy cannot flush to
+zero.  FLOOR^2 is normal and FLOOR is 2^522 above the least normal, room for the
+Horner scales up to N = 8.  apply_b, apply_laplacian and apply_b_power never flush.
 """
 
 from enum import Enum
@@ -41,6 +47,7 @@ from .fields import _check_shape
 # bytes per slab of rows: the out slab and the two scratch slabs (768 KiB)
 # then stay in a 2 MB per-core L2 cache between the loop's passes
 _SLAB_BYTES = 1 << 18
+FLOOR = 2.0 ** -500   # a flushed plane holds 0 or |x| >= FLOOR, so no subnormal
 
 
 class StencilOrder(Enum):
@@ -145,9 +152,10 @@ def _shared_sums(shape, d, p, a, start, stop, share):
 
 
 def _bind(v, grid, order, kinetic, hbar):
-    """call(f, out, scale=1.0, src=None): out = scale * (kinetic * Laplacian(f)
-    - (v/hbar) * f) + src when src is given, unchecked; every slice and view
-    it uses is made here, once per slab of leading-axis rows."""
+    """call(f, out, scale=1.0, src=None, floor=False): out = scale * (kinetic *
+    Laplacian(f) - (v/hbar) * f) + src when src is given, unchecked; every slice
+    and view it uses is made here, once per slab of leading-axis rows, but the
+    floor's two masks, which a flushing call views in p's bytes."""
     n, width = (*grid.shape, 1)[:2]   # rows, row length
     centre = kinetic * _weights(order)[0] * sum(h ** -2 for h in grid.spacing)
     grouping = _groups(grid, order, kinetic)
@@ -177,9 +185,9 @@ def _bind(v, grid, order, kinetic, hbar):
         level = float(low) if low == v_rows.max() else None
         slabs.append((part, lo, hi, groups, p, share(p.reshape(v_rows.shape)), v_rows, level))
 
-    def call(f, out, scale=1.0, src=None):
+    def call(f, out, scale=1.0, src=None, floor=False):
         flat, out_flat = f.reshape(-1), out.reshape(-1)
-        v_scale, c = neg_inv_hbar * scale, centre * scale   # x 1.0 is exact
+        v_scale, c, hit = neg_inv_hbar * scale, centre * scale, False   # x 1.0 is exact
         for part, lo, hi, groups, p, p_rows, v_rows, level in slabs:
             o = out_flat[lo:hi]
             for i, (w, left, right, pair, copies, shared) in enumerate(groups):
@@ -207,7 +215,15 @@ def _bind(v, grid, order, kinetic, hbar):
             o += p
             if src is not None:
                 np.add(out[part], src[part], out=out[part])
-        return out
+            if floor:   # |o| < FLOOR into bool masks in p's bytes, p being spent
+                low, high = p.view(np.bool_)[:2 * (hi - lo)].reshape(2, -1)
+                np.less(o, FLOOR, out=low)
+                low &= np.greater(o, -FLOOR, out=high)
+                if low.any():   # write to the nonzero ones: paper2d holds 30x more zeros
+                    hit = True
+                    low &= np.not_equal(o, 0.0, out=high)
+                    np.copyto(o, 0.0, where=low)
+        return hit if floor else out
 
     return call
 
@@ -233,9 +249,10 @@ def apply_laplacian(component, grid, order=StencilOrder.SECOND_ORDER, out=None):
 
 
 def bind_b(grid, potential, physics, order=StencilOrder.SECOND_ORDER):
-    """apply_b's set-up done once, V read now: call(f, out, scale=1.0, src=None)
-    runs its loop unchecked and returns out = scale * B f (+ src when src is
-    given; src must not overlap out)."""
+    """apply_b's set-up done once, V read now: call(f, out, scale=1.0, src=None,
+    floor=False) runs its loop unchecked and returns out = scale * B f (+ src when
+    src is given; src must not overlap out); with floor it zeroes out's cells below
+    FLOOR and returns whether it found any, 0 included."""
     _check_shape(potential.values, grid, "potential")
     return _bind(potential.values, grid, order, physics.hbar / (2.0 * physics.mass), physics.hbar)
 

@@ -13,6 +13,8 @@ from gfdtd import (ANGSTROM, EV, BarrierSpec, ConfigurationError,
                    energy_expectation, free_packet_1d, gaussian_packet,
                    norm, potential_bounds, run)
 
+from gfdtd.stencils import FLOOR
+
 from conftest import lopsided_bind_b, traced_peak
 
 
@@ -103,20 +105,25 @@ def _displacements(spec, grid):
 def one_line_packet(spec, grid):
     """The packet as the builder forms it, one line per step: one complex exp
     per axis, the real and imaginary parts of the factors' outer product from
-    two k = 1 matrix products each (the factor's own parts in 1-D), and the
-    norm of the two planes by two dot products: the bit-for-bit oracle."""
+    two k = 1 matrix products each of parts cut to 0 below sqrt(FLOOR) (the
+    factor's own parts in 1-D), the norm of the two planes by two einsum dot
+    products, and cells below FLOOR cut to 0: the bit-for-bit oracle."""
     factors = [np.exp(-0.5 * (x / spec.sigma) ** 2 + 1j * (x * 2.0 * np.pi / spec.wavelength))
                for x in _displacements(spec, grid)]
     if grid.dims == 1:
         real, imag = factors[0].real.copy(), factors[0].imag.copy()
     else:
+        for part in (p for f in factors for p in (f.real, f.imag)):
+            part[np.abs(part) < FLOOR ** 0.5] = 0.0
         a, b = factors
         real = a.real[:, None] @ b.real[None, :] - a.imag[:, None] @ b.imag[None, :]
         imag = a.real[:, None] @ b.imag[None, :] + a.imag[:, None] @ b.real[None, :]
-    if not spec.normalize:
-        return real, imag
-    scale = 1.0 / np.sqrt(float(np.vdot(real, real) + np.vdot(imag, imag)) * grid.cell_volume)
-    return real * scale, imag * scale
+    if spec.normalize:
+        axes = list(range(grid.dims))
+        total = np.einsum(real, axes, real, axes, []) + np.einsum(imag, axes, imag, axes, [])
+        scale = 1.0 / np.sqrt(float(total) * grid.cell_volume)
+        real, imag = real * scale, imag * scale
+    return tuple(np.where(np.abs(plane) < FLOOR, 0.0, plane) for plane in (real, imag))
 
 
 def plane_formula_packet(spec, grid):

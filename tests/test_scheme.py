@@ -1,12 +1,17 @@
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gfdtd import (ConfigurationError, GridSpec, PhysicalParams, PotentialField,
-                   Propagator, SchemeConfig, StencilOrder, WaveField, apply_laplacian,
-                   energy_expectation, run, step, stencils)
+from gfdtd import (ANGSTROM, EV, BarrierSpec, ConfigurationError, GaussianPacketSpec,
+                   GridSpec, PhysicalParams, PotentialField, Propagator, RunRecord,
+                   SchemeConfig, StencilOrder, WaveField, apply_laplacian, barrier_potential,
+                   energy_expectation, gaussian_packet, norm, parse_config, run, step,
+                   stencils)
+from gfdtd.fields import density
+from gfdtd.stencils import FLOOR
 
 from conftest import dense_b_matrix, quadrant_barrier, traced_peak
 
@@ -454,3 +459,119 @@ def test_run_binds_b_once_for_stepping(rng, monkeypatch, unit_physics):
         assert len(log.records) == 5 and len(calls) == 1
         assert all(record.energy_j == energy_expectation(field, potential, grid, cfg.physics,
                                                          cfg.order) for field, record in seen)
+
+
+# a 0.5 A packet at (50, 50) of a 200^2 grid at 0.1 A: its tails underflow inside
+# the grid, so without the floor its planes carry subnormals from step 0
+TAIL_GRID = GridSpec(dims=2, nx=200, dx=0.1 * ANGSTROM, ny=200, dy=0.1 * ANGSTROM)
+TAIL_PACKET = GaussianPacketSpec(sigma=0.5 * ANGSTROM, wavelength=1.0 * ANGSTROM,
+                                 center_j=50, center_k=50)
+TAIL_BARRIER = BarrierSpec(j_min=101, k_min=101, height=100 * EV)
+
+
+def subnormal_cells(plane):
+    return int(np.count_nonzero((plane != 0) & (np.abs(plane) < np.finfo(float).tiny)))
+
+
+def watched(propagator, see):
+    """propagator with its bound B wrapped: see(f, out, kwargs) after every call."""
+    b = propagator.b
+
+    def call(f, out, *args, **kwargs):
+        result = b(f, out, *args, **kwargs)
+        see(f, out, kwargs)
+        return result
+
+    propagator.b = call
+    return propagator
+
+
+@pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
+@pytest.mark.parametrize("N", range(9))
+def test_no_call_of_b_reads_or_writes_a_subnormal(N, order):
+    # the unstaggered packet keeps exact zeros past its tails, so the front
+    # keeps making values below FLOOR and every half step flushes them
+    cfg = make_cfg(N, 0.1, TAIL_GRID, PhysicalParams(), order)
+    counts = []
+    potential = barrier_potential(TAIL_BARRIER, TAIL_GRID)
+    propagator = watched(Propagator(TAIL_GRID, potential, cfg), lambda f, out, _: counts.append(
+        subnormal_cells(f) + subnormal_cells(out)))
+    wf = gaussian_packet(TAIL_PACKET, TAIL_GRID)
+    for _ in range(10):
+        wf = propagator.step(wf)
+    assert len(counts) == 10 * 2 * (2 * N + 1) and not any(counts)
+    assert 0.0 < wf.max_abs() < np.inf
+
+
+@pytest.mark.parametrize("grid, spec, physics", [
+    (TAIL_GRID, TAIL_PACKET, PhysicalParams()),
+    # unit cells: normalising scales the planes down, by about 0.11
+    (GridSpec(dims=2, nx=200, dx=1.0, ny=200, dy=1.0),
+     GaussianPacketSpec(sigma=5.0, wavelength=7.3, center_j=50, center_k=50),
+     PhysicalParams(1.0, 1.0)),
+    (GridSpec(dims=2, nx=180, dx=1.0, ny=230, dy=1.3),
+     GaussianPacketSpec(sigma=4.0, wavelength=3.1, center_j=131, center_k=17, normalize=False),
+     PhysicalParams(1.0, 1.0)),
+    (GridSpec(dims=1, nx=400, dx=1.0),
+     GaussianPacketSpec(sigma=3.0, wavelength=5.0, center_j=40), PhysicalParams(1.0, 1.0)),
+], ids=["si", "unit-scaled-down", "dx-ne-dy-unnormalised", "1-d"])
+@pytest.mark.parametrize("staggered", [False, True])
+def test_packet_holds_nothing_below_the_floor(grid, spec, physics, staggered):
+    dt = make_cfg(2, 0.25, grid, physics).dt if staggered else None
+    wf = gaussian_packet(spec, grid, physics, stagger_dt=dt,
+                         stagger_order=StencilOrder.FOURTH_ORDER if staggered else None)
+    for plane in (wf.real_part, wf.imag_part):
+        nonzero = np.abs(plane[plane != 0])
+        assert nonzero.min() >= FLOOR
+        assert staggered or nonzero.size < plane.size   # the tails are cut; the FFT fills them
+
+
+def test_run_records_equal_the_unflushed_oracle():
+    # a flushed cell is below 2^-500 of a plane whose peak is about 1e9: the records
+    # keep their bits, and the planes stay within round-off of the oracle's
+    grid, physics = TAIL_GRID, PhysicalParams()
+    cfg = make_cfg(2, 0.25, grid, physics, StencilOrder.FOURTH_ORDER)
+    potential = barrier_potential(TAIL_BARRIER, grid)
+    wf = gaussian_packet(TAIL_PACKET, grid)
+    final, log = run(wf, potential, grid, cfg, steps=6, snapshot_every=2)
+    records, field = [], wf
+    for n in range(7):
+        if n:
+            field = WaveField(*two_buffer_step(field, potential, grid, cfg))
+        if n % 2 == 0:
+            energy = energy_expectation(field, potential, grid, physics, cfg.order)
+            records.append(RunRecord(n, n * cfg.dt, norm(field, grid), float(density(field).max()),
+                                     energy))
+    assert log.records == records
+    below = [np.count_nonzero((plane != 0) & (np.abs(plane) < FLOOR)) for plane in (
+        field.real_part, field.imag_part, final.real_part, final.imag_part)]
+    assert below[0] and below[1] and below[2:] == [0, 0]
+    peak = field.max_abs()
+    for ours, oracle in ((final.real_part, field.real_part), (final.imag_part, field.imag_part)):
+        assert np.abs(ours - oracle).max() <= 2.0 ** -400 * peak
+
+
+@pytest.mark.parametrize("staggered", [True, False])
+def test_floor_switches_off_after_one_step_of_a_staggered_cli_packet(staggered):
+    # gfdtd run's packet: the FFT of the stagger leaves no cell of the planes at 0,
+    # so no half step after the first finds a value below FLOOR; unstaggered, the
+    # zeros past the tails stay and every half step keeps flushing
+    doc = {"grid": {"dims": 2, "nx": 200, "ny": 200, "dx_angstrom": 0.1},
+           "scheme": {"N": 2, "stencil_order": 4, "mu": 0.25},
+           "init": {"sigma_angstrom": 0.5, "lambda_angstrom": 1.0, "center_j": 50, "center_k": 50},
+           "potential": {"type": "quadrant_barrier", "height_ev": 100.0,
+                         "j_min": 101, "k_min": 101},
+           "run": {"steps": 3, "snapshot_every": 0, "out_dir": "unused"}}
+    cfg = parse_config(json.dumps(doc))
+    grid, scheme = cfg.grid, cfg.scheme
+    wf = (gaussian_packet(cfg.packet, grid, scheme.physics, scheme.dt, scheme.order) if staggered
+          else gaussian_packet(cfg.packet, grid))
+    floors = []
+    propagator = watched(Propagator(grid, barrier_potential(cfg.barrier, grid), scheme),
+                         lambda f, out, kwargs: floors.append(kwargs.get("floor", False)))
+    steps = []
+    for _ in range(3):
+        floors.clear()
+        wf = propagator.step(wf)
+        steps.append(sum(floors))
+    assert steps == ([1, 0, 0] if staggered else [2, 2, 2])

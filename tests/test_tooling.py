@@ -75,3 +75,26 @@ def test_monkeypatched_names_are_still_called():
                    and node.id == name and id(node) not in own for node in ast.walk(tree)):
             stale.append(f"{where}: {module}.{name}")
     assert stale == []
+
+
+def _blas_reductions(tree):
+    """Line numbers of dot products that numpy hands to BLAS in a syntax tree:
+    any .vdot, .dot or .inner attribute, and the @ operator."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("vdot", "dot", "inner")
+                  or isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+
+
+def test_observations_reduce_without_blas():
+    # BLAS wakes OpenBLAS's thread pool when OPENBLAS_NUM_THREADS is unset: an 800^2
+    # np.vdot took 8 ms on 2 cores against 0.3 ms by einsum, which stays in numpy
+    scenarios = ast.parse((PACKAGE / "scenarios.py").read_text())
+    energy = next(node for node in ast.walk(scenarios)
+                  if isinstance(node, ast.FunctionDef) and node.name == "energy_expectation")
+    assert _blas_reductions(ast.parse((PACKAGE / "fields.py").read_text())) == []
+    assert _blas_reductions(energy) == []
+
+
+def test_blas_scan_finds_each_kind_of_reduction():
+    source = "np.vdot(a, b)\nnumpy.dot(a, b)\nnp.inner(a, b)\na @ b\na.dot(b)\n"
+    assert _blas_reductions(ast.parse(source)) == [1, 2, 3, 4, 5]
