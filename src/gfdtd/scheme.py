@@ -19,7 +19,9 @@ so no pass scales or adds a whole plane; at N = 0 a step allocates only the
 new field's two planes, as one (2, *shape) block.  A Propagator binds B once
 and checks each step's field; step() is one step through a Propagator of its own.
 Its last call per half step zeroes the new plane's cells below stencils.FLOOR until
-a plane holds none, 0 included: zeros past a packet's tails keep making them.
+a plane holds none, 0 included: zeros past a packet's tails keep making them.  While
+it flushes, step() finds each input plane's first and last rows that are not all +0.0,
+and every call of a half step computes only the slabs within 2N+1 halos of them.
 """
 
 import math
@@ -39,6 +41,14 @@ def _check_truncation_index(N):
     if not isinstance(N, (int, np.integer)) or not 0 <= N <= MAX_TRUNCATION_INDEX:
         raise ConfigurationError(
             f"truncation index must be an integer in [0, {MAX_TRUNCATION_INDEX}], got {N!r}")
+
+
+def _nonzero_rows(plane):
+    """(first, stop) of the rows of plane (cells in 1-D) that hold a cell other than +0.0,
+    -0.0 and NaN included; all rows if none.  argmax on the row mask makes no index array."""
+    bits = np.ascontiguousarray(plane, float).view(np.int64).reshape(len(plane), -1)
+    held = np.bitwise_or.reduce(bits, axis=1) != 0   # any() would cast through an 8 KB buffer
+    return int(held.argmax()), held.size - int(held[::-1].argmax())
 
 
 @dataclass(frozen=True)
@@ -82,22 +92,24 @@ class Propagator:
     bound, so the potential must not change while the Propagator steps.  A
     misshapen potential or field raises ConfigurationError."""
 
-    __slots__ = ("_grid", "b", "_dt", "_ratios", "_flushing")
+    __slots__ = ("_grid", "b", "_dt", "_ratios", "_flushing", "_halos")
 
     def __init__(self, grid, potential, cfg):
         self._grid, self.b = grid, bind_b(grid, potential, cfg.physics, cfg.order)
         self._dt, self._ratios, self._flushing = cfg.dt, cfg.horner_ratios(), True
+        self._halos = (2 * cfg.N + 1) * cfg.order.halo
 
-    def _half(self, source, old, dt, u, new):
-        """new = old + dt * B(f - r_0 B^2(f - ...)) for f = source."""
+    def _half(self, source, old, dt, u, new, reach):
+        """new = old + dt * B(f - r_0 B^2(f - ...)) for f = source; every call computes
+        only the slabs that meet the rows new can hold a nonzero in, reach, if given."""
         b, g = self.b, source
         for r in reversed(self._ratios):
-            b(g, new)
-            g = b(new, u, -r, source)
+            b(g, new, reach=reach)
+            g = b(new, u, -r, source, reach=reach)
         if self._flushing:   # the switch is the Propagator's: step one field's sequence
-            self._flushing = b(g, new, dt, old, floor=True)
+            self._flushing = b(g, new, dt, old, floor=True, reach=reach)
             return new
-        return b(g, new, dt, old)
+        return b(g, new, dt, old, reach=reach)
 
     def step(self, field):
         """Advance one full step into a new (2, *shape) block; no divergence check."""
@@ -107,8 +119,13 @@ class Propagator:
         # two planes, by the heap's layout, can be trimmed and faulted back in
         block = np.empty((2, *field.real_part.shape))
         real, imag = block[0], block[1]   # indexing: unpacking iterates, 1 µs more
-        self._half(field.imag_part, field.real_part, -self._dt, u, real)
-        return WaveField(real, self._half(real, field.imag_part, self._dt, u, imag))
+        reach, h = None, self._halos
+        if self._flushing:   # new is +0.0 past h rows of source's nonzero rows, and old's
+            (i0, i1), (r0, r1) = _nonzero_rows(field.imag_part), _nonzero_rows(field.real_part)
+            reach = min(i0 - h, r0), max(i1 + h, r1)
+        self._half(field.imag_part, field.real_part, -self._dt, u, real, reach)
+        reach = reach and (reach[0] - h, reach[1] + h)   # real's rows, then imag's within them
+        return WaveField(real, self._half(real, field.imag_part, self._dt, u, imag, reach))
 
 
 def step(field, potential, grid, cfg):

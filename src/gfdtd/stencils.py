@@ -35,6 +35,10 @@ below FLOOR = 2^-500 per slab: a subnormal operand costs x86 a microcode assist
 (Dooley & Kale, 2006; paper2d's B ran 18-26 % slower), and numpy cannot flush to
 zero.  FLOOR^2 is normal and FLOOR is 2^522 above the least normal, room for the
 Horner scales up to N = 8.  apply_b, apply_laplacian and apply_b_power never flush.
+call(..., reach=(first, stop)) runs only the slabs that meet those rows and writes +0.0
+to out's other rows: the caller vouches that f is +0.0 within a halo of them and src
++0.0 on them, where B gives +0.0 too (the first group's weight is positive at scale 1,
+else src is added).  A flushing call that skips a slab returns a hit: it left zeros.
 """
 
 from enum import Enum
@@ -152,7 +156,7 @@ def _shared_sums(shape, d, p, a, start, stop, share):
 
 
 def _bind(v, grid, order, kinetic, hbar):
-    """call(f, out, scale=1.0, src=None, floor=False): out = scale * (kinetic *
+    """call(f, out, scale=1.0, src=None, floor=False, reach=None): out = scale * (kinetic *
     Laplacian(f) - (v/hbar) * f) + src when src is given, unchecked; every slice
     and view it uses is made here, once per slab of leading-axis rows, but the
     floor's two masks, which a flushing call views in p's bytes."""
@@ -185,10 +189,14 @@ def _bind(v, grid, order, kinetic, hbar):
         level = float(low) if low == v_rows.max() else None
         slabs.append((part, lo, hi, groups, p, share(p.reshape(v_rows.shape)), v_rows, level))
 
-    def call(f, out, scale=1.0, src=None, floor=False):
+    def call(f, out, scale=1.0, src=None, floor=False, reach=None):
         flat, out_flat = f.reshape(-1), out.reshape(-1)
-        v_scale, c, hit = neg_inv_hbar * scale, centre * scale, False   # x 1.0 is exact
-        for part, lo, hi, groups, p, p_rows, v_rows, level in slabs:
+        v_scale, c, hit, run = neg_inv_hbar * scale, centre * scale, False, slabs   # x 1.0 is exact
+        if reach is not None:   # the slabs that meet rows [first, stop); B is +0.0 past them
+            first, stop = max(reach[0], 0) // rows, -(-reach[1] // rows)
+            out[:first * rows] = out[stop * rows:] = 0.0
+            run, hit = slabs[first:stop], first > 0 or stop < len(slabs)   # zeros left: a hit
+        for part, lo, hi, groups, p, p_rows, v_rows, level in run:
             o = out_flat[lo:hi]
             for i, (w, left, right, pair, copies, shared) in enumerate(groups):
                 np.add(flat[left], flat[right], out=pair)
@@ -250,9 +258,9 @@ def apply_laplacian(component, grid, order=StencilOrder.SECOND_ORDER, out=None):
 
 def bind_b(grid, potential, physics, order=StencilOrder.SECOND_ORDER):
     """apply_b's set-up done once, V read now: call(f, out, scale=1.0, src=None,
-    floor=False) runs its loop unchecked and returns out = scale * B f (+ src when
-    src is given; src must not overlap out); with floor it zeroes out's cells below
-    FLOOR and returns whether it found any, 0 included."""
+    floor=False, reach=None) runs its loop unchecked and returns out = scale * B f (+ src
+    when src is given; src must not overlap out); with floor it zeroes out's cells below
+    FLOOR and returns whether it found any, 0 included; reach as in the module doc."""
     _check_shape(potential.values, grid, "potential")
     return _bind(potential.values, grid, order, physics.hbar / (2.0 * physics.mass), physics.hbar)
 

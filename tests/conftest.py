@@ -124,6 +124,11 @@ def reference_scan(cfg, grid, v_max, c, v_min):
     return ep_value, scan_max, verdict, c - scan_max, ep_x
 
 
+def same_bits(a, b):
+    """Equal cell for cell, the sign of each zero included."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def traced_peak(fn):
     """Peak bytes tracemalloc sees while fn runs."""
     tracemalloc.start()

@@ -13,7 +13,7 @@ from gfdtd import (ANGSTROM, EV, BarrierSpec, ConfigurationError, GaussianPacket
 from gfdtd.fields import density
 from gfdtd.stencils import FLOOR
 
-from conftest import dense_b_matrix, quadrant_barrier, traced_peak
+from conftest import dense_b_matrix, quadrant_barrier, same_bits, traced_peak
 
 
 def make_cfg(N, mu, grid, physics, order=StencilOrder.SECOND_ORDER):
@@ -575,3 +575,112 @@ def test_floor_switches_off_after_one_step_of_a_staggered_cli_packet(staggered):
         wf = propagator.step(wf)
         steps.append(sum(floors))
     assert steps == ([1, 0, 0] if staggered else [2, 2, 2])
+
+
+BANDED_GRIDS = [GridSpec(dims=1, nx=64, dx=0.7),
+                GridSpec(dims=2, nx=40, dx=0.7, ny=9, dy=0.7),
+                GridSpec(dims=2, nx=40, dx=0.7, ny=9, dy=1.1)]
+
+
+def banded_field(grid, rng, case):
+    """Two planes that hold normal values in a few row bands and zeros elsewhere."""
+    n, planes = grid.nx, np.zeros((2, *grid.shape))
+
+    def fill(lo, hi):
+        planes[:, lo:hi] = rng.normal(size=(2, hi - lo, *grid.shape[1:]))
+
+    if case == "wall":
+        fill(0, 5)
+    elif case == "two-packets":   # many slabs of zero rows apart
+        fill(3, 8)
+        fill(n - 8, n - 3)
+    elif case == "one-cell":
+        planes[1][(n // 2, 4)[:grid.dims]] = 1.5
+    elif case == "negative-zeros":   # every zero row holds -0.0
+        planes[...] = -0.0
+        fill(12, 18)
+    elif case == "negative-zero-rows":   # -0.0 in rows by the band, +0.0 past them
+        fill(12, 18)
+        planes[0, 18:22] = planes[1, 8:12] = -0.0
+    return WaveField(planes[0].copy(), planes[1].copy())
+
+
+BANDED_FIELDS = ["wall", "two-packets", "one-cell", "all-zero", "negative-zeros",
+                 "negative-zero-rows"]
+
+
+@pytest.mark.parametrize("potential", ["barrier", "well"])
+@pytest.mark.parametrize("grid", BANDED_GRIDS, ids=["1d", "2d-square", "2d-dx-ne-dy"])
+@pytest.mark.parametrize("order", [StencilOrder.SECOND_ORDER, StencilOrder.FOURTH_ORDER])
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_banded_fields_step_bit_identical_to_two_buffer_horner(rng, monkeypatch, N, order, grid,
+                                                               potential):
+    # the Propagator computes only the slabs its nonzero rows reach and writes
+    # +0.0 past them; the unbanded oracle computes every row: same bits, zero
+    # signs included, while the floor is on and after it switches off
+    physics = PhysicalParams(mass=1.3, hbar=0.9)
+    potential = quadrant_barrier(grid, 0.8 if potential == "barrier" else -5.0)
+    cfg = make_cfg(N, 0.05, grid, physics, order)
+    for slab_bytes in (1, 360):   # one row per slab, or a few
+        monkeypatch.setattr(stencils, "_SLAB_BYTES", slab_bytes)
+        for case in BANDED_FIELDS:
+            propagator = Propagator(grid, potential, cfg)
+            wf = oracle = banded_field(grid, rng, case)
+            for _ in range(10):
+                oracle = WaveField(*two_buffer_step(oracle, potential, grid, cfg))
+                wf = propagator.step(wf)
+                for ours, theirs in ((wf.real_part, oracle.real_part),
+                                     (wf.imag_part, oracle.imag_part)):
+                    assert not np.any((theirs != 0) & (np.abs(theirs) < FLOOR))   # none flushed
+                    assert same_bits(ours, theirs), (slab_bytes, case)
+
+
+def test_rows_are_measured_afresh_at_every_step(rng, monkeypatch):
+    # a cell a caller writes into a zero row between steps is stepped as the
+    # oracle steps it: no range is carried from the step before
+    monkeypatch.setattr(stencils, "_SLAB_BYTES", 1)
+    grid = BANDED_GRIDS[1]
+    potential = quadrant_barrier(grid)
+    cfg = make_cfg(1, 0.05, grid, PhysicalParams(mass=1.3, hbar=0.9), StencilOrder.FOURTH_ORDER)
+    propagator = Propagator(grid, potential, cfg)
+    wf = banded_field(grid, rng, "wall")
+    for n in range(6):
+        if n == 2:
+            wf.real_part[35, 3] = wf.imag_part[38, 6] = 0.75
+        oracle, wf = two_buffer_step(wf, potential, grid, cfg), propagator.step(wf)
+        assert same_bits(wf.real_part, oracle[0]) and same_bits(wf.imag_part, oracle[1])
+
+
+def test_skipped_slabs_keep_the_floor_on(rng, monkeypatch):
+    # every computed row holds values far above FLOOR, so only the all-zero rows
+    # of the slabs the floor call skips make it a hit: the next step still flushes
+    monkeypatch.setattr(stencils, "_SLAB_BYTES", 1)
+    grid = GridSpec(dims=2, nx=20, dx=1.0, ny=9, dy=1.0)
+    cfg = make_cfg(0, 0.1, grid, PhysicalParams(1.0, 1.0))
+    planes = np.zeros((2, *grid.shape))
+    planes[:, 8:12] = rng.uniform(1.0, 2.0, size=(2, 4, 9))
+    wf = WaveField(*planes)
+    floors = []
+    propagator = watched(Propagator(grid, PotentialField.zeros(grid), cfg),
+                         lambda f, out, kwargs: floors.append(
+                             (kwargs.get("floor", False), kwargs["reach"])))
+    first = propagator.step(wf)
+    assert np.count_nonzero(first.real_part) == 6 * 9   # rows 7-12, none below FLOOR
+    assert np.abs(first.real_part[7:13]).min() > FLOOR
+    assert floors == [(True, (7, 13)), (True, (6, 14))]
+    floors.clear()
+    propagator.step(first)
+    assert [floor for floor, _ in floors] == [True, True]
+
+
+@pytest.mark.parametrize("plane", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_cell_in_a_zero_row_diverges_at_step_one(rng, bad, plane):
+    # the row scan counts NaN and inf as nonzero, so the bad cell's rows are
+    # computed and run() stops at step 1 with the initial field, as unbanded
+    grid = BANDED_GRIDS[1]
+    wf = banded_field(grid, rng, "wall")
+    (wf.real_part, wf.imag_part)[plane][30, 4] = bad
+    cfg = make_cfg(2, 0.05, grid, PhysicalParams(1.0, 1.0), StencilOrder.FOURTH_ORDER)
+    final, log = run(wf, quadrant_barrier(grid), grid, cfg, steps=3)
+    assert log.divergence_step == 1 and final is wf

@@ -8,7 +8,8 @@ from gfdtd import (ConfigurationError, GridSpec, PhysicalParams, PotentialField,
                    StencilOrder, apply_b, apply_b_power, apply_laplacian, stencils)
 from gfdtd.stencils import axis_symbol
 
-from conftest import dense_b_matrix, dense_laplacian_matrix, quadrant_barrier, traced_peak
+from conftest import (dense_b_matrix, dense_laplacian_matrix, quadrant_barrier, same_bits,
+                      traced_peak)
 
 
 def plane_wave(grid, beta_x, beta_y=None):
@@ -261,11 +262,6 @@ def packet(grid, rng):
 
 
 FIELDS = {"normal": lambda grid, rng: rng.normal(size=grid.shape), "packet": packet}
-
-
-def same_bits(a, b):
-    """Equal cell for cell, the sign of each zero included."""
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_packet_runs_from_order_one_through_subnormals_to_signed_zeros(rng):
