@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NonHermitianError
 from .fields import PotentialField, WaveField, _dot, _scale_to_unit_norm, density, norm
-from .scheme import Propagator
+from .scheme import Propagator, _nonzero_rows
 from .stability import DEFAULT_THRESHOLD, wavenumber_scan
 from .stencils import FLOOR, StencilOrder, _checked, axis_symbol, bind_b
 
@@ -127,8 +127,8 @@ def gaussian_packet(spec, grid, physics=None, stagger_dt=None, stagger_order=Non
         real, imag = np.array(plain[0].real), np.array(advanced[0].imag)
     else:   # Re(ab) = ar br - ai bi, Im(ab) = ar bi + ai br, each product rounded (k = 1 @, no
         # broadcast buffer) before the sum: a packet symmetric in j <-> k is so bit for bit
-        for parts in (f.view(float) for f in plain + advanced):   # no product is subnormal
-            parts[np.abs(parts) < FLOOR ** 0.5] = 0.0
+        for parts in (f.view(float) for f in plain + advanced):   # 2^-52 of the unit peak:
+            parts[np.abs(parts) < 2.0 ** -52] = 0.0   # round-off; > sqrt(FLOOR), so no subnormal
         (a, b), (c, d) = plain, advanced
         real = a.real[:, None] @ b.real[None, :]
         real -= a.imag[:, None] @ b.imag[None, :]
@@ -168,13 +168,19 @@ def energy_expectation(wf, potential, grid, physics, order=StencilOrder.FOURTH_O
 
     H = -hbar B, so this takes two applications of B and four dot products,
     both through ``bound`` (B bound for the same arguments, as a Propagator's
-    b is) or else one bind_b.  H is real and symmetric, so the imaginary
-    residual must vanish; above 1e-10 relative it raises NonHermitianError."""
+    b is) or else one bind_b, each over the slabs its plane's nonzero rows reach.
+    H is real and symmetric, so the imaginary residual must vanish; above 1e-10
+    relative it raises NonHermitianError."""
     real, imag = wf.real_part, wf.imag_part
-    bound = bound or bind_b(grid, potential, physics, order)
-    b = _checked(bound, real, grid, None)
+    bound, h = bound or bind_b(grid, potential, physics, order), order.halo
+
+    def b_of(f, out):   # B f is +0.0 past a halo of f's rows that hold a cell other than +0.0
+        first, stop = _nonzero_rows(f)
+        return bound(f, out, reach=(first - h, stop + h))
+
+    b = _checked(b_of, real, grid, None)
     r_br, i_br = _dot(real, b), _dot(imag, b)
-    _checked(bound, imag, grid, b)
+    _checked(b_of, imag, grid, b)
     r_bi, i_bi = _dot(real, b), _dot(imag, b)
     scale = -physics.hbar * grid.cell_volume
     real_part = float(r_br + i_bi) * scale

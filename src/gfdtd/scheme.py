@@ -18,10 +18,13 @@ weights and adds its f term, or at last the old plane, inside B's slab loop,
 so no pass scales or adds a whole plane; at N = 0 a step allocates only the
 new field's two planes, as one (2, *shape) block.  A Propagator binds B once
 and checks each step's field; step() is one step through a Propagator of its own.
-Its last call per half step zeroes the new plane's cells below stencils.FLOOR until
-a plane holds none, 0 included: zeros past a packet's tails keep making them.  While
-it flushes, step() finds each input plane's first and last rows that are not all +0.0,
-and every call of a half step computes only the slabs within 2N+1 halos of them.
+Its last call per half step zeroes the new plane's cells below a level until a plane
+holds none, 0 included: zeros past a packet's tails keep making them.  The first step
+fixes the level at max(stencils.FLOOR, 2^-100 of the field's max |value|), FLOOR if
+that is not finite, so a cell below 2^-100 of the initial peak (a deliberately tiny
+second packet too) reads 0.  While it flushes, step() finds each input plane's first
+and last rows that are not all +0.0, and every call of a half step computes only the
+slabs within 2N+1 halos of them.
 """
 
 import math
@@ -31,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fields import PhysicalParams, WaveField, _check_shape
-from .stencils import StencilOrder, _weights, bind_b
+from .stencils import FLOOR, StencilOrder, _weights, bind_b
 
 MAX_TRUNCATION_INDEX = 8  # keeps (2N+1)! exactly representable
 
@@ -92,11 +95,12 @@ class Propagator:
     bound, so the potential must not change while the Propagator steps.  A
     misshapen potential or field raises ConfigurationError."""
 
-    __slots__ = ("_grid", "b", "_dt", "_ratios", "_flushing", "_halos")
+    __slots__ = ("_grid", "b", "_dt", "_ratios", "_floor", "_halos")
 
     def __init__(self, grid, potential, cfg):
         self._grid, self.b = grid, bind_b(grid, potential, cfg.physics, cfg.order)
-        self._dt, self._ratios, self._flushing = cfg.dt, cfg.horner_ratios(), True
+        # the flush level: 0.0 until the first step fixes it, None once off
+        self._dt, self._ratios, self._floor = cfg.dt, cfg.horner_ratios(), 0.0
         self._halos = (2 * cfg.N + 1) * cfg.order.halo
 
     def _half(self, source, old, dt, u, new, reach):
@@ -106,8 +110,9 @@ class Propagator:
         for r in reversed(self._ratios):
             b(g, new, reach=reach)
             g = b(new, u, -r, source, reach=reach)
-        if self._flushing:   # the switch is the Propagator's: step one field's sequence
-            self._flushing = b(g, new, dt, old, floor=True, reach=reach)
+        if self._floor:   # the switch is the Propagator's: step one field's sequence
+            if not b(g, new, dt, old, floor=self._floor, reach=reach):
+                self._floor = None
             return new
         return b(g, new, dt, old, reach=reach)
 
@@ -120,7 +125,10 @@ class Propagator:
         block = np.empty((2, *field.real_part.shape))
         real, imag = block[0], block[1]   # indexing: unpacking iterates, 1 µs more
         reach, h = None, self._halos
-        if self._flushing:   # new is +0.0 past h rows of source's nonzero rows, and old's
+        if self._floor == 0.0:   # 2^-100 sits 2^47 below the peak's round-off
+            m = field.max_abs()
+            self._floor = max(FLOOR, 2.0 ** -100 * m) if m < math.inf else FLOOR
+        if self._floor:   # new is +0.0 past h rows of source's nonzero rows, and old's
             (i0, i1), (r0, r1) = _nonzero_rows(field.imag_part), _nonzero_rows(field.real_part)
             reach = min(i0 - h, r0), max(i1 + h, r1)
         self._half(field.imag_part, field.real_part, -self._dt, u, real, reach)

@@ -2,43 +2,27 @@
 
 apply_laplacian is the 3-point (second-order) or 5-point (fourth-order)
 central Laplacian; apply_b is the generator B = (hbar/2m) Laplacian - V/hbar
-of the time stepper.  Both run one loop over slabs of rows that writes
-straight into the output, so only the out slab and two scratch slabs sit in
-L2.  Per offset d and folded weight w_d/h^2, a group's neighbour sum goes
-into scratch p and is scaled once, the first group's into out, every later
-one's added to it; a neighbour past the edge is dropped (the truncated
-matrix).  Where the weights differ (1-D, dx != dy) each axis is a group, its
-sum the pair f[i-d] + f[i+d] at flat offsets.  Where dx = dy, x and y share
-one sum a = up + left, f[j-dW] + f[j-d] for rows of W cells, over the slab
-and d rows past it: p = a[i] + a[i+dW+d], as a[i+dW+d] is right + down
-(Deitz et al., ICS 2001).  Each add pairs an x with a y neighbour and the
-edges of both axes are dropped alike (-0.0 adds exactly), so on a square
-grid with V = V.T, B f.T is exactly (B f).T.  Then comes the diagonal term,
-V times -1/hbar plus the centre weight, times f; where V holds one level
-over the slab's rows, that factor is one scalar, which saves two passes.
-With a source term a fourth-order slab of a square grid takes 10 numpy
-passes (12 where V holds more than one level), a second-order one 6 (8);
-where dx != dy, 14 (16) and 8 (10).
+of the time stepper.  A neighbour past an edge is dropped (the truncated
+matrix).  apply_b, apply_laplacian and apply_b_power validate, bind and call,
+and never flush.
 
-_bind sets B up once (slab scratch, V, every slice and view of each slab)
-and returns the loop, which checks nothing: call(f, out, scale, src) is
-scale * B f + src, scale folded into each group's weight and the diagonal
-(w * 1.0 is w, so apply_b's bits stay) and src added in the same slab, so
-the stepper forms each Horner term without a whole-plane pass.  apply_b and
-apply_laplacian validate, bind and call; the stepper binds B once (bind_b).
-Each scratch buffer starts on a 64-byte cache line (_aligned_rows): off one,
-as np.empty may leave it, B's AVX-512 passes took 15-30 % longer at
-400^2-800^2.
+bind_b sets B up once and returns call(f, out, scale=1.0, src=None, floor=None,
+reach=None), which checks nothing: out = scale * B f + src, formed slab by slab
+of rows so that out's slab and two scratch slabs stay in L2.  scale folds into
+the weights (w * 1.0 is w: apply_b's bits) and src adds in the same slab.  Where
+dx = dy, x and y share one neighbour sum per offset (Deitz et al., ICS 2001), so
+on a square grid with V = V.T, B f.T is exactly (B f).T.  A fourth-order slab of
+a square grid takes 10 numpy passes (12 where V holds more than one level over
+the slab), a second-order one 6 (8); where dx != dy, 14 (16) and 8 (10).
 
-call(..., floor=True), the stepper's last call per half step, zeroes out's cells
-below FLOOR = 2^-500 per slab: a subnormal operand costs x86 a microcode assist
-(Dooley & Kale, 2006; paper2d's B ran 18-26 % slower), and numpy cannot flush to
-zero.  FLOOR^2 is normal and FLOOR is 2^522 above the least normal, room for the
-Horner scales up to N = 8.  apply_b, apply_laplacian and apply_b_power never flush.
-call(..., reach=(first, stop)) runs only the slabs that meet those rows and writes +0.0
-to out's other rows: the caller vouches that f is +0.0 within a halo of them and src
-+0.0 on them, where B gives +0.0 too (the first group's weight is positive at scale 1,
-else src is added).  A flushing call that skips a slab returns a hit: it left zeros.
+floor=level, a level >= FLOOR, zeroes out's cells of magnitude below it per slab
+and returns whether out holds any cell below it, 0 included (a skipped slab's).
+The stepper passes max(FLOOR, 2^-100 of its first field's peak), so a cell below
+2^-100 of the initial peak reads 0; FLOOR keeps every plane free of subnormals, on
+each of which x86 takes a microcode assist, and numpy cannot flush to zero.
+reach=(first, stop) runs only the slabs that meet those rows and writes +0.0 to
+out's other rows: the caller vouches that f is +0.0 within a halo of them and
+src +0.0 on them, where B gives +0.0 too.
 """
 
 from enum import Enum
@@ -51,7 +35,9 @@ from .fields import _check_shape
 # bytes per slab of rows: the out slab and the two scratch slabs (768 KiB)
 # then stay in a 2 MB per-core L2 cache between the loop's passes
 _SLAB_BYTES = 1 << 18
-FLOOR = 2.0 ** -500   # a flushed plane holds 0 or |x| >= FLOOR, so no subnormal
+# a flushed plane holds 0 or |x| >= FLOOR: FLOOR^2 is normal, and FLOOR is 2^522
+# above the least normal, room for the Horner scales up to N = 8
+FLOOR = 2.0 ** -500
 
 
 class StencilOrder(Enum):
@@ -156,7 +142,7 @@ def _shared_sums(shape, d, p, a, start, stop, share):
 
 
 def _bind(v, grid, order, kinetic, hbar):
-    """call(f, out, scale=1.0, src=None, floor=False, reach=None): out = scale * (kinetic *
+    """call(f, out, scale=1.0, src=None, floor=None, reach=None): out = scale * (kinetic *
     Laplacian(f) - (v/hbar) * f) + src when src is given, unchecked; every slice
     and view it uses is made here, once per slab of leading-axis rows, but the
     floor's two masks, which a flushing call views in p's bytes."""
@@ -189,7 +175,7 @@ def _bind(v, grid, order, kinetic, hbar):
         level = float(low) if low == v_rows.max() else None
         slabs.append((part, lo, hi, groups, p, share(p.reshape(v_rows.shape)), v_rows, level))
 
-    def call(f, out, scale=1.0, src=None, floor=False, reach=None):
+    def call(f, out, scale=1.0, src=None, floor=None, reach=None):
         flat, out_flat = f.reshape(-1), out.reshape(-1)
         v_scale, c, hit, run = neg_inv_hbar * scale, centre * scale, False, slabs   # x 1.0 is exact
         if reach is not None:   # the slabs that meet rows [first, stop); B is +0.0 past them
@@ -223,10 +209,10 @@ def _bind(v, grid, order, kinetic, hbar):
             o += p
             if src is not None:
                 np.add(out[part], src[part], out=out[part])
-            if floor:   # |o| < FLOOR into bool masks in p's bytes, p being spent
+            if floor:   # |o| < floor into bool masks in p's bytes, p being spent
                 low, high = p.view(np.bool_)[:2 * (hi - lo)].reshape(2, -1)
-                np.less(o, FLOOR, out=low)
-                low &= np.greater(o, -FLOOR, out=high)
+                np.less(o, floor, out=low)
+                low &= np.greater(o, -floor, out=high)
                 if low.any():   # write to the nonzero ones: paper2d holds 30x more zeros
                     hit = True
                     low &= np.not_equal(o, 0.0, out=high)
@@ -258,9 +244,9 @@ def apply_laplacian(component, grid, order=StencilOrder.SECOND_ORDER, out=None):
 
 def bind_b(grid, potential, physics, order=StencilOrder.SECOND_ORDER):
     """apply_b's set-up done once, V read now: call(f, out, scale=1.0, src=None,
-    floor=False, reach=None) runs its loop unchecked and returns out = scale * B f (+ src
-    when src is given; src must not overlap out); with floor it zeroes out's cells below
-    FLOOR and returns whether it found any, 0 included; reach as in the module doc."""
+    floor=None, reach=None) runs its loop unchecked and returns out = scale * B f (+ src
+    when src is given; src must not overlap out); with a floor level it zeroes out's cells
+    below it and returns whether it found any, 0 included; reach as in the module doc."""
     _check_shape(potential.values, grid, "potential")
     return _bind(potential.values, grid, order, physics.hbar / (2.0 * physics.mass), physics.hbar)
 

@@ -81,8 +81,8 @@ def lopsided_bind_b(grid, potential, physics, order):
     in 1-D) also takes 1e20 times the one before it."""
     bound = stencils.bind_b(grid, potential, physics, order)
 
-    def call(f, out, *scale_src):
-        bound(f, out, *scale_src)
+    def call(f, out, *scale_src, reach=None):
+        bound(f, out, *scale_src, reach=reach)
         out[1:] += 1e20 * f[:-1]
         return out
 

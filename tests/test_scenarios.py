@@ -105,16 +105,16 @@ def _displacements(spec, grid):
 def one_line_packet(spec, grid):
     """The packet as the builder forms it, one line per step: one complex exp
     per axis, the real and imaginary parts of the factors' outer product from
-    two k = 1 matrix products each of parts cut to 0 below sqrt(FLOOR) (the
-    factor's own parts in 1-D), the norm of the two planes by two einsum dot
-    products, and cells below FLOOR cut to 0: the bit-for-bit oracle."""
+    two k = 1 matrix products each of parts cut to 0 below 2^-52 of the factor's
+    unit peak (the factor's own parts in 1-D), the norm of the two planes by two
+    einsum dot products, and cells below FLOOR cut to 0: the bit-for-bit oracle."""
     factors = [np.exp(-0.5 * (x / spec.sigma) ** 2 + 1j * (x * 2.0 * np.pi / spec.wavelength))
                for x in _displacements(spec, grid)]
     if grid.dims == 1:
         real, imag = factors[0].real.copy(), factors[0].imag.copy()
     else:
         for part in (p for f in factors for p in (f.real, f.imag)):
-            part[np.abs(part) < FLOOR ** 0.5] = 0.0
+            part[np.abs(part) < 2.0 ** -52] = 0.0
         a, b = factors
         real = a.real[:, None] @ b.real[None, :] - a.imag[:, None] @ b.imag[None, :]
         imag = a.real[:, None] @ b.imag[None, :] + a.imag[:, None] @ b.real[None, :]
