@@ -90,7 +90,7 @@ def cmd_run(args):
                                             scheme.order), potential, grid, scheme, cfg.steps,
                             snapshot_every=cfg.snapshot_every,
                             on_snapshot=_snapshot_writer(cfg), threshold_c=cfg.c)
-    _print_report(log.stability_report, scheme, potential.bounds())
+    _print_report(log.stability_report, scheme, potential_bounds(cfg.barrier, grid))
     write_runlog(log, cfg.out_dir)
     last = log.records[-1]
     print(f"recorded {len(log.records)} snapshots; final step {last.step}, "

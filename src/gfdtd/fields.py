@@ -176,17 +176,18 @@ def norm(wf, grid):
 
 
 def _scale_to_unit_norm(wf, grid):
-    """normalize(wf, grid) done on wf's own planes, in place; returns wf."""
+    """normalize(wf, grid) done on wf's own planes, in place; returns the norm it scaled from."""
     n = norm(wf, grid)
     if not 0.0 < n < math.inf:   # NaN fails both
         raise DegenerateFieldError(f"cannot normalize a field of norm {n}")
     for plane in (wf.real_part, wf.imag_part):
         plane *= 1.0 / np.sqrt(n)
-    return wf
+    return n
 
 
 def normalize(wf, grid):
     """A copy of wf with both components scaled by one factor so the norm becomes 1;
     a norm of 0, NaN or inf raises DegenerateFieldError."""
-    return _scale_to_unit_norm(WaveField(wf.real_part.astype(float),
-                                         wf.imag_part.astype(float)), grid)
+    copy = WaveField(wf.real_part.astype(float), wf.imag_part.astype(float))
+    _scale_to_unit_norm(copy, grid)
+    return copy

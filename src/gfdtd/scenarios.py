@@ -112,7 +112,15 @@ def gaussian_packet(spec, grid, physics=None, stagger_dt=None, stagger_order=Non
     separate by axis.  With stagger_dt, physics and stagger_order the imaginary part is that of
     the factors advanced to t = +dt/2 (the dispersion separates too), the psi_imag the first
     step consumes.  Normalising scales both planes in place, by the helper normalize runs
-    on a copy.  Peaks at three planes; a non-finite factor raises ConfigurationError."""
+    on a copy.  Peaks at three planes; a non-finite factor raises ConfigurationError.
+    One cut leaves no cell nonzero below stencils.FLOOR.  In 2-D it zeroes each factor part
+    below 2^-52 of the unit peak, round-off of every product it enters.  Each product of parts,
+    and each sum or difference of two, is then 0 or a multiple of 2^-156, so after the
+    normalising scale s (1 unnormalised) a cell is 0 or >= 2^-156 s, above FLOOR for a norm up
+    to 2^688 (s >= 2^-344).  Past that norm, and in 1-D, whose tails underflow through
+    subnormals, the planes are cut at FLOOR once normalised.  The 1-D factor is not cut: its
+    FFT-advanced part keeps round-off tails, so the Propagator stops flushing after step 1; cut,
+    a plane of up to 32768 cells, one slab of B, would flush every step with no rows to skip."""
     spec.validate(grid)
     if stagger_dt is not None and (physics is None or stagger_order is None):
         raise ConfigurationError("stagger_dt needs physics and stagger_order")
@@ -127,18 +135,18 @@ def gaussian_packet(spec, grid, physics=None, stagger_dt=None, stagger_order=Non
         real, imag = np.array(plain[0].real), np.array(advanced[0].imag)
     else:   # Re(ab) = ar br - ai bi, Im(ab) = ar bi + ai br, each product rounded (k = 1 @, no
         # broadcast buffer) before the sum: a packet symmetric in j <-> k is so bit for bit
-        for parts in (f.view(float) for f in plain + advanced):   # 2^-52 of the unit peak:
-            parts[np.abs(parts) < 2.0 ** -52] = 0.0   # round-off; > sqrt(FLOOR), so no subnormal
+        for parts in (f.view(float) for f in plain + advanced):   # the cut: a cell is then
+            parts[np.abs(parts) < 2.0 ** -52] = 0.0   # 0 or >= 2^-156 s (docstring)
         (a, b), (c, d) = plain, advanced
         real = a.real[:, None] @ b.real[None, :]
         real -= a.imag[:, None] @ b.imag[None, :]
         imag = c.real[:, None] @ d.imag[None, :]
         imag += c.imag[:, None] @ d.real[None, :]
     wf = WaveField(real, imag)   # its norm mixes time levels when staggered
-    if spec.normalize:
-        _scale_to_unit_norm(wf, grid)
-    for plane in (real, imag):   # a 1-D tail, a difference or the scale below FLOOR
-        plane[(plane < FLOOR) & (plane > -FLOOR)] = 0.0
+    n = _scale_to_unit_norm(wf, grid) if spec.normalize else 1.0
+    if grid.dims == 1 or n > 2.0 ** 688:   # the 1-D cut, and 2-D's past its bound
+        for plane in (real, imag):
+            plane[(plane < FLOOR) & (plane > -FLOOR)] = 0.0
     return wf
 
 

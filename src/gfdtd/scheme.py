@@ -18,13 +18,12 @@ weights and adds its f term, or at last the old plane, inside B's slab loop,
 so no pass scales or adds a whole plane; at N = 0 a step allocates only the
 new field's two planes, as one (2, *shape) block.  A Propagator binds B once
 and checks each step's field; step() is one step through a Propagator of its own.
-Its last call per half step zeroes the new plane's cells below a level until a plane
-holds none, 0 included: zeros past a packet's tails keep making them.  The first step
-fixes the level at max(stencils.FLOOR, 2^-100 of the field's max |value|), FLOOR if
-that is not finite, so a cell below 2^-100 of the initial peak (a deliberately tiny
-second packet too) reads 0.  While it flushes, step() finds each input plane's first
-and last rows that are not all +0.0, and every call of a half step computes only the
-slabs within 2N+1 halos of them.
+Flushing: the first step fixes a level, max(stencils.FLOOR, 2^-100 of the field's max
+|value|) or FLOOR if that is not finite, below which a cell (a tiny second packet too) reads
+0.  Each half step's last call flushes the new plane; the first new plane with no cell below
+the level, 0 included, ends flushing (zeros past a packet's cut tails keep making such
+cells).  While it flushes, step() finds the rows of each input plane that are not all +0.0,
+and each call of a half step computes only the slabs within 2N+1 halos of them.
 """
 
 import math
@@ -104,8 +103,7 @@ class Propagator:
         self._halos = (2 * cfg.N + 1) * cfg.order.halo
 
     def _half(self, source, old, dt, u, new, reach):
-        """new = old + dt * B(f - r_0 B^2(f - ...)) for f = source; every call computes
-        only the slabs that meet the rows new can hold a nonzero in, reach, if given."""
+        """new = old + dt * B(f - r_0 B^2(f - ...)) for f = source, every call within reach."""
         b, g = self.b, source
         for r in reversed(self._ratios):
             b(g, new, reach=reach)

@@ -7,22 +7,20 @@ matrix).  apply_b, apply_laplacian and apply_b_power validate, bind and call,
 and never flush.
 
 bind_b sets B up once and returns call(f, out, scale=1.0, src=None, floor=None,
-reach=None), which checks nothing: out = scale * B f + src, formed slab by slab
-of rows so that out's slab and two scratch slabs stay in L2.  scale folds into
-the weights (w * 1.0 is w: apply_b's bits) and src adds in the same slab.  Where
-dx = dy, x and y share one neighbour sum per offset (Deitz et al., ICS 2001), so
-on a square grid with V = V.T, B f.T is exactly (B f).T.  A fourth-order slab of
-a square grid takes 10 numpy passes (12 where V holds more than one level over
-the slab), a second-order one 6 (8); where dx != dy, 14 (16) and 8 (10).
+reach=None), which checks nothing: out = scale * B f + src (src apart from out),
+formed slab by slab of rows so that out's slab and two scratch slabs stay in L2.
+scale folds into the weights (w * 1.0 is w: apply_b's bits) and src adds in the
+same slab.  Where dx = dy, x and y share one neighbour sum per offset (Deitz et
+al., ICS 2001), so on a square grid with V = V.T, B f.T is exactly (B f).T.  A
+fourth-order slab of a square grid takes 10 numpy passes (12 where V holds more
+than one level over the slab), a second-order one 6 (8); where dx != dy, 14 (16)
+and 8 (10).
 
-floor=level, a level >= FLOOR, zeroes out's cells of magnitude below it per slab
-and returns whether out holds any cell below it, 0 included (a skipped slab's).
-The stepper passes max(FLOOR, 2^-100 of its first field's peak), so a cell below
-2^-100 of the initial peak reads 0; FLOOR keeps every plane free of subnormals, on
-each of which x86 takes a microcode assist, and numpy cannot flush to zero.
-reach=(first, stop) runs only the slabs that meet those rows and writes +0.0 to
-out's other rows: the caller vouches that f is +0.0 within a halo of them and
-src +0.0 on them, where B gives +0.0 too.
+floor=level (>= FLOOR) zeroes out's cells of magnitude below the level, slab by
+slab, and the call then returns, in place of out, whether out held any cell below
+it, 0 included (a skipped slab's).  reach=(first, stop) runs only the slabs that
+meet those rows and writes +0.0 to out's other rows: the caller vouches that f is
++0.0 within a halo of them and src +0.0 on them, where B gives +0.0 too.
 """
 
 from enum import Enum
@@ -35,8 +33,8 @@ from .fields import _check_shape
 # bytes per slab of rows: the out slab and the two scratch slabs (768 KiB)
 # then stay in a 2 MB per-core L2 cache between the loop's passes
 _SLAB_BYTES = 1 << 18
-# a flushed plane holds 0 or |x| >= FLOOR: FLOOR^2 is normal, and FLOOR is 2^522
-# above the least normal, room for the Horner scales up to N = 8
+# flushed planes hold 0 or |x| >= FLOOR, never a subnormal (an x86 microcode assist each;
+# numpy cannot flush to zero); FLOOR^2 is normal, and 2^522 above the least normal fits N <= 8
 FLOOR = 2.0 ** -500
 
 
@@ -142,10 +140,8 @@ def _shared_sums(shape, d, p, a, start, stop, share):
 
 
 def _bind(v, grid, order, kinetic, hbar):
-    """call(f, out, scale=1.0, src=None, floor=None, reach=None): out = scale * (kinetic *
-    Laplacian(f) - (v/hbar) * f) + src when src is given, unchecked; every slice
-    and view it uses is made here, once per slab of leading-axis rows, but the
-    floor's two masks, which a flushing call views in p's bytes."""
+    """The module docstring's call for B = kinetic * Laplacian - v/hbar; every slice and view
+    it uses is made here, once per slab of rows, but the floor's two masks in p's bytes."""
     n, width = (*grid.shape, 1)[:2]   # rows, row length
     centre = kinetic * _weights(order)[0] * sum(h ** -2 for h in grid.spacing)
     grouping = _groups(grid, order, kinetic)
@@ -243,10 +239,7 @@ def apply_laplacian(component, grid, order=StencilOrder.SECOND_ORDER, out=None):
 
 
 def bind_b(grid, potential, physics, order=StencilOrder.SECOND_ORDER):
-    """apply_b's set-up done once, V read now: call(f, out, scale=1.0, src=None,
-    floor=None, reach=None) runs its loop unchecked and returns out = scale * B f (+ src
-    when src is given; src must not overlap out); with a floor level it zeroes out's cells
-    below it and returns whether it found any, 0 included; reach as in the module doc."""
+    """apply_b's set-up done once, V read now: the module docstring's unchecked call."""
     _check_shape(potential.values, grid, "potential")
     return _bind(potential.values, grid, order, physics.hbar / (2.0 * physics.mass), physics.hbar)
 

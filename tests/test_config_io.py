@@ -768,6 +768,24 @@ def test_cli_run_holds_two_fields_besides_v(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_run_reads_the_potential_range_once(tmp_path, monkeypatch, capsys):
+    # run() takes V's range for its verdict; the report gfdtd run prints takes it
+    # from the config, as gfdtd stability does, with no second pass over the plane
+    from gfdtd import cli
+    from gfdtd.fields import PotentialField
+
+    passes, bounds = [], PotentialField.bounds
+    monkeypatch.setattr(PotentialField, "bounds", lambda self: passes.append(1) or bounds(self))
+    cfg_path = write_config(tmp_path, reduced_document(run={"steps": 2,
+                                                            "out_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", "--config", cfg_path]) == 0
+    assert len(passes) == 1
+    report = capsys.readouterr().out.splitlines()[:7]
+    assert cli.main(["stability", "--config", cfg_path]) == 0
+    assert report == capsys.readouterr().out.splitlines()
+    assert report[-1].startswith("potential term") and not report[-1].endswith(": 0 to 0")
+
+
 def barrier_1d_document(out_dir):
     """1-D, N=2, mu=0.8 with a barrier of V dt/2hbar = 2 on j >= 301.
 

@@ -107,7 +107,7 @@ def one_line_packet(spec, grid):
     per axis, the real and imaginary parts of the factors' outer product from
     two k = 1 matrix products each of parts cut to 0 below 2^-52 of the factor's
     unit peak (the factor's own parts in 1-D), the norm of the two planes by two
-    einsum dot products, and cells below FLOOR cut to 0: the bit-for-bit oracle."""
+    einsum dot products, and in 1-D cells below FLOOR cut to 0: the bit-for-bit oracle."""
     factors = [np.exp(-0.5 * (x / spec.sigma) ** 2 + 1j * (x * 2.0 * np.pi / spec.wavelength))
                for x in _displacements(spec, grid)]
     if grid.dims == 1:
@@ -123,6 +123,8 @@ def one_line_packet(spec, grid):
         total = np.einsum(real, axes, real, axes, []) + np.einsum(imag, axes, imag, axes, [])
         scale = 1.0 / np.sqrt(float(total) * grid.cell_volume)
         real, imag = real * scale, imag * scale
+    if grid.dims == 2:   # the factor cut is the only one
+        return real, imag
     return tuple(np.where(np.abs(plane) < FLOOR, 0.0, plane) for plane in (real, imag))
 
 

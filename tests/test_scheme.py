@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -540,27 +541,87 @@ def test_no_call_of_b_reads_or_writes_a_subnormal(N, order):
     assert 0.0 < wf.max_abs() < np.inf
 
 
-@pytest.mark.parametrize("grid, spec, physics", [
-    (TAIL_GRID, TAIL_PACKET, PhysicalParams()),
+FLOOR_PACKETS = {
+    "si": (TAIL_GRID, TAIL_PACKET, PhysicalParams()),
     # unit cells: normalising scales the planes down, by about 0.11
-    (GridSpec(dims=2, nx=200, dx=1.0, ny=200, dy=1.0),
-     GaussianPacketSpec(sigma=5.0, wavelength=7.3, center_j=50, center_k=50),
-     PhysicalParams(1.0, 1.0)),
-    (GridSpec(dims=2, nx=180, dx=1.0, ny=230, dy=1.3),
-     GaussianPacketSpec(sigma=4.0, wavelength=3.1, center_j=131, center_k=17, normalize=False),
-     PhysicalParams(1.0, 1.0)),
-    (GridSpec(dims=1, nx=400, dx=1.0),
-     GaussianPacketSpec(sigma=3.0, wavelength=5.0, center_j=40), PhysicalParams(1.0, 1.0)),
-], ids=["si", "unit-scaled-down", "dx-ne-dy-unnormalised", "1-d"])
+    "unit-scaled-down": (GridSpec(dims=2, nx=200, dx=1.0, ny=200, dy=1.0),
+                         GaussianPacketSpec(sigma=5.0, wavelength=7.3, center_j=50, center_k=50),
+                         PhysicalParams(1.0, 1.0)),
+    "dx-ne-dy-unnormalised": (GridSpec(dims=2, nx=180, dx=1.0, ny=230, dy=1.3),
+                              GaussianPacketSpec(sigma=4.0, wavelength=3.1, center_j=131,
+                                                 center_k=17, normalize=False),
+                              PhysicalParams(1.0, 1.0)),
+    "1-d": (GridSpec(dims=1, nx=400, dx=1.0),
+            GaussianPacketSpec(sigma=3.0, wavelength=5.0, center_j=40), PhysicalParams(1.0, 1.0)),
+    # a norm past 2^688 scales the factor-cut planes below FLOOR, so they are cut at FLOOR too
+    "norm-past-the-cut-bound": (GridSpec(dims=2, nx=120, dx=1e130, ny=120, dy=1e130),
+                                GaussianPacketSpec(sigma=4e130, wavelength=3.1e130,
+                                                   center_j=60, center_k=60),
+                                PhysicalParams(1.0, 1.0)),
+}
+# the 2-D cases within the bound and perfbench paper2d's packet (its seed's centre shift 0)
+CUT_PACKETS = {**{name: case for name, case in FLOOR_PACKETS.items()
+                  if case[0].dims == 2 and name != "norm-past-the-cut-bound"},
+               "paper2d": (GridSpec(dims=2, nx=800, dx=0.1 * ANGSTROM, ny=800, dy=0.1 * ANGSTROM),
+                           GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=1.0 * ANGSTROM,
+                                              center_j=200, center_k=200), PhysicalParams())}
+
+
+def floor_packet(grid, spec, physics, staggered):
+    """The packet, staggered as gfdtd run's (N = 2, fourth order, mu = 0.25) or not."""
+    dt = make_cfg(2, 0.25, grid, physics).dt if staggered else None
+    return gaussian_packet(spec, grid, physics, stagger_dt=dt,
+                           stagger_order=StencilOrder.FOURTH_ORDER if staggered else None)
+
+
+@pytest.mark.parametrize("grid, spec, physics", FLOOR_PACKETS.values(), ids=list(FLOOR_PACKETS))
 @pytest.mark.parametrize("staggered", [False, True])
 def test_packet_holds_nothing_below_the_floor(grid, spec, physics, staggered):
-    dt = make_cfg(2, 0.25, grid, physics).dt if staggered else None
-    wf = gaussian_packet(spec, grid, physics, stagger_dt=dt,
-                         stagger_order=StencilOrder.FOURTH_ORDER if staggered else None)
+    wf = floor_packet(grid, spec, physics, staggered)
     for plane in (wf.real_part, wf.imag_part):
         nonzero = np.abs(plane[plane != 0])
         assert nonzero.min() >= FLOOR
         assert staggered or nonzero.size < plane.size   # the tails are cut; the FFT fills them
+
+
+@pytest.mark.parametrize("grid, spec, physics", CUT_PACKETS.values(), ids=list(CUT_PACKETS))
+@pytest.mark.parametrize("staggered", [False, True])
+def test_2d_packet_is_cut_once_by_its_factors(grid, spec, physics, staggered):
+    # factor parts are 0 or >= 2^-52, so before the normalising scale s each cell is
+    # 0 or a multiple of 2^-156: no cell is left for a cut at FLOOR to zero
+    wf = floor_packet(grid, spec, physics, staggered)
+    s = 1.0
+    if spec.normalize:   # the builder's scale, from the unnormalised planes' norm
+        s = 1.0 / np.sqrt(norm(floor_packet(grid, replace(spec, normalize=False), physics,
+                                            staggered), grid))
+    for plane in (wf.real_part, wf.imag_part):
+        assert np.abs(plane[plane != 0]).min() >= 2.0 ** -156 * s
+        cut = plane.copy()
+        cut[(cut < FLOOR) & (cut > -FLOOR)] = 0.0
+        assert cut.tobytes() == plane.tobytes()
+
+
+def test_conv1d_packet_switches_the_floor_off_after_step_1():
+    # perfbench conv1d's mu0 inputs: the 1-D factor is not cut, so the FFT-advanced
+    # imaginary part keeps round-off tails far below 2^-52 but above the level; no plane
+    # holds a zero after step 1, and from step 2 no call flushes or takes a reach
+    grid, physics = GridSpec(dims=1, nx=2048, dx=0.1 * ANGSTROM), PhysicalParams()
+    cfg = make_cfg(2, 0.25, grid, physics, StencilOrder.FOURTH_ORDER)
+    spec = GaussianPacketSpec(sigma=1.0 * ANGSTROM, wavelength=2.2 * ANGSTROM, center_j=400,
+                              normalize=False)
+    wf = gaussian_packet(spec, grid, physics, cfg.dt, cfg.order)
+    tails = np.abs(wf.imag_part[wf.imag_part != 0])
+    assert np.count_nonzero(tails < 2.0 ** -52) > grid.nx // 2
+    level, calls, steps = flush_level(wf), [], []
+    propagator = watched(Propagator(grid, PotentialField.zeros(grid), cfg),
+                         lambda f, out, kwargs: calls.append(kwargs))
+    for _ in range(4):
+        calls.clear()
+        wf = propagator.step(wf)
+        steps.append(([c["floor"] for c in calls if c.get("floor") is not None],
+                      sum(c.get("reach") is not None for c in calls)))
+    assert steps == [([level], 10)] + [([], 0)] * 3
+    assert np.count_nonzero(wf.real_part) == np.count_nonzero(wf.imag_part) == grid.nx
 
 
 def test_run_records_equal_the_unflushed_oracle():
